@@ -13,11 +13,11 @@ import sys
 from typing import Optional
 
 from .core import (InfeasibleError, SpeedProfile, check_admissible,
-                   default_tol, profile_error)
+                   default_tol, profile_error, write_json)
 from .harness import convergence_sweep, write_convergence_csv
 from .oracle import agreement_tolerance, dp_optimum
 from .paths import PathSpec, build_model
-from .retime import sample_trajectory, traversal_time, write_trajectory_csv
+from .retime import sample_trajectory, write_trajectory_csv
 from .solver import solve
 
 EXIT_OK = 0
@@ -65,16 +65,14 @@ def cmd_solve(args) -> int:
             raise ValueError("--n must be at least 2")
         model = build_model(path)
         tol = _admissibility_tol(model)
+        grid = path.grid(args.n)
     except ValueError as e:
         return _fail(str(e))
     os.makedirs(args.out, exist_ok=True)
-    grid = path.grid(args.n)
     report = solve(grid, model, endpoints=path.endpoints)
     report.write_json(os.path.join(args.out, "report.json"))
     if not report.status.feasible:
-        st = report.status
-        print(f"infeasible at index {st.index} ({st.pass_name} pass)",
-              file=sys.stderr)
+        print(report.status.message, file=sys.stderr)
         return EXIT_INFEASIBLE
     report.profile.to_csv(os.path.join(args.out, "profile.csv"))
     verdict = check_admissible(report.profile, model, tol)
@@ -83,9 +81,7 @@ def cmd_solve(args) -> int:
         "admissible": bool(verdict),
         "admissibility_tol": tol,
     }
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(summary, os.path.join(args.out, "summary.json"))
     print(f"traversal time: {report.traversal_time:.6f} s")
     return EXIT_OK
 
@@ -117,15 +113,13 @@ def cmd_oracle(args) -> int:
             raise ValueError("--n must be at least 2")
         if args.levels < 8:
             raise ValueError("--levels must be at least 8")
+        model = build_model(path)
+        grid = path.grid(args.n)
     except ValueError as e:
         return _fail(str(e))
-    model = build_model(path)
-    grid = path.grid(args.n)
     report = solve(grid, model, endpoints=path.endpoints)
     if not report.status.feasible:
-        st = report.status
-        print(f"infeasible at index {st.index} ({st.pass_name} pass)",
-              file=sys.stderr)
+        print(report.status.message, file=sys.stderr)
         return EXIT_INFEASIBLE
     try:
         oracle_profile = dp_optimum(grid, model, levels=args.levels,
@@ -139,9 +133,7 @@ def cmd_oracle(args) -> int:
     tol = agreement_tolerance(grid, model, args.levels)
     agreement = {"error": err, "tolerance": tol, "within": err <= tol,
                  "levels": args.levels, "n": args.n}
-    with open(os.path.join(args.out, "agreement.json"), "w", encoding="utf-8") as fh:
-        json.dump(agreement, fh, indent=2)
-        fh.write("\n")
+    write_json(agreement, os.path.join(args.out, "agreement.json"))
     print(f"agreement error: {err:.3e} (tolerance {tol:.3e})")
     if err > tol:
         print("error: oracle disagrees with the solver beyond tolerance",
@@ -163,7 +155,7 @@ def cmd_retime(args) -> int:
         return _fail(str(e))
     os.makedirs(args.out, exist_ok=True)
     write_trajectory_csv(rows, os.path.join(args.out, "trajectory.csv"))
-    print(f"traversal time: {traversal_time(profile):.6f} s "
+    print(f"traversal time: {rows[-1][0]:.6f} s "
           f"({len(rows)} samples)")
     return EXIT_OK
 

@@ -8,10 +8,14 @@ per-segment slope window evaluated at the segment's left endpoint.
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 import numpy as np
+
+# Optional (start, end) squared speeds; a None entry leaves that end free.
+Endpoints = Optional[Tuple[Optional[float], Optional[float]]]
 
 
 class InfeasibleError(RuntimeError):
@@ -30,6 +34,25 @@ class InfeasibleError(RuntimeError):
 
 class UnsupportedInstanceError(ValueError):
     """Raised when a closed-form result is requested for an unsupported case."""
+
+
+@contextmanager
+def text_file(f: Union[str, io.TextIOBase], mode: str = "r"
+              ) -> Iterator[io.TextIOBase]:
+    """Open ``f`` as UTF-8 text when it is a filename, closing it after;
+    an already open stream is used as is and left open."""
+    if isinstance(f, str):
+        with open(f, mode, encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield f
+
+
+def write_json(data: dict, f: Union[str, io.TextIOBase]) -> None:
+    """Write ``data`` as JSON indented by 2, ending with a newline."""
+    with text_file(f, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -159,22 +182,15 @@ class SpeedProfile:
 
     def to_csv(self, f: Union[str, io.TextIOBase]) -> None:
         """Write rows "s,h" with 17 significant digits (lossless round trip)."""
-        own = isinstance(f, str)
-        fh = open(f, "w", encoding="utf-8") if own else f
-        try:
+        with text_file(f, "w") as fh:
             fh.write("s,h\n")
             for s, h in zip(self.grid.points, self.values):
                 fh.write(f"{s:.17g},{h:.17g}\n")
-        finally:
-            if own:
-                fh.close()
 
     @classmethod
     def from_csv(cls, f: Union[str, io.TextIOBase],
                  provenance: str = "synthetic") -> "SpeedProfile":
-        own = isinstance(f, str)
-        fh = open(f, "r", encoding="utf-8") if own else f
-        try:
+        with text_file(f) as fh:
             header = fh.readline().strip()
             if header != "s,h":
                 raise ValueError(f"expected profile CSV header 's,h', got {header!r}")
@@ -186,9 +202,6 @@ class SpeedProfile:
                 s_str, h_str = line.split(",")
                 ss.append(float(s_str))
                 hs.append(float(h_str))
-        finally:
-            if own:
-                fh.close()
         return cls(Discretization(np.array(ss)), np.array(hs), provenance)
 
     def to_json_dict(self) -> dict:
@@ -280,6 +293,11 @@ class SolveStatus:
         return {"feasible": self.feasible, "index": self.index,
                 "pass": self.pass_name}
 
+    @property
+    def message(self) -> str:
+        """Where an infeasible solve became empty, for error output."""
+        return f"infeasible at index {self.index} ({self.pass_name} pass)"
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -295,8 +313,6 @@ class SolveReport:
     forward: Optional[np.ndarray] = None
     profile: Optional[SpeedProfile] = None
     traversal_time: Optional[float] = None
-    error_vs_reference: Optional[float] = None
-    grid: Optional[Discretization] = field(default=None, repr=False)
 
     def to_json_dict(self) -> dict:
         def _seq(arr):
@@ -310,15 +326,16 @@ class SolveReport:
             "forward": _seq(self.forward),
             "profile": self.profile.to_json_dict() if self.profile else None,
             "traversal_time": self.traversal_time,
-            "error_vs_reference": self.error_vs_reference,
         }
 
     def write_json(self, f: Union[str, io.TextIOBase]) -> None:
-        own = isinstance(f, str)
-        fh = open(f, "w", encoding="utf-8") if own else f
-        try:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-        finally:
-            if own:
-                fh.close()
+        write_json(self.to_json_dict(), f)
+
+    def require_feasible(self, what: str) -> "SolveReport":
+        """Return the report, or raise :class:`InfeasibleError` carrying
+        the failing index and pass, with ``what`` naming the solve."""
+        st = self.status
+        if not st.feasible:
+            raise InfeasibleError(f"{what} {st.message}", index=st.index,
+                                  pass_name=st.pass_name)
+        return self

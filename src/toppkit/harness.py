@@ -21,8 +21,8 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .core import (Discretization, InfeasibleError, SpeedProfile,
-                   check_admissible, default_tol, profile_error, relax)
+from .core import (Discretization, SpeedProfile, check_admissible,
+                   default_tol, profile_error, relax, text_file)
 from .paths import PathSpec, analytic_optimum, build_model
 from .solver import solve
 
@@ -81,23 +81,13 @@ def convergence_sweep(path: PathSpec, resolutions: Sequence[int],
                     f"count {n - 1} must divide it")
         fine_grid = path.grid(fine_intervals + 1)
         fine_report = solve(fine_grid, model, endpoints=path.endpoints)
-        if not fine_report.status.feasible:
-            st = fine_report.status
-            raise InfeasibleError(
-                f"reference solve infeasible at index {st.index}",
-                index=st.index, pass_name=st.pass_name)
-        fine_profile = fine_report.profile
+        fine_profile = fine_report.require_feasible("reference solve").profile
 
     rows: List[ConvergenceRow] = []
     for n in sizes:
         grid = path.grid(n)
         report = solve(grid, model, endpoints=path.endpoints)
-        if not report.status.feasible:
-            st = report.status
-            raise InfeasibleError(
-                f"infeasible at grid size n={n} (index {st.index}, "
-                f"{st.pass_name} pass)", index=st.index,
-                pass_name=st.pass_name)
+        report.require_feasible(f"solve at grid size n={n}")
         verdict = check_admissible(report.profile, model)
         if not verdict:
             raise RuntimeError(f"solve at n={n} not admissible: {verdict.detail}")
@@ -115,15 +105,10 @@ def convergence_sweep(path: PathSpec, resolutions: Sequence[int],
 
 def write_convergence_csv(rows: Sequence[ConvergenceRow],
                           f: Union[str, io.TextIOBase]) -> None:
-    own = isinstance(f, str)
-    fh = open(f, "w", encoding="utf-8") if own else f
-    try:
+    with text_file(f, "w") as fh:
         fh.write("n,delta,rho,time_s\n")
         for r in rows:
             fh.write(f"{r.n},{r.delta:.17g},{r.rho:.17g},{r.time_s:.17g}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def xi_sweep(path: PathSpec, grid: Discretization,
@@ -147,12 +132,7 @@ def xi_sweep(path: PathSpec, grid: Discretization,
 
     model = build_model(path)
     base_report = solve(grid, model, endpoints=path.endpoints)
-    if not base_report.status.feasible:
-        st = base_report.status
-        raise InfeasibleError(
-            f"base instance infeasible at index {st.index}",
-            index=st.index, pass_name=st.pass_name)
-    base = base_report.profile.values
+    base = base_report.require_feasible("base instance").profile.values
 
     rows: List[XiRow] = []
     for xi in levels:
@@ -182,15 +162,10 @@ def xi_sweep(path: PathSpec, grid: Discretization,
 
 
 def write_xi_csv(rows: Sequence[XiRow], f: Union[str, io.TextIOBase]) -> None:
-    own = isinstance(f, str)
-    fh = open(f, "w", encoding="utf-8") if own else f
-    try:
+    with text_file(f, "w") as fh:
         fh.write("xi,gap\n")
         for r in rows:
             fh.write(f"{r.xi:.17g},{r.gap:.17g}\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def measure_solve_seconds(path: PathSpec, n: int, repeats: int = 3) -> float:
@@ -204,7 +179,6 @@ def measure_solve_seconds(path: PathSpec, n: int, repeats: int = 3) -> float:
         t0 = time.perf_counter()
         report = solve(grid, model, endpoints=path.endpoints)
         elapsed = time.perf_counter() - t0
-        if not report.status.feasible:
-            raise InfeasibleError(f"instance infeasible at n={n}")
+        report.require_feasible(f"solve at n={n}")
         best = min(best, elapsed)
     return best

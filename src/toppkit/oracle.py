@@ -12,15 +12,12 @@ ones, which makes these profiles dominance-test fodder.
 """
 
 from dataclasses import replace
-from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import (Discretization, DynamicsModel, InfeasibleError,
+from .core import (Discretization, DynamicsModel, Endpoints, InfeasibleError,
                    SpeedProfile, check_admissible)
 from .paths import PathSpec, build_model
-
-Endpoints = Optional[Tuple[Optional[float], Optional[float]]]
 
 
 def lattice_spacing(grid: Discretization, model: DynamicsModel,

@@ -18,10 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import (Discretization, DynamicsModel, SpeedProfile,
+from .core import (Discretization, DynamicsModel, Endpoints, SpeedProfile,
                    UnsupportedInstanceError)
-
-Endpoints = Tuple[Optional[float], Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class PathSpec:
     radius: Optional[float] = None
     angle: Optional[float] = None
     table: Optional[Tuple[Tuple[float, float], ...]] = None
-    endpoints: Optional[Endpoints] = None
+    endpoints: Endpoints = None
 
     def __post_init__(self):
         if self.kind not in ("line", "arc", "table"):
@@ -74,6 +72,11 @@ class PathSpec:
                 if v is not None and v < 0.0:
                     raise ValueError("endpoint squared speeds must be non-negative")
             object.__setattr__(self, "endpoints", (h0, h1))
+        values = [self.v_max, self.f_fr, self.length, self.radius, self.angle,
+                  *(x for row in self.table or () for x in row),
+                  *(self.endpoints or ())]
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise ValueError("path spec values must be finite")
 
     @property
     def domain(self) -> Tuple[float, float]:
@@ -113,7 +116,7 @@ class PathSpec:
             f_fr = float(d["f_fr"])
         except KeyError as e:
             raise ValueError(f"path spec missing required field {e.args[0]!r}") from e
-        endpoints: Optional[Endpoints] = None
+        endpoints: Endpoints = None
         if "endpoints" in d and d["endpoints"] is not None:
             ep = d["endpoints"]
             start = ep.get("start_h")
@@ -144,13 +147,7 @@ def curvature(path: PathSpec, s: float) -> float:
     a, b = path.domain
     if s < a or s > b:
         raise ValueError(f"position {s!r} outside path domain [{a!r}, {b!r}]")
-    if path.kind == "line":
-        return 0.0
-    if path.kind == "arc":
-        return 1.0 / path.radius
-    ss = np.array([p for p, _ in path.table])
-    kk = np.array([k for _, k in path.table])
-    return float(np.interp(s, ss, kk))
+    return _curvature_fn(path)(s)
 
 
 def _curvature_fn(path: PathSpec):

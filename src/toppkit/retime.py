@@ -16,7 +16,27 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .core import SpeedProfile
+from .core import SpeedProfile, text_file
+
+
+def _knot_times(profile: SpeedProfile) -> np.ndarray:
+    """Arrival time at each grid point, ``inf`` from a stalled segment on.
+
+    ``np.cumsum`` adds the segment times left to right, as a loop would.
+    """
+    h = profile.values
+    if np.any(h < 0.0):
+        raise ValueError("squared speeds must be non-negative")
+    s = profile.grid.points
+    # Allocate t before the temporaries so freeing them leaves no heap hole.
+    t = np.empty(s.size)
+    t[0] = 0.0
+    root = np.sqrt(h)
+    seg = np.subtract(s[1:], s[:-1], out=t[1:])
+    seg *= 2.0
+    with np.errstate(divide="ignore"):  # h == 0 at both ends: a stall
+        seg /= root[:-1] + root[1:]
+    return np.cumsum(t, out=t)
 
 
 def traversal_time(profile: SpeedProfile) -> float:
@@ -25,30 +45,7 @@ def traversal_time(profile: SpeedProfile) -> float:
     A stall is any interior segment with h == 0 at both ends. Negative
     squared speeds are rejected.
     """
-    h = profile.values
-    if np.any(h < 0.0):
-        raise ValueError("squared speeds must be non-negative")
-    s = profile.grid.points
-    total = 0.0
-    for i in range(h.size - 1):
-        denom = math.sqrt(h[i]) + math.sqrt(h[i + 1])
-        if denom == 0.0:
-            return math.inf
-        total += 2.0 * (s[i + 1] - s[i]) / denom
-    return total
-
-
-def _segment_times(profile: SpeedProfile) -> np.ndarray:
-    s = profile.grid.points
-    h = profile.values
-    t = np.zeros(s.size)
-    for i in range(s.size - 1):
-        denom = math.sqrt(h[i]) + math.sqrt(h[i + 1])
-        if denom == 0.0:
-            raise ValueError("profile stalls (h == 0 across a segment); "
-                             "traversal time is not finite")
-        t[i + 1] = t[i] + 2.0 * (s[i + 1] - s[i]) / denom
-    return t
+    return float(_knot_times(profile)[-1])
 
 
 def sample_trajectory(profile: SpeedProfile, dt: float
@@ -66,10 +63,11 @@ def sample_trajectory(profile: SpeedProfile, dt: float
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if np.any(profile.values < 0.0):
-        raise ValueError("squared speeds must be non-negative")
-    t_knots = _segment_times(profile)
+    t_knots = _knot_times(profile)
     total = float(t_knots[-1])
+    if math.isinf(total):
+        raise ValueError("profile stalls (h == 0 across a segment); "
+                         "traversal time is not finite")
     s = profile.grid.points
     h = profile.values
 
@@ -104,12 +102,7 @@ def sample_trajectory(profile: SpeedProfile, dt: float
 def write_trajectory_csv(rows: List[Tuple[float, float, float]],
                          f: Union[str, io.TextIOBase]) -> None:
     """Write sampled rows with header "t,s,v"."""
-    own = isinstance(f, str)
-    fh = open(f, "w", encoding="utf-8") if own else f
-    try:
+    with text_file(f, "w") as fh:
         fh.write("t,s,v\n")
         for t, pos, v in rows:
             fh.write(f"{t:.17g},{pos:.17g},{v:.17g}\n")
-    finally:
-        if own:
-            fh.close()

@@ -10,35 +10,32 @@ the whole solve is linear in the grid size.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .core import (Discretization, DynamicsModel, SolveReport, SolveStatus,
-                   SpeedProfile)
+from .core import (Discretization, DynamicsModel, Endpoints, SolveReport,
+                   SolveStatus, SpeedProfile)
 from .retime import traversal_time
 
-Endpoints = Optional[Tuple[Optional[float], Optional[float]]]
+# Cells scanned for a sign change when the bracket ends of a backward
+# step do not straddle the constraint boundary.
+SCAN_CELLS = 1024
 
 
 @dataclass(frozen=True)
 class StepSolverConfig:
-    """Tolerances for the per-step scalar maximization.
+    """Tolerance for the per-step scalar maximization.
 
     abs_tol:    absolute bracket width (squared-speed units) at which
                 the root search stops.
-    scan_cells: cells scanned for a sign change when the bracket ends
-                do not straddle the constraint boundary.
     """
 
     abs_tol: float = 1e-12
-    scan_cells: int = 1024
 
     def __post_init__(self):
         if not self.abs_tol > 0.0:
             raise ValueError("abs_tol must be positive")
-        if self.scan_cells < 2:
-            raise ValueError("scan_cells must be at least 2")
 
 
 def default_config(grid: Discretization, model: DynamicsModel) -> StepSolverConfig:
@@ -126,7 +123,7 @@ def backward_step(s_i: float, ds: float, h_next: float, model: DynamicsModel,
     # No bracket from the ends: scan for the highest feasible cell. This
     # covers slope functions steep enough in h to create interior dips,
     # which only happens on coarse grids.
-    xs = np.linspace(lo_eff, hi_eff, cfg.scan_cells + 1)
+    xs = np.linspace(lo_eff, hi_eff, SCAN_CELLS + 1)
     prev_x, prev_g = hi_eff, g_hi
     for x in xs[-2::-1]:
         gx = g(float(x))
@@ -137,7 +134,7 @@ def backward_step(s_i: float, ds: float, h_next: float, model: DynamicsModel,
 
 
 def forward_step(s_prev: float, ds: float, h_prev: float, h_cap: float,
-                 model: DynamicsModel, cfg: StepSolverConfig) -> Optional[float]:
+                 model: DynamicsModel) -> Optional[float]:
     """Accelerating reach min(h_cap, h_prev + fplus(s_prev, h_prev)*ds).
 
     Returns None when the reached value would sink below the floor at
@@ -153,8 +150,7 @@ def forward_step(s_prev: float, ds: float, h_prev: float, h_cap: float,
 
 
 def solve(grid: Discretization, model: DynamicsModel,
-          endpoints: Endpoints = None,
-          cfg: Optional[StepSolverConfig] = None) -> SolveReport:
+          endpoints: Endpoints = None) -> SolveReport:
     """Run both sweeps and assemble the report.
 
     The backward seed is bu at the last point, optionally min-capped by
@@ -163,8 +159,7 @@ def solve(grid: Discretization, model: DynamicsModel,
     feasible solve the profile is the forward sequence and passes the
     admissibility check at the default tolerance.
     """
-    if cfg is None:
-        cfg = default_config(grid, model)
+    cfg = default_config(grid, model)
     h_start, h_end = (None, None) if endpoints is None else endpoints
     for v in (h_start, h_end):
         if v is not None and v < 0.0:
@@ -178,14 +173,14 @@ def solve(grid: Discretization, model: DynamicsModel,
         seed = min(seed, h_end)
     if seed < model.bl(s[-1]):
         return SolveReport(status=SolveStatus(False, n - 1, "backward"),
-                           backward=backward, grid=grid)
+                           backward=backward)
     backward[-1] = seed
     for i in range(n - 2, -1, -1):
         h = backward_step(float(s[i]), float(s[i + 1] - s[i]),
                           float(backward[i + 1]), model, cfg)
         if h is None:
             return SolveReport(status=SolveStatus(False, i, "backward"),
-                               backward=backward, grid=grid)
+                               backward=backward)
         backward[i] = h
 
     forward = np.full(n, np.nan)
@@ -194,17 +189,17 @@ def solve(grid: Discretization, model: DynamicsModel,
         first = min(first, h_start)
     if first < model.bl(s[0]):
         return SolveReport(status=SolveStatus(False, 0, "forward"),
-                           backward=backward, forward=forward, grid=grid)
+                           backward=backward, forward=forward)
     forward[0] = first
     for i in range(1, n):
         h = forward_step(float(s[i - 1]), float(s[i] - s[i - 1]),
-                         float(forward[i - 1]), float(backward[i]), model, cfg)
+                         float(forward[i - 1]), float(backward[i]), model)
         if h is None:
             return SolveReport(status=SolveStatus(False, i, "forward"),
-                               backward=backward, forward=forward, grid=grid)
+                               backward=backward, forward=forward)
         forward[i] = h
 
     profile = SpeedProfile(grid, forward, "solver")
     return SolveReport(status=SolveStatus(True), backward=backward,
                        forward=forward, profile=profile,
-                       traversal_time=traversal_time(profile), grid=grid)
+                       traversal_time=traversal_time(profile))

@@ -50,7 +50,7 @@ class TestSolveCommand:
         import toppkit.cli as cli
         from toppkit.core import SolveReport, SolveStatus
 
-        def fake_solve(grid, model, endpoints=None, cfg=None):
+        def fake_solve(grid, model, endpoints=None):
             return SolveReport(status=SolveStatus(False, 7, "backward"),
                                backward=np.full(len(grid), np.nan))
 
@@ -85,6 +85,15 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "v_max" in capsys.readouterr().err
+
+    def test_non_finite_spec_value_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "inf.json"
+        bad.write_text('{"kind": "line", "v_max": 1.0, "f_fr": 1.0, '
+                       '"length": Infinity}', encoding="utf-8")
+        code = main(["solve", "--input", str(bad), "--n", "11",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_n_floor(self, tmp_path, capsys):
         spec = write_spec(tmp_path, line_instance())

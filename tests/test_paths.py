@@ -27,6 +27,30 @@ class TestPathSpec:
         with pytest.raises(ValueError):
             PathSpec("line", v_max=1.0, f_fr=1.0, length=1.0,
                      endpoints=(-0.5, 0.0))
+        # non-finite values, which JSON's NaN and Infinity tokens can carry
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                PathSpec("line", v_max=bad, f_fr=1.0, length=1.0)
+            with pytest.raises(ValueError):
+                PathSpec("line", v_max=1.0, f_fr=bad, length=1.0)
+            with pytest.raises(ValueError):
+                PathSpec("line", v_max=1.0, f_fr=1.0, length=bad)
+            with pytest.raises(ValueError):
+                PathSpec("arc", v_max=1.0, f_fr=1.0, radius=bad, angle=1.0)
+            with pytest.raises(ValueError):
+                PathSpec("arc", v_max=1.0, f_fr=1.0, radius=1.0, angle=bad)
+            with pytest.raises(ValueError):
+                PathSpec("table", v_max=1.0, f_fr=1.0,
+                         table=((0.0, 0.5), (1.0, bad)))
+            with pytest.raises(ValueError):
+                PathSpec("table", v_max=1.0, f_fr=1.0,
+                         table=((0.0, 0.5), (bad, 0.7)))
+            with pytest.raises(ValueError):
+                PathSpec("line", v_max=1.0, f_fr=1.0, length=1.0,
+                         endpoints=(bad, 0.0))
+            with pytest.raises(ValueError):
+                PathSpec("line", v_max=1.0, f_fr=1.0, length=1.0,
+                         endpoints=(None, bad))
 
     def test_domains(self):
         assert PathSpec("line", 1.0, 1.0, length=2.5).domain == (0.0, 2.5)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toppkit import (Discretization, SpeedProfile, build_model,
-                     line_instance, sample_trajectory, solve, traversal_time,
+                     capped_arc_instance, line_instance, sample_trajectory,
+                     solve, traversal_time, wave_table_instance,
                      write_trajectory_csv)
 
 
@@ -49,6 +50,18 @@ class TestTraversalTime:
         tq = traversal_time(profile_on(grid, q))
         assert tp >= tq * (1.0 - 1e-12)
 
+    def test_total_is_a_left_to_right_sum(self):
+        # A pairwise-summed total (np.sum) differs in the last bits here.
+        for path in (capped_arc_instance(), wave_table_instance()):
+            report = solve(path.grid(201), build_model(path),
+                           endpoints=path.endpoints)
+            s, h = report.profile.grid.points, report.profile.values
+            total = 0.0
+            for i in range(s.size - 1):
+                total += 2.0 * (s[i + 1] - s[i]) / (math.sqrt(h[i])
+                                                    + math.sqrt(h[i + 1]))
+            assert traversal_time(report.profile) == total
+
     def test_midpoint_refinement_is_consistent(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -87,7 +100,7 @@ class TestSampleTrajectory:
         rows = sample_trajectory(report.profile, 0.03)
         ts = [r[0] for r in rows]
         assert all(t2 > t1 for t1, t2 in zip(ts, ts[1:]))
-        assert abs(ts[-1] - report.traversal_time) <= 1e-12
+        assert ts[-1] == report.traversal_time
         ss = [r[1] for r in rows]
         assert all(s2 >= s1 for s1, s2 in zip(ss, ss[1:]))
         assert ss[0] == 0.0 and ss[-1] == 1.0

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from toppkit import (Discretization, DynamicsModel, PathSpec,
-                     StepSolverConfig, backward_step, build_model,
+from toppkit import (Discretization, DynamicsModel, InfeasibleError,
+                     PathSpec, StepSolverConfig, backward_step, build_model,
                      check_admissible, circle_instance, default_config,
                      forward_step, line_instance, relax, solve,
                      wave_table_instance)
 
-CFG = StepSolverConfig(abs_tol=1e-12, scan_cells=1024)
+CFG = StepSolverConfig(abs_tol=1e-12)
 
 # Car-model scalar subproblem: largest h with h - 0.2*sqrt(1 - h^2) <= 0.5.
 # Value frozen from a plain-bisection solve of the inequality; it also
@@ -83,13 +83,13 @@ class TestBackwardStep:
 
 class TestForwardStep:
     def test_reaches_cap_exactly(self, line_model):
-        assert forward_step(0.0, 0.5, 0.0, 1.0, line_model, CFG) == 1.0
+        assert forward_step(0.0, 0.5, 0.0, 1.0, line_model) == 1.0
 
     def test_cap_at_current_value(self, line_model):
-        assert forward_step(0.0, 0.5, 0.7, 0.7, line_model, CFG) == 0.7
+        assert forward_step(0.0, 0.5, 0.7, 0.7, line_model) == 0.7
 
     def test_car_model_reach(self):
-        h = forward_step(0.3, 0.1, 0.8, 1.0, car_model(), CFG)
+        h = forward_step(0.3, 0.1, 0.8, 1.0, car_model())
         assert h == pytest.approx(0.92, abs=1e-12)
 
     def test_floor_violation_is_infeasible(self):
@@ -97,11 +97,11 @@ class TestForwardStep:
                               bu=lambda s: 10.0,
                               bl=lambda s: 5.0 if s > 0.25 else 0.0,
                               slope_cap=1.0)
-        assert forward_step(0.2, 0.1, 1.0, 10.0, model, CFG) is None
+        assert forward_step(0.2, 0.1, 1.0, 10.0, model) is None
 
     def test_invalid_ds(self, line_model):
         with pytest.raises(ValueError):
-            forward_step(0.0, -0.1, 0.0, 1.0, line_model, CFG)
+            forward_step(0.0, -0.1, 0.0, 1.0, line_model)
 
 
 class TestSolve:
@@ -135,6 +135,9 @@ class TestSolve:
         assert report.status.index == 2
         assert report.status.pass_name == "backward"
         assert report.profile is None
+        with pytest.raises(InfeasibleError, match="index 2 .backward pass") as e:
+            report.require_feasible("solve")
+        assert (e.value.index, e.value.pass_name) == (2, "backward")
 
     def test_forward_never_exceeds_backward(self):
         for path in (line_instance(), wave_table_instance()):
@@ -186,6 +189,8 @@ class TestSolve:
     def test_report_json_shape(self, line_path, line_model, grid3):
         report = solve(grid3, line_model, endpoints=line_path.endpoints)
         d = report.to_json_dict()
+        assert set(d) == {"status", "backward", "forward", "profile",
+                          "traversal_time"}
         assert d["status"] == {"feasible": True, "index": None, "pass": None}
         assert d["backward"] == pytest.approx([2.0, 1.0, 0.0])
         assert d["profile"]["provenance"] == "solver"
@@ -194,8 +199,6 @@ class TestSolve:
 def test_step_config_validation():
     with pytest.raises(ValueError):
         StepSolverConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        StepSolverConfig(scan_cells=1)
 
 
 def test_default_config_scales_with_ceiling(line_path, line_model):
