@@ -75,6 +75,8 @@ class Discretization:
         pts = _readonly(np.asarray(self.points, dtype=float))
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("discretization needs at least two points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("discretization points must be finite")
         if not np.all(np.diff(pts) > 0.0):
             raise ValueError("discretization points must be strictly increasing")
         object.__setattr__(self, "points", pts)
@@ -110,6 +112,31 @@ class Discretization:
 
 
 @dataclass(frozen=True)
+class FrictionCircle:
+    """Friction-circle bounds for array evaluation: slope window
+    +-2*sqrt(f_fr^2 - kappa^2 h^2) (zero where the radicand is not
+    positive), ceiling min(vmax2, f_fr/kappa), floor zero. ``kappa`` maps
+    positions to curvatures. Elementwise, the methods give the floats of
+    the scalar callables that ``paths.build_model`` makes."""
+
+    f_fr: float
+    vmax2: float
+    kappa: Callable[[np.ndarray], np.ndarray]
+
+    def ceiling(self, kappa: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):  # f/0 = inf: only v_max binds
+            return np.minimum(self.vmax2, self.f_fr / kappa)
+
+    def slopes(self, kappa: np.ndarray, h: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """(fminus, fplus) at the states (kappa, h)."""
+        kh = kappa * h
+        r = self.f_fr * self.f_fr - kh * kh
+        root = np.where(r > 0.0, 2.0 * np.sqrt(np.maximum(r, 0.0)), 0.0)
+        return np.where(r > 0.0, -root, 0.0), root
+
+
+@dataclass(frozen=True)
 class DynamicsModel:
     """Slope and box bounds defining one profile-planning problem.
 
@@ -119,6 +146,8 @@ class DynamicsModel:
     with |fplus|, |fminus| <= B on the feasible region; the solver and
     oracle rely on it for bracketing, so the supplier must provide it.
     ``xi`` records the relaxation level already applied to the slopes.
+    ``friction``, when set, holds the same bounds in closed form, which
+    the solver and the admissibility check use instead of the callables.
     """
 
     fplus: Callable[[float, float], float]
@@ -127,12 +156,15 @@ class DynamicsModel:
     bl: Callable[[float], float]
     slope_cap: float
     xi: float = 0.0
+    friction: Optional[FrictionCircle] = None
 
     def __post_init__(self):
         if not self.slope_cap > 0.0:
             raise ValueError("slope_cap must be positive")
         if self.xi < 0.0:
             raise ValueError("xi must be non-negative")
+        if self.friction is not None and self.xi != 0.0:
+            raise ValueError("a friction-circle model cannot be relaxed in place")
 
 
 def default_tol(model: DynamicsModel) -> float:
@@ -144,7 +176,8 @@ def relax(model: DynamicsModel, xi: float) -> DynamicsModel:
     """Widen the slope window by +-xi; box bounds are unchanged.
 
     The returned model records the cumulative relaxation level and a
-    slope cap enlarged by xi so bracketing stays valid.
+    slope cap enlarged by xi so bracketing stays valid. It carries no
+    ``friction`` description, so solves of it use the callables.
     """
     if xi < 0.0:
         raise ValueError("relaxation level must be non-negative")
@@ -178,6 +211,8 @@ class SpeedProfile:
         vals = _readonly(np.asarray(self.values, dtype=float))
         if vals.ndim != 1 or vals.size != len(self.grid):
             raise ValueError("profile length must match its grid")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("profile squared speeds must be finite")
         object.__setattr__(self, "values", vals)
 
     def to_csv(self, f: Union[str, io.TextIOBase]) -> None:
@@ -240,38 +275,45 @@ def check_admissible(profile: SpeedProfile, model: DynamicsModel,
     no slope constraint at the final point. Ties are admissible. When
     ``tol`` is omitted the model's default tolerance is used. On failure
     the report names the smallest violating index and the constraint.
+    The bounds are sampled once per point (from ``model.friction`` when
+    set) and compared elementwise, with the same floats as a scalar loop.
     """
     if tol is None:
         tol = default_tol(model)
     if tol < 0.0:
         raise ValueError("tolerance must be non-negative")
-    s = profile.grid.points
-    h = profile.values
+    s, h = profile.grid.points, profile.values
     n = h.size
-    for i in range(n):
-        lo = model.bl(s[i])
-        hi = model.bu(s[i])
-        if h[i] < lo - tol:
-            return AdmissibilityReport(
-                False, i, "below_lower_bound",
-                f"h={h[i]!r} < bl={lo!r} at s={s[i]!r}")
-        if h[i] > hi + tol:
-            return AdmissibilityReport(
-                False, i, "above_upper_bound",
-                f"h={h[i]!r} > bu={hi!r} at s={s[i]!r}")
-        if i < n - 1:
-            slope = (h[i + 1] - h[i]) / (s[i + 1] - s[i])
-            f_lo = model.fminus(s[i], h[i])
-            f_hi = model.fplus(s[i], h[i])
-            if slope < f_lo - tol:
-                return AdmissibilityReport(
-                    False, i, "slope_below_min",
-                    f"slope={slope!r} < fminus={f_lo!r} at s={s[i]!r}")
-            if slope > f_hi + tol:
-                return AdmissibilityReport(
-                    False, i, "slope_above_max",
-                    f"slope={slope!r} > fplus={f_hi!r} at s={s[i]!r}")
-    return AdmissibilityReport(True)
+    if model.friction is not None:
+        kappa = model.friction.kappa(s)
+        lo, hi = np.zeros(n), model.friction.ceiling(kappa)
+        f_lo, f_hi = model.friction.slopes(kappa[:-1], h[:-1])
+    else:
+        sl, hl = s.tolist(), h.tolist()
+        lo, hi = (np.array([b(x) for x in sl]) for b in (model.bl, model.bu))
+        f_lo, f_hi = (np.array([f(x, y) for x, y in zip(sl[:-1], hl)])
+                      for f in (model.fminus, model.fplus))
+    slope = np.diff(h) / np.diff(s)
+    # One row per check, in reporting order: at each index the bounds
+    # come before the slope, and the slope at i before the bounds at i+1.
+    fails = np.zeros((4, n), dtype=bool)
+    fails[0] = h < lo - tol
+    fails[1] = h > hi + tol
+    fails[2, :-1] = slope < f_lo - tol
+    fails[3, :-1] = slope > f_hi + tol
+    bad = np.flatnonzero(fails.any(axis=0))
+    if bad.size == 0:
+        return AdmissibilityReport(True)
+    i = int(bad[0])
+    name, x, xs, op, y, ys = (
+        ("below_lower_bound", "h", h, "<", "bl", lo),
+        ("above_upper_bound", "h", h, ">", "bu", hi),
+        ("slope_below_min", "slope", slope, "<", "fminus", f_lo),
+        ("slope_above_max", "slope", slope, ">", "fplus", f_hi),
+    )[int(np.argmax(fails[:, i]))]
+    return AdmissibilityReport(
+        False, i, name,
+        f"{x}={float(xs[i])!r} {op} {y}={float(ys[i])!r} at s={float(s[i])!r}")
 
 
 def profile_error(candidate: SpeedProfile, reference: SpeedProfile) -> float:

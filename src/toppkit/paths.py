@@ -18,8 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import (Discretization, DynamicsModel, Endpoints, SpeedProfile,
-                   UnsupportedInstanceError)
+from .core import (Discretization, DynamicsModel, Endpoints, FrictionCircle,
+                   SpeedProfile, UnsupportedInstanceError)
 
 
 @dataclass(frozen=True)
@@ -147,25 +147,20 @@ def curvature(path: PathSpec, s: float) -> float:
     a, b = path.domain
     if s < a or s > b:
         raise ValueError(f"position {s!r} outside path domain [{a!r}, {b!r}]")
-    return _curvature_fn(path)(s)
+    return _curvature_fns(path)[0](s)
 
 
-def _curvature_fn(path: PathSpec):
-    # Internal lookup used by model evaluators: clamps s into the path
-    # domain so last-segment float overshoot (s_prev + ds a few ulps past
-    # the end) cannot raise mid-solve.
-    if path.kind == "line":
-        return lambda s: 0.0
-    if path.kind == "arc":
-        k = 1.0 / path.radius
-        return lambda s: k
+def _curvature_fns(path: PathSpec):
+    # Scalar and array lookups for model evaluators, equal at every s.
+    # Both clamp s into the path domain, so last-segment float overshoot
+    # (s_prev + ds a few ulps past the end) cannot raise mid-solve.
+    if path.kind != "table":
+        k = 0.0 if path.kind == "line" else 1.0 / path.radius
+        return (lambda s: k), (lambda s: np.full(np.shape(s), k))
     ss = np.array([p for p, _ in path.table])
     kk = np.array([k for _, k in path.table])
-
-    def lookup(s, _ss=ss, _kk=kk):
-        return float(np.interp(s, _ss, _kk))
-
-    return lookup
+    return ((lambda s, _ss=ss, _kk=kk: float(np.interp(s, _ss, _kk))),
+            (lambda s: np.interp(s, ss, kk)))
 
 
 def build_model(path: PathSpec) -> DynamicsModel:
@@ -175,21 +170,22 @@ def build_model(path: PathSpec) -> DynamicsModel:
     clamped at zero so the window stays defined (and continuous) when a
     solver iterate grazes the ceiling. Ceiling: min(v_max^2, f_fr/kappa)
     with f_fr/0 treated as infinite. Floor: zero. The global slope cap
-    is 2*f_fr.
+    is 2*f_fr. The model's ``friction`` field holds the same bounds for
+    array evaluation; nothing is sampled here.
     """
-    kappa_at = _curvature_fn(path)
+    kappa_at, kappa_array = _curvature_fns(path)
     f = float(path.f_fr)
     f2 = f * f
     vmax2 = float(path.v_max) ** 2
 
     def fplus(s, h):
-        k = kappa_at(s)
-        r = f2 - (k * h) ** 2
+        kh = kappa_at(s) * h
+        r = f2 - kh * kh
         return 2.0 * math.sqrt(r) if r > 0.0 else 0.0
 
     def fminus(s, h):
-        k = kappa_at(s)
-        r = f2 - (k * h) ** 2
+        kh = kappa_at(s) * h
+        r = f2 - kh * kh
         return -2.0 * math.sqrt(r) if r > 0.0 else 0.0
 
     def bu(s):
@@ -202,7 +198,8 @@ def build_model(path: PathSpec) -> DynamicsModel:
         return 0.0
 
     return DynamicsModel(fplus=fplus, fminus=fminus, bu=bu, bl=bl,
-                         slope_cap=2.0 * f)
+                         slope_cap=2.0 * f,
+                         friction=FrictionCircle(f, vmax2, kappa_array))
 
 
 def _is_rest_to_rest(path: PathSpec) -> bool:

@@ -5,7 +5,9 @@ squared speed from which the next point's value is still reachable
 without exceeding the braking slope. Forward pass: from the initial
 value, each point gets the accelerating-slope reach, clipped by the
 backward cap. Both passes are one scalar maximization per grid step, so
-the whole solve is linear in the grid size.
+the whole solve is linear in the grid size. A friction-circle model
+takes each step in closed form; any other model takes it by a root
+search over its callables.
 """
 
 import math
@@ -14,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Discretization, DynamicsModel, Endpoints, SolveReport,
-                   SolveStatus, SpeedProfile)
+from .core import (Discretization, DynamicsModel, Endpoints, FrictionCircle,
+                   SolveReport, SolveStatus, SpeedProfile)
 from .retime import traversal_time
 
 # Cells scanned for a sign change when the bracket ends of a backward
@@ -149,6 +151,80 @@ def forward_step(s_prev: float, ds: float, h_prev: float, h_cap: float,
     return val
 
 
+def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
+                     h_start: Optional[float], h_end: Optional[float]):
+    """Both sweeps of a friction-circle model: kappa and bu sampled once,
+    then closed-form steps in scalar floats. A backward step is the larger
+    root of (1 + 4 ds^2 kappa^2) h^2 - 2 h_next h + h_next^2 - 4 ds^2 f^2,
+    or h_next when that is larger (every h <= h_next brakes to h_next),
+    clipped to min(bu, h_next + 2 f ds), then stepped down one float at a
+    time until the generic step's constraint expression holds exactly.
+    The floor is zero, so no pass can fail."""
+    kappa = fr.kappa(points)
+    # Lists read fastest; bu and the results stay arrays to keep memory low.
+    bu = memoryview(fr.ceiling(kappa))
+    k, d = kappa.tolist(), np.diff(points).tolist()
+    f2, cap = fr.f_fr * fr.f_fr, 2.0 * fr.f_fr
+    n = len(k)
+    backward, forward = np.empty(n), np.empty(n)
+    b, fw = memoryview(backward), memoryview(forward)
+    h = b[n - 1] = bu[n - 1] if h_end is None else min(bu[n - 1], h_end)
+    for i in range(n - 2, -1, -1):
+        h_next, ds, ki = h, d[i], k[i]
+        a = 1.0 + (2.0 * ds * ki) ** 2
+        root = math.sqrt(max(f2 * a - (ki * h_next) ** 2, 0.0))
+        h = min(max((h_next + 2.0 * ds * root) / a, h_next), bu[i],
+                h_next + cap * ds)
+        r = f2 - (ki * h) * (ki * h)
+        while h + (-2.0 * math.sqrt(r) if r > 0.0 else 0.0) * ds - h_next > 0.0:
+            h = math.nextafter(h, -math.inf)
+            r = f2 - (ki * h) * (ki * h)
+        b[i] = h
+    h = fw[0] = b[0] if h_start is None else min(b[0], h_start)
+    for i in range(1, n):
+        kh = k[i - 1] * h
+        r = f2 - kh * kh
+        h = fw[i] = min(b[i], h + (
+            2.0 * math.sqrt(r) if r > 0.0 else 0.0) * d[i - 1])
+    return backward, forward
+
+
+def _generic_sweeps(grid: Discretization, model: DynamicsModel,
+                    h_start: Optional[float], h_end: Optional[float]):
+    """Both sweeps through the callables: (status, backward, forward)."""
+    cfg = default_config(grid, model)
+    s = grid.points
+    n = s.size
+    backward = np.full(n, np.nan)
+    seed = model.bu(s[-1])
+    if h_end is not None:
+        seed = min(seed, h_end)
+    if seed < model.bl(s[-1]):
+        return SolveStatus(False, n - 1, "backward"), backward, None
+    backward[-1] = seed
+    for i in range(n - 2, -1, -1):
+        h = backward_step(float(s[i]), float(s[i + 1] - s[i]),
+                          float(backward[i + 1]), model, cfg)
+        if h is None:
+            return SolveStatus(False, i, "backward"), backward, None
+        backward[i] = h
+
+    forward = np.full(n, np.nan)
+    first = backward[0]
+    if h_start is not None:
+        first = min(first, h_start)
+    if first < model.bl(s[0]):
+        return SolveStatus(False, 0, "forward"), backward, forward
+    forward[0] = first
+    for i in range(1, n):
+        h = forward_step(float(s[i - 1]), float(s[i] - s[i - 1]),
+                         float(forward[i - 1]), float(backward[i]), model)
+        if h is None:
+            return SolveStatus(False, i, "forward"), backward, forward
+        forward[i] = h
+    return SolveStatus(True), backward, forward
+
+
 def solve(grid: Discretization, model: DynamicsModel,
           endpoints: Endpoints = None) -> SolveReport:
     """Run both sweeps and assemble the report.
@@ -157,48 +233,21 @@ def solve(grid: Discretization, model: DynamicsModel,
     an end squared speed; the forward seed is the backward value at the
     first point, optionally min-capped by a start squared speed. On a
     feasible solve the profile is the forward sequence and passes the
-    admissibility check at the default tolerance.
+    admissibility check at the default tolerance. A model with a
+    ``friction`` description takes the closed-form steps and calls none
+    of its callables; any other model takes the root-finding steps.
     """
-    cfg = default_config(grid, model)
     h_start, h_end = (None, None) if endpoints is None else endpoints
     for v in (h_start, h_end):
         if v is not None and v < 0.0:
             raise ValueError("endpoint squared speeds must be non-negative")
-
-    s = grid.points
-    n = s.size
-    backward = np.full(n, np.nan)
-    seed = model.bu(s[-1])
-    if h_end is not None:
-        seed = min(seed, h_end)
-    if seed < model.bl(s[-1]):
-        return SolveReport(status=SolveStatus(False, n - 1, "backward"),
-                           backward=backward)
-    backward[-1] = seed
-    for i in range(n - 2, -1, -1):
-        h = backward_step(float(s[i]), float(s[i + 1] - s[i]),
-                          float(backward[i + 1]), model, cfg)
-        if h is None:
-            return SolveReport(status=SolveStatus(False, i, "backward"),
-                               backward=backward)
-        backward[i] = h
-
-    forward = np.full(n, np.nan)
-    first = backward[0]
-    if h_start is not None:
-        first = min(first, h_start)
-    if first < model.bl(s[0]):
-        return SolveReport(status=SolveStatus(False, 0, "forward"),
-                           backward=backward, forward=forward)
-    forward[0] = first
-    for i in range(1, n):
-        h = forward_step(float(s[i - 1]), float(s[i] - s[i - 1]),
-                         float(forward[i - 1]), float(backward[i]), model)
-        if h is None:
-            return SolveReport(status=SolveStatus(False, i, "forward"),
-                               backward=backward, forward=forward)
-        forward[i] = h
-
+    if model.friction is not None:
+        backward, forward = _friction_sweeps(grid.points, model.friction,
+                                             h_start, h_end)
+    else:
+        status, backward, forward = _generic_sweeps(grid, model, h_start, h_end)
+        if not status.feasible:
+            return SolveReport(status=status, backward=backward, forward=forward)
     profile = SpeedProfile(grid, forward, "solver")
     return SolveReport(status=SolveStatus(True), backward=backward,
                        forward=forward, profile=profile,

@@ -49,3 +49,11 @@ def constant_box_model(c, f_lo=-1.0, f_hi=1.0):
         bl=lambda s: c,
         slope_cap=max(abs(f_lo), abs(f_hi)),
     )
+
+
+def plain_model(model):
+    """The same callables without the closed-form description, so
+    solves and checks of it take the generic callable path."""
+    return DynamicsModel(fplus=model.fplus, fminus=model.fminus,
+                         bu=model.bu, bl=model.bl,
+                         slope_cap=model.slope_cap, xi=model.xi)

@@ -191,6 +191,16 @@ class TestRetimeCommand:
         assert main(["retime", "--profile", str(prof), "--dt", "0.25",
                      "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf"])
+    def test_non_finite_profile_exits_1(self, tmp_path, capsys, row):
+        prof = tmp_path / "profile.csv"
+        prof.write_text(f"s,h\n0,1\n{row}\n1,1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["retime", "--profile", str(prof), "--dt", "0.25",
+                     "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_dt_exits_1(self, tmp_path):
         prof = tmp_path / "profile.csv"
         prof.write_text("s,h\n0,1\n1,1\n", encoding="utf-8")

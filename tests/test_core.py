@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toppkit import (Discretization, SpeedProfile, build_model,
+from toppkit import (Discretization, PathSpec, SpeedProfile, build_model,
                      check_admissible, default_tol, profile_error, relax)
 
-from conftest import constant_box_model
+from conftest import constant_box_model, plain_model
 
 
 class TestDiscretization:
@@ -84,6 +84,55 @@ class TestCheckAdmissible:
         p = SpeedProfile(grid3, np.zeros(3))
         with pytest.raises(ValueError):
             check_admissible(p, line_model, tol=-1.0)
+
+    def test_bound_reported_before_slope_at_same_index(self, grid3):
+        # index 0 breaks both the ceiling and the slope window
+        model = constant_box_model(3.0)
+        p = SpeedProfile(grid3, np.array([4.0, 6.0, 3.0]))
+        verdict = check_admissible(p, model, tol=0.0)
+        assert verdict.index == 0
+        assert verdict.constraint == "above_upper_bound"
+
+
+class TestCheckAdmissibleFrictionModel:
+    """The ordering cases above on a built line model (ceiling 4, window
+    +-2*f_fr), sampled from its closed form and through its callables."""
+
+    @pytest.fixture(params=["friction", "callables"])
+    def model_for(self, request):
+        def make(f_fr):
+            model = build_model(PathSpec("line", v_max=2.0, f_fr=f_fr,
+                                         length=1.0))
+            return model if request.param == "friction" else plain_model(model)
+        return make
+
+    def test_bound_violation_reports_smallest_index(self, grid3, model_for):
+        p = SpeedProfile(grid3, np.array([4.0, 5.0, 4.0]))
+        verdict = check_admissible(p, model_for(10.0), tol=0.0)
+        assert (verdict.ok, verdict.index, verdict.constraint) == (
+            False, 1, "above_upper_bound")
+
+    def test_bound_reported_before_slope_at_same_index(self, grid3,
+                                                       model_for):
+        p = SpeedProfile(grid3, np.array([5.0, 7.0, 4.0]))
+        verdict = check_admissible(p, model_for(1.0), tol=0.0)
+        assert (verdict.ok, verdict.index, verdict.constraint) == (
+            False, 0, "above_upper_bound")
+
+    def test_slope_checked_before_next_points_bound(self, grid3, model_for):
+        p = SpeedProfile(grid3, np.array([4.0, 5.5, 4.0]))
+        verdict = check_admissible(p, model_for(1.0), tol=0.0)
+        assert (verdict.ok, verdict.index, verdict.constraint) == (
+            False, 0, "slope_above_max")
+        assert verdict.detail == "slope=3.0 > fplus=2.0 at s=0.0"
+
+    def test_braking_slope_and_ties(self, grid3, model_for):
+        model = model_for(1.0)
+        assert check_admissible(SpeedProfile(grid3, np.array([4.0, 3.0, 2.0])),
+                                model, tol=0.0)
+        verdict = check_admissible(
+            SpeedProfile(grid3, np.array([4.0, 3.0, 1.5])), model, tol=0.0)
+        assert (verdict.index, verdict.constraint) == (1, "slope_below_min")
 
 
 class TestProfileError:
@@ -170,6 +219,14 @@ class TestSerialization:
     def test_csv_header_checked(self):
         with pytest.raises(ValueError):
             SpeedProfile.from_csv(io.StringIO("x,y\n0,0\n"))
+
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf", "0.5,-inf",
+                                     "inf,1"])
+    def test_csv_non_finite_rejected(self, row):
+        # every comparison with nan is false, so a nan profile would pass
+        # the admissibility check and retime to a nan time
+        with pytest.raises(ValueError, match="finite"):
+            SpeedProfile.from_csv(io.StringIO(f"s,h\n0,1\n{row}\n"))
 
     def test_json_round_trip(self, grid3):
         p = SpeedProfile(grid3, np.array([0.0, 1.0, 0.0]), "oracle")

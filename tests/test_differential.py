@@ -1,0 +1,75 @@
+"""Closed-form sweeps against the generic root-finding sweeps and the
+oracle, on seeded curvature tables and the bundled curved instances, up
+to n = 1e5."""
+
+import numpy as np
+import pytest
+
+from toppkit import (agreement_tolerance, build_model, bundled_instances,
+                     capped_arc_instance, check_admissible, dp_optimum,
+                     random_table_instance, solve, wave_table_instance)
+
+from conftest import plain_model
+
+INSTANCES = {f"table_{k}": random_table_instance(k) for k in range(10)}
+INSTANCES["wave_table"] = wave_table_instance()
+INSTANCES["capped_arc"] = capped_arc_instance()
+
+# Instances also compared with the generic sweeps at n = 1e5.
+LARGE_GENERIC = ("table_0", "wave_table")
+
+
+def assert_agree(fast, generic, model):
+    rel = abs(fast.traversal_time - generic.traversal_time) \
+        / generic.traversal_time
+    assert rel <= 1e-9, rel
+    bu_max = float(np.max(model.friction.ceiling(
+        model.friction.kappa(fast.profile.grid.points))))
+    dh = float(np.max(np.abs(fast.forward - generic.forward)))
+    assert dh <= 1e-9 * max(1.0, bu_max), dh
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_closed_form_sweeps(name):
+    path = INSTANCES[name]
+    model = build_model(path)
+    generic = plain_model(model)
+
+    grid = path.grid(100_001)
+    fast = solve(grid, model, endpoints=path.endpoints)
+    assert fast.status.feasible
+    verdict = check_admissible(fast.profile, model)
+    assert verdict, verdict.detail
+    # Every backward step satisfies its constraint exactly, evaluated as
+    # the generic step evaluates it: the guard's doing, not a tolerance's.
+    s, b = grid.points, fast.backward
+    fminus, _ = model.friction.slopes(model.friction.kappa(s[:-1]), b[:-1])
+    assert np.all(b[:-1] + fminus * np.diff(s) - b[1:] <= 0.0)
+    if name in LARGE_GENERIC:
+        assert_agree(fast, solve(grid, generic, endpoints=path.endpoints),
+                     model)
+
+    grid = path.grid(10_001)
+    assert_agree(solve(grid, model, endpoints=path.endpoints),
+                 solve(grid, generic, endpoints=path.endpoints), model)
+
+    grid = path.grid(1000)
+    fast = solve(grid, model, endpoints=path.endpoints)
+    oracle = dp_optimum(grid, model, levels=512, endpoints=path.endpoints)
+    err = float(np.max(np.abs(oracle.values - fast.forward)))
+    assert err <= agreement_tolerance(grid, model, 512)
+
+
+@pytest.mark.parametrize("n", [3, 21, 201])
+def test_coarse_grids(n):
+    # Coarse steps often start above the ceiling of the point before
+    # (kappa * h_next > f_fr), where the quadratic has no root above
+    # h_next and the step is min(bu, h_next).
+    paths = [random_table_instance(k) for k in range(32)]
+    for path in paths + list(bundled_instances().values()):
+        model = build_model(path)
+        grid = path.grid(n)
+        fast = solve(grid, model, endpoints=path.endpoints)
+        assert check_admissible(fast.profile, model)
+        assert_agree(fast, solve(grid, plain_model(model),
+                                 endpoints=path.endpoints), model)

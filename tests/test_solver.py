@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from toppkit import (Discretization, DynamicsModel, InfeasibleError,
-                     PathSpec, StepSolverConfig, backward_step, build_model,
-                     check_admissible, circle_instance, default_config,
+                     PathSpec, StepSolverConfig, backward_step,
+                     build_model, capped_arc_instance, check_admissible,
+                     circle_instance, curvature, default_config,
                      forward_step, line_instance, relax, solve,
                      wave_table_instance)
+
+from conftest import plain_model
 
 CFG = StepSolverConfig(abs_tol=1e-12)
 
@@ -194,6 +198,69 @@ class TestSolve:
         assert d["status"] == {"feasible": True, "index": None, "pass": None}
         assert d["backward"] == pytest.approx([2.0, 1.0, 0.0])
         assert d["profile"]["provenance"] == "solver"
+
+
+class TestFrictionFastPath:
+    def test_makes_no_callable_calls(self):
+        path = wave_table_instance()
+        model = build_model(path)
+
+        def forbidden(*args):
+            raise AssertionError("model callable called")
+
+        blind = replace(model, fplus=forbidden, fminus=forbidden,
+                        bu=forbidden, bl=forbidden)
+        grid = path.grid(501)
+        report = solve(grid, blind, endpoints=path.endpoints)
+        assert np.array_equal(report.forward, solve(
+            grid, model, endpoints=path.endpoints).forward)
+        assert check_admissible(report.profile, blind)
+
+    @pytest.mark.parametrize("path", [line_instance(), capped_arc_instance(),
+                                      wave_table_instance()],
+                             ids=["line", "arc", "table"])
+    def test_sampling_equals_scalar_callables(self, path):
+        model = build_model(path)
+        fr = model.friction
+        s = path.grid(1001).points
+        kappa = fr.kappa(s)
+        h = np.linspace(0.0, 1.2, s.size) * fr.ceiling(kappa)
+        fminus, fplus = fr.slopes(kappa, h)
+        sl, hl = s.tolist(), h.tolist()
+
+        def same(arr, values):
+            return np.array_equal(arr.view(np.int64),
+                                  np.array(values).view(np.int64))
+
+        assert same(kappa, [curvature(path, x) for x in sl])
+        assert same(fr.ceiling(kappa), [model.bu(x) for x in sl])
+        assert same(fminus, [model.fminus(x, y) for x, y in zip(sl, hl)])
+        assert same(fplus, [model.fplus(x, y) for x, y in zip(sl, hl)])
+
+    def test_step_matches_car_root(self):
+        # two points: the backward value at s = 0.3 is the root itself
+        model = car_model()
+        grid = Discretization(np.array([0.3, 0.4]))
+        ds = 0.4 - 0.3  # 0.1 plus an ulp, as the solver sees it
+        h = solve(grid, model, endpoints=(None, 0.5)).backward[0]
+        assert h == pytest.approx(CAR_BACKWARD_ROOT, abs=1e-15)
+        assert h + model.fminus(0.3, h) * ds <= 0.5
+        up = math.nextafter(h, math.inf)
+        assert up + model.fminus(0.3, up) * ds > 0.5
+
+    def test_relaxed_model_solves_relaxed(self, line_path):
+        model = build_model(line_path)
+        relaxed = relax(model, 0.25)
+        assert relaxed.friction is None
+        grid = line_path.grid(101)
+        base = solve(grid, model, endpoints=line_path.endpoints)
+        wide = solve(grid, relaxed, endpoints=line_path.endpoints)
+        assert np.array_equal(wide.forward, solve(
+            grid, relax(plain_model(model), 0.25),
+            endpoints=line_path.endpoints).forward)
+        assert wide.traversal_time < base.traversal_time
+        with pytest.raises(ValueError):
+            replace(model, xi=0.25)
 
 
 def test_step_config_validation():
