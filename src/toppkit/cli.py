@@ -146,17 +146,12 @@ def cmd_retime(args) -> int:
     try:
         if args.dt <= 0.0:
             raise ValueError("--dt must be positive")
-        profile = SpeedProfile.from_csv(args.profile)
+        rows = sample_trajectory(SpeedProfile.from_csv(args.profile), args.dt)
     except (OSError, ValueError) as e:
-        return _fail(str(e))
-    try:
-        rows = sample_trajectory(profile, args.dt)
-    except ValueError as e:
         return _fail(str(e))
     os.makedirs(args.out, exist_ok=True)
     write_trajectory_csv(rows, os.path.join(args.out, "trajectory.csv"))
-    print(f"traversal time: {rows[-1][0]:.6f} s "
-          f"({len(rows)} samples)")
+    print(f"traversal time: {rows[-1][0]:.6f} s ({len(rows)} samples)")
     return EXIT_OK
 
 

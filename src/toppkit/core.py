@@ -8,6 +8,7 @@ per-segment slope window evaluated at the segment's left endpoint.
 import io
 import json
 import math
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple, Union
@@ -48,10 +49,50 @@ def text_file(f: Union[str, io.TextIOBase], mode: str = "r"
         yield f
 
 
+# Rows (CSV) or array elements (JSON) formatted per write.
+BLOCK_ROWS = 4096
+
+
+def write_rows(fh: io.TextIOBase, fmt: str, *columns) -> None:
+    """Write ``fmt % row`` per row of the columns, BLOCK_ROWS rows a write."""
+    for i in range(0, len(columns[0]), BLOCK_ROWS):
+        block = np.column_stack([c[i:i + BLOCK_ROWS] for c in columns])
+        fh.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+def _plain(value):
+    """``value`` with its float arrays, also in dicts, as lists (NaN as None)."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if not isinstance(value, np.ndarray):
+        return value
+    out = value.tolist()
+    return [None if math.isnan(x) else x for x in out] if np.isnan(value).any() else out
+
+
+def _dump_json(value, fh: io.TextIOBase, pad: str) -> None:
+    """Write ``value`` as ``json.dump(value, indent=2)`` would, indented by ``pad``."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        for j, (k, v) in enumerate(value.items()):
+            fh.write(f"{',' if j else '{'}\n{inner}{json.dumps(k)}: ")
+            _dump_json(v, fh, inner)
+        fh.write(f"\n{pad}}}")
+    elif isinstance(value, np.ndarray) and value.size:
+        sep = ",\n" + inner
+        for i in range(0, value.size, BLOCK_ROWS):
+            block = json.dumps(_plain(value[i:i + BLOCK_ROWS]), separators=(sep, ": "))
+            fh.write((sep if i else "[\n" + inner) + block[1:-1])
+        fh.write(f"\n{pad}]")
+    else:
+        fh.write(json.dumps(_plain(value), indent=2).replace("\n", "\n" + pad))
+
+
 def write_json(data: dict, f: Union[str, io.TextIOBase]) -> None:
-    """Write ``data`` as JSON indented by 2, ending with a newline."""
+    """Write ``data`` (string keys) as JSON indented by 2 plus a newline;
+    float arrays as lists (NaN as null), in blocks through the C encoder."""
     with text_file(f, "w") as fh:
-        json.dump(data, fh, indent=2)
+        _dump_json(data, fh, "")
         fh.write("\n")
 
 
@@ -219,32 +260,30 @@ class SpeedProfile:
         """Write rows "s,h" with 17 significant digits (lossless round trip)."""
         with text_file(f, "w") as fh:
             fh.write("s,h\n")
-            for s, h in zip(self.grid.points, self.values):
-                fh.write(f"{s:.17g},{h:.17g}\n")
+            write_rows(fh, "%.17g,%.17g\n", self.grid.points, self.values)
 
     @classmethod
     def from_csv(cls, f: Union[str, io.TextIOBase],
                  provenance: str = "synthetic") -> "SpeedProfile":
+        """Read rows "s,h" after that header; blank lines are skipped."""
         with text_file(f) as fh:
             header = fh.readline().strip()
             if header != "s,h":
                 raise ValueError(f"expected profile CSV header 's,h', got {header!r}")
-            ss, hs = [], []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                s_str, h_str = line.split(",")
-                ss.append(float(s_str))
-                hs.append(float(h_str))
-        return cls(Discretization(np.array(ss)), np.array(hs), provenance)
+            with warnings.catch_warnings():  # no rows: the grid check says so
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        if rows.size and rows.shape[1] != 2:
+            raise ValueError(f"expected rows 's,h', got {rows.shape[1]} fields")
+        s, h = rows.reshape(-1, 2).T
+        return cls(Discretization(s), h, provenance)
+
+    def _json_fields(self) -> dict:
+        return {"grid": self.grid.points, "values": self.values,
+                "provenance": self.provenance}
 
     def to_json_dict(self) -> dict:
-        return {
-            "grid": [float(s) for s in self.grid.points],
-            "values": [float(h) for h in self.values],
-            "provenance": self.provenance,
-        }
+        return _plain(self._json_fields())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SpeedProfile":
@@ -356,22 +395,22 @@ class SolveReport:
     profile: Optional[SpeedProfile] = None
     traversal_time: Optional[float] = None
 
-    def to_json_dict(self) -> dict:
-        def _seq(arr):
-            if arr is None:
-                return None
-            return [None if math.isnan(x) else float(x) for x in arr]
-
+    def _json_fields(self) -> dict:
+        """The JSON fields, with the float arrays left as arrays."""
         return {
             "status": self.status.to_json_dict(),
-            "backward": _seq(self.backward),
-            "forward": _seq(self.forward),
-            "profile": self.profile.to_json_dict() if self.profile else None,
+            "backward": self.backward,
+            "forward": self.forward,
+            "profile": self.profile._json_fields() if self.profile else None,
             "traversal_time": self.traversal_time,
         }
 
+    def to_json_dict(self) -> dict:
+        return _plain(self._json_fields())
+
     def write_json(self, f: Union[str, io.TextIOBase]) -> None:
-        write_json(self.to_json_dict(), f)
+        """Write :meth:`to_json_dict` without building its lists."""
+        write_json(self._json_fields(), f)
 
     def require_feasible(self, what: str) -> "SolveReport":
         """Return the report, or raise :class:`InfeasibleError` carrying

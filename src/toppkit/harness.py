@@ -21,8 +21,8 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from .core import (Discretization, SpeedProfile, check_admissible,
-                   default_tol, profile_error, relax, text_file)
+from .core import (Discretization, SpeedProfile, check_admissible, default_tol,
+                   profile_error, relax, text_file, write_rows)
 from .paths import PathSpec, analytic_optimum, build_model
 from .solver import solve
 
@@ -107,8 +107,8 @@ def write_convergence_csv(rows: Sequence[ConvergenceRow],
                           f: Union[str, io.TextIOBase]) -> None:
     with text_file(f, "w") as fh:
         fh.write("n,delta,rho,time_s\n")
-        for r in rows:
-            fh.write(f"{r.n},{r.delta:.17g},{r.rho:.17g},{r.time_s:.17g}\n")
+        cols = ([getattr(r, k) for r in rows] for k in ("n", "delta", "rho", "time_s"))
+        write_rows(fh, "%d,%.17g,%.17g,%.17g\n", *cols)
 
 
 def xi_sweep(path: PathSpec, grid: Discretization,
@@ -164,8 +164,7 @@ def xi_sweep(path: PathSpec, grid: Discretization,
 def write_xi_csv(rows: Sequence[XiRow], f: Union[str, io.TextIOBase]) -> None:
     with text_file(f, "w") as fh:
         fh.write("xi,gap\n")
-        for r in rows:
-            fh.write(f"{r.xi:.17g},{r.gap:.17g}\n")
+        write_rows(fh, "%.17g,%.17g\n", [r.xi for r in rows], [r.gap for r in rows])
 
 
 def measure_solve_seconds(path: PathSpec, n: int, repeats: int = 3) -> float:

@@ -12,11 +12,11 @@ can never be traversed, so its time is infinite.
 
 import io
 import math
-from typing import List, Tuple, Union
+from typing import Union
 
 import numpy as np
 
-from .core import SpeedProfile, text_file
+from .core import SpeedProfile, text_file, write_rows
 
 
 def _knot_times(profile: SpeedProfile) -> np.ndarray:
@@ -48,9 +48,9 @@ def traversal_time(profile: SpeedProfile) -> float:
     return float(_knot_times(profile)[-1])
 
 
-def sample_trajectory(profile: SpeedProfile, dt: float
-                      ) -> List[Tuple[float, float, float]]:
-    """Sample (t, s, speed) at uniform time steps plus the final instant.
+def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
+    """Sample (t, s, speed) at t = k * dt below the total traversal time,
+    plus a last row exactly at that total, as an (m, 3) array.
 
     Positions are recovered by inverting the segment closed form: with
     h linear on a segment, sqrt(h) grows linearly in time, so
@@ -58,8 +58,7 @@ def sample_trajectory(profile: SpeedProfile, dt: float
         sqrt(h(t)) = sqrt(h0) + (m/2) * tau,   s(t) = s0 + (h - h0) / m
 
     for slope m = dh/ds != 0, and s(t) = s0 + sqrt(h0) * tau when the
-    segment is constant. The last sample lands exactly on the total
-    traversal time.
+    segment is constant; s(t) is then clamped to the segment.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -68,41 +67,36 @@ def sample_trajectory(profile: SpeedProfile, dt: float
     if math.isinf(total):
         raise ValueError("profile stalls (h == 0 across a segment); "
                          "traversal time is not finite")
-    s = profile.grid.points
-    h = profile.values
-
-    def state_at(t: float) -> Tuple[float, float]:
-        i = int(np.searchsorted(t_knots, t, side="right") - 1)
-        i = min(max(i, 0), s.size - 2)
-        tau = t - t_knots[i]
-        ds = s[i + 1] - s[i]
-        m = (h[i + 1] - h[i]) / ds
-        root_h0 = math.sqrt(h[i])
-        if m == 0.0:
-            pos = s[i] + root_h0 * tau
-            hh = h[i]
-        else:
-            root_h = root_h0 + 0.5 * m * tau
-            hh = root_h * root_h
-            pos = s[i] + (hh - h[i]) / m
-        pos = min(max(float(pos), float(s[i])), float(s[i + 1]))
-        return pos, math.sqrt(hh)
-
-    rows: List[Tuple[float, float, float]] = []
-    k = 0
-    while k * dt < total:
-        t = k * dt
-        pos, v = state_at(t)
-        rows.append((t, pos, v))
-        k += 1
-    rows.append((total, float(s[-1]), math.sqrt(h[-1])))
+    if not total / dt < 2.0 ** 53:  # past this, k * dt cannot step k exactly
+        raise ValueError(f"dt={dt!r} gives too many samples over {total!r} s")
+    s, h = profile.grid.points, profile.values
+    t = np.arange(int(total / dt) + 2) * dt  # 2 past total / dt: room to round
+    t = t[:np.searchsorted(t, total)]  # the times below total
+    rows = np.empty((t.size + 1, 3))
+    rows[:-1, 0] = t
+    rows[-1] = total, s[-1], math.sqrt(h[-1])
+    # The scalar formulas above, in the same float operations, for all
+    # samples at once, written into rows to keep memory small.
+    i = np.clip(np.searchsorted(t_knots, t, side="right") - 1, 0, s.size - 2)
+    tau = np.subtract(t, t_knots[i], out=t)
+    s0, h0 = s[i], h[i]
+    m = (h[i + 1] - h0) / (s[i + 1] - s0)
+    root_h0, flat = np.sqrt(h0), m == 0.0
+    pos, hh = rows[:-1, 1], rows[:-1, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):  # replaced where flat
+        np.square(root_h0 + 0.5 * m * tau, out=hh)
+        np.copyto(hh, h0, where=flat)
+        np.divide(hh - h0, m, out=pos)
+    pos += s0
+    np.copyto(pos, s0 + root_h0 * tau, where=flat)
+    np.maximum(pos, s0, out=pos)
+    np.minimum(pos, s[i + 1], out=pos)
+    np.sqrt(hh, out=hh)
     return rows
 
 
-def write_trajectory_csv(rows: List[Tuple[float, float, float]],
-                         f: Union[str, io.TextIOBase]) -> None:
-    """Write sampled rows with header "t,s,v"."""
+def write_trajectory_csv(rows: np.ndarray, f: Union[str, io.TextIOBase]) -> None:
+    """Write sampled (t, s, v) rows with header "t,s,v"."""
     with text_file(f, "w") as fh:
         fh.write("t,s,v\n")
-        for t, pos, v in rows:
-            fh.write(f"{t:.17g},{pos:.17g},{v:.17g}\n")
+        write_rows(fh, "%.17g,%.17g,%.17g\n", *np.asarray(rows).T)

@@ -201,6 +201,29 @@ class TestRetimeCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")  # a numpy warning fails the test
+    @pytest.mark.parametrize("rows", ["", "0,1\n", "0,1\n0.5,1,2\n1,1\n",
+                                      "0,1\n0.5\n1,1\n", "0,1\nx\n1,1\n"],
+                             ids=["header-only", "one-row", "3-fields",
+                                  "1-field", "x"])
+    def test_malformed_profile_exits_1(self, tmp_path, capsys, rows):
+        prof = tmp_path / "profile.csv"
+        prof.write_text("s,h\n" + rows, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["retime", "--profile", str(prof), "--dt", "0.25",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_dt_too_small_exits_1(self, tmp_path, capsys):
+        # 1 / 1e-320 overflows: a sample count no float loop could reach
+        prof = tmp_path / "profile.csv"
+        prof.write_text("s,h\n0,1\n1,1\n", encoding="utf-8")
+        assert main(["retime", "--profile", str(prof), "--dt", "1e-320",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "too many samples" in capsys.readouterr().err
+
     def test_bad_dt_exits_1(self, tmp_path):
         prof = tmp_path / "profile.csv"
         prof.write_text("s,h\n0,1\n1,1\n", encoding="utf-8")

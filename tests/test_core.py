@@ -228,6 +228,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="finite"):
             SpeedProfile.from_csv(io.StringIO(f"s,h\n0,1\n{row}\n"))
 
+    @pytest.mark.parametrize("text", ["s,h\n0,1\n\n1,2\n\n",
+                                      "s,h\r\n0,1\r\n1,2\r\n"],
+                             ids=["blank-line", "crlf"])
+    def test_csv_blank_lines_and_crlf_accepted(self, text):
+        p = SpeedProfile.from_csv(io.StringIO(text))
+        assert p.grid.points.tolist() == [0.0, 1.0]
+        assert p.values.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("rows", ["0,1\n0.5,1,2\n1,1\n",
+                                      "0,1\n0.5\n1,1\n", "0,1\nx\n1,1\n",
+                                      "0,1\n0.5,x\n1,1\n",
+                                      "0,1,2\n3,4,5\n", "0\n1\n2\n3\n"],
+                             ids=["3-fields", "1-field", "x", "h-is-x",
+                                  "all-3-fields", "all-1-field"])
+    def test_csv_malformed_row_rejected(self, rows):
+        with pytest.raises(ValueError):
+            SpeedProfile.from_csv(io.StringIO("s,h\n" + rows))
+
     def test_json_round_trip(self, grid3):
         p = SpeedProfile(grid3, np.array([0.0, 1.0, 0.0]), "oracle")
         d = p.to_json_dict()

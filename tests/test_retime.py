@@ -10,11 +10,46 @@ from toppkit import (Discretization, SpeedProfile, build_model,
                      capped_arc_instance, line_instance, sample_trajectory,
                      solve, traversal_time, wave_table_instance,
                      write_trajectory_csv)
+from toppkit.retime import _knot_times
 
 
 def profile_on(points, values):
     return SpeedProfile(Discretization(np.array(points)),
                         np.array(values, dtype=float))
+
+
+def scalar_sample_trajectory(profile, dt):
+    """The per-sample loop that sample_trajectory replaced, as its reference."""
+    t_knots = _knot_times(profile)
+    total = float(t_knots[-1])
+    s, h = profile.grid.points, profile.values
+
+    def state_at(t):
+        i = int(np.searchsorted(t_knots, t, side="right") - 1)
+        i = min(max(i, 0), s.size - 2)
+        tau = t - t_knots[i]
+        ds = s[i + 1] - s[i]
+        m = (h[i + 1] - h[i]) / ds
+        root_h0 = math.sqrt(h[i])
+        if m == 0.0:
+            pos = s[i] + root_h0 * tau
+            hh = h[i]
+        else:
+            root_h = root_h0 + 0.5 * m * tau
+            hh = root_h * root_h
+            pos = s[i] + (hh - h[i]) / m
+        pos = min(max(float(pos), float(s[i])), float(s[i + 1]))
+        return pos, math.sqrt(hh)
+
+    rows = []
+    k = 0
+    while k * dt < total:
+        t = k * dt
+        pos, v = state_at(t)
+        rows.append((t, pos, v))
+        k += 1
+    rows.append((total, float(s[-1]), math.sqrt(h[-1])))
+    return rows
 
 
 class TestTraversalTime:
@@ -117,6 +152,35 @@ class TestSampleTrajectory:
     def test_invalid_dt_rejected(self):
         with pytest.raises(ValueError):
             sample_trajectory(profile_on([0.0, 1.0], [1.0, 1.0]), 0.0)
+        # 1 / 1e-320 overflows to inf: too many samples, not an OverflowError
+        with pytest.raises(ValueError, match="too many samples"):
+            sample_trajectory(profile_on([0.0, 1.0], [1.0, 1.0]), 1e-320)
+
+    @pytest.mark.parametrize("points,values,dt", [
+        ([0.0, 0.5, 1.0, 2.0], [1.0, 1.0, 4.0, 4.0], 0.1),  # constant segments
+        ([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], 0.07),  # zero at both ends
+        ([0.0, 1.0], [0.0, 2.0], 0.1),  # zero at the start
+        ([0.0, 1.0], [2.0, 0.0], 0.1),  # zero at the end
+        ([0.0, 1.0], [1.0, 1.0], 0.3),  # dt does not divide the total
+        ([0.0, 1.0], [1.0, 1.0], 5.0),  # dt above the total
+    ], ids=["constant", "zero-both-ends", "zero-start", "zero-end",
+            "non-dividing-dt", "dt-above-total"])
+    def test_equals_scalar_loop_bit_for_bit(self, points, values, dt):
+        profile = profile_on(points, values)
+        rows = sample_trajectory(profile, dt)
+        expected = np.array(scalar_sample_trajectory(profile, dt))
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_capped_arc_equals_scalar_loop_bit_for_bit(self):
+        path = capped_arc_instance()
+        report = solve(path.grid(10001), build_model(path),
+                       endpoints=path.endpoints)
+        dt = report.traversal_time / 10001
+        rows = sample_trajectory(report.profile, dt)
+        expected = np.array(scalar_sample_trajectory(report.profile, dt))
+        assert rows.shape == expected.shape == (10002, 3)
+        assert rows.tobytes() == expected.tobytes()
 
     def test_stalled_profile_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 from dataclasses import replace
 
@@ -19,6 +21,16 @@ CFG = StepSolverConfig(abs_tol=1e-12)
 # Value frozen from a plain-bisection solve of the inequality; it also
 # satisfies 1.04 h^2 - h + 0.21 = 0 (the squared form's larger root).
 CAR_BACKWARD_ROOT = 0.6516960464868382
+
+
+def empty_box_model():
+    """Upper bound below the floor on 0.4 < s < 0.6: the backward pass
+    fails there and leaves NaN below."""
+    def bu(s):
+        return -1.0 if 0.4 < s < 0.6 else 100.0
+
+    return DynamicsModel(fplus=lambda s, h: 2.0, fminus=lambda s, h: -2.0,
+                         bu=bu, bl=lambda s: 0.0, slope_cap=2.0)
 
 
 def car_model():
@@ -127,14 +139,8 @@ class TestSolve:
             assert np.max(np.abs(report.forward - 1.0)) == 0.0
 
     def test_empty_box_reports_failing_index(self, line_path):
-        def bu(s):
-            return -1.0 if 0.4 < s < 0.6 else 100.0
-
-        model = DynamicsModel(fplus=lambda s, h: 2.0,
-                              fminus=lambda s, h: -2.0,
-                              bu=bu, bl=lambda s: 0.0, slope_cap=2.0)
         grid = Discretization.uniform(0.0, 1.0, 5)
-        report = solve(grid, model)
+        report = solve(grid, empty_box_model())
         assert not report.status.feasible
         assert report.status.index == 2
         assert report.status.pass_name == "backward"
@@ -198,6 +204,27 @@ class TestSolve:
         assert d["status"] == {"feasible": True, "index": None, "pass": None}
         assert d["backward"] == pytest.approx([2.0, 1.0, 0.0])
         assert d["profile"]["provenance"] == "solver"
+
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_write_json_is_json_dump_of_dict(self, tmp_path, feasible):
+        # 10 001 points span several of the writer's blocks.
+        if feasible:
+            path = capped_arc_instance()
+            report = solve(path.grid(10001), build_model(path),
+                           endpoints=path.endpoints)
+        else:
+            report = solve(Discretization.uniform(0.0, 1.0, 10001),
+                           empty_box_model())
+            assert np.isnan(report.backward[0])
+        assert report.status.feasible is feasible
+        expected = json.dumps(report.to_json_dict(), indent=2) + "\n"
+        assert "NaN" not in expected
+        buf = io.StringIO()
+        report.write_json(buf)
+        assert buf.getvalue() == expected
+        f = tmp_path / "report.json"
+        report.write_json(str(f))
+        assert f.read_bytes() == expected.encode("utf-8")
 
 
 class TestFrictionFastPath:
