@@ -7,7 +7,6 @@ per-segment slope window evaluated at the segment's left endpoint.
 
 import io
 import json
-import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -49,7 +48,7 @@ def text_file(f: Union[str, io.TextIOBase], mode: str = "r"
         yield f
 
 
-# Rows (CSV) or array elements (JSON) formatted per write.
+# Rows formatted per CSV write.
 BLOCK_ROWS = 4096
 
 
@@ -60,40 +59,10 @@ def write_rows(fh: io.TextIOBase, fmt: str, *columns) -> None:
         fh.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def _plain(value):
-    """``value`` with its float arrays, also in dicts, as lists (NaN as None)."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if not isinstance(value, np.ndarray):
-        return value
-    out = value.tolist()
-    return [None if math.isnan(x) else x for x in out] if np.isnan(value).any() else out
-
-
-def _dump_json(value, fh: io.TextIOBase, pad: str) -> None:
-    """Write ``value`` as ``json.dump(value, indent=2)`` would, indented by ``pad``."""
-    inner = pad + "  "
-    if isinstance(value, dict) and value:
-        for j, (k, v) in enumerate(value.items()):
-            fh.write(f"{',' if j else '{'}\n{inner}{json.dumps(k)}: ")
-            _dump_json(v, fh, inner)
-        fh.write(f"\n{pad}}}")
-    elif isinstance(value, np.ndarray) and value.size:
-        sep = ",\n" + inner
-        for i in range(0, value.size, BLOCK_ROWS):
-            block = json.dumps(_plain(value[i:i + BLOCK_ROWS]), separators=(sep, ": "))
-            fh.write((sep if i else "[\n" + inner) + block[1:-1])
-        fh.write(f"\n{pad}]")
-    else:
-        fh.write(json.dumps(_plain(value), indent=2).replace("\n", "\n" + pad))
-
-
 def write_json(data: dict, f: Union[str, io.TextIOBase]) -> None:
-    """Write ``data`` (string keys) as JSON indented by 2 plus a newline;
-    float arrays as lists (NaN as null), in blocks through the C encoder."""
+    """Write ``data`` as JSON indented by 2 plus a newline."""
     with text_file(f, "w") as fh:
-        _dump_json(data, fh, "")
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=2) + "\n")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -240,6 +209,24 @@ def relax(model: DynamicsModel, xi: float) -> DynamicsModel:
     )
 
 
+def _bad_row(fh: io.TextIOBase, start) -> str:
+    """Where and how the first row of the profile CSV that starts (with
+    its header, line 1) at ``start`` is malformed."""
+    fh.seek(start)
+    for no, line in enumerate(fh, 1):
+        fields = line.rstrip("\r\n").split(",")
+        if no == 1 or fields == [""]:
+            continue
+        if len(fields) != 2:
+            return f"line {no}: expected 2 fields (s,h), got {len(fields)}"
+        for tok in fields:
+            try:  # np.loadtxt, unlike float(), rejects "1_0" and non-ASCII digits
+                float(tok if tok.isascii() and "_" not in tok else "x")
+            except ValueError:
+                return f"line {no}: {tok.strip()!r} is not a number"
+    return "is malformed"
+
+
 @dataclass(frozen=True)
 class SpeedProfile:
     """Squared-speed values aligned to a grid, tagged with their origin."""
@@ -265,25 +252,28 @@ class SpeedProfile:
     @classmethod
     def from_csv(cls, f: Union[str, io.TextIOBase],
                  provenance: str = "synthetic") -> "SpeedProfile":
-        """Read rows "s,h" after that header; blank lines are skipped."""
+        """Read rows "s,h" after that header; empty lines are skipped. A
+        malformed row is named by its line in the file (header: line 1)."""
         with text_file(f) as fh:
+            start = fh.tell() if fh.seekable() else None
             header = fh.readline().strip()
             if header != "s,h":
                 raise ValueError(f"expected profile CSV header 's,h', got {header!r}")
-            with warnings.catch_warnings():  # no rows: the grid check says so
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        if rows.size and rows.shape[1] != 2:
-            raise ValueError(f"expected rows 's,h', got {rows.shape[1]} fields")
+            try:
+                with warnings.catch_warnings():  # no rows: the grid check says so
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                if rows.size and rows.shape[1] != 2:
+                    raise ValueError  # the same wrong field count on every row
+            except ValueError:
+                where = "has a malformed row" if start is None else _bad_row(fh, start)
+                raise ValueError(f"profile CSV {where}") from None
         s, h = rows.reshape(-1, 2).T
         return cls(Discretization(s), h, provenance)
 
-    def _json_fields(self) -> dict:
-        return {"grid": self.grid.points, "values": self.values,
-                "provenance": self.provenance}
-
     def to_json_dict(self) -> dict:
-        return _plain(self._json_fields())
+        return {"grid": self.grid.points.tolist(),
+                "values": self.values.tolist(), "provenance": self.provenance}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SpeedProfile":
@@ -395,22 +385,15 @@ class SolveReport:
     profile: Optional[SpeedProfile] = None
     traversal_time: Optional[float] = None
 
-    def _json_fields(self) -> dict:
-        """The JSON fields, with the float arrays left as arrays."""
-        return {
-            "status": self.status.to_json_dict(),
-            "backward": self.backward,
-            "forward": self.forward,
-            "profile": self.profile._json_fields() if self.profile else None,
-            "traversal_time": self.traversal_time,
-        }
-
     def to_json_dict(self) -> dict:
-        return _plain(self._json_fields())
+        """The solve summary, without the arrays: its size does not grow with n."""
+        return {"status": self.status.to_json_dict(),
+                "n": int(self.backward.size),
+                "traversal_time": self.traversal_time}
 
     def write_json(self, f: Union[str, io.TextIOBase]) -> None:
-        """Write :meth:`to_json_dict` without building its lists."""
-        write_json(self._json_fields(), f)
+        """Write :meth:`to_json_dict` (``report.json``)."""
+        write_json(self.to_json_dict(), f)
 
     def require_feasible(self, what: str) -> "SolveReport":
         """Return the report, or raise :class:`InfeasibleError` carrying

@@ -49,8 +49,9 @@ def traversal_time(profile: SpeedProfile) -> float:
 
 
 def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
-    """Sample (t, s, speed) at t = k * dt below the total traversal time,
-    plus a last row exactly at that total, as an (m, 3) array.
+    """Sample (t, s, speed) at t = k * dt below the total traversal time
+    by more than a few ulps (dt = total / N gives N + 1 rows), plus a last
+    row exactly at that total, as an (m, 3) array.
 
     Positions are recovered by inverting the segment closed form: with
     h linear on a segment, sqrt(h) grows linearly in time, so
@@ -71,7 +72,7 @@ def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
         raise ValueError(f"dt={dt!r} gives too many samples over {total!r} s")
     s, h = profile.grid.points, profile.values
     t = np.arange(int(total / dt) + 2) * dt  # 2 past total / dt: room to round
-    t = t[:np.searchsorted(t, total)]  # the times below total
+    t = t[:np.searchsorted(t, total - 4.0 * math.ulp(total))]
     rows = np.empty((t.size + 1, 3))
     rows[:-1, 0] = t
     rows[-1] = total, s[-1], math.sqrt(h[-1])

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from toppkit import SpeedProfile, circle_instance, line_instance
+from toppkit import (SpeedProfile, build_model, circle_instance,
+                     line_instance, solve)
 from toppkit.cli import main
 
 
@@ -26,6 +27,8 @@ class TestSolveCommand:
         assert t == pytest.approx(2.0, abs=1e-3)
         report = json.loads((out / "report.json").read_text())
         assert report["status"]["feasible"] is True
+        assert report["n"] == 1001
+        assert report["traversal_time"] == pytest.approx(t, abs=1e-6)
         assert (out / "profile.csv").exists()
         assert (out / "summary.json").exists()
 
@@ -34,12 +37,12 @@ class TestSolveCommand:
         out = tmp_path / "out"
         assert main(["solve", "--input", spec, "--n", "101",
                      "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        path = circle_instance()
+        solved = solve(path.grid(101), build_model(path),
+                       endpoints=path.endpoints).profile
         reread = SpeedProfile.from_csv(str(out / "profile.csv"))
-        assert np.array_equal(reread.values,
-                              np.array(report["profile"]["values"]))
-        assert np.array_equal(reread.grid.points,
-                              np.array(report["profile"]["grid"]))
+        assert np.array_equal(reread.values, solved.values)
+        assert np.array_equal(reread.grid.points, solved.grid.points)
 
     def test_infeasible_exits_2_and_names_index(self, tmp_path, capsys,
                                                 monkeypatch):
@@ -61,6 +64,10 @@ class TestSolveCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "index 7" in err and "backward" in err
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report == {"status": {"feasible": False, "index": 7,
+                                     "pass": "backward"},
+                          "n": 11, "traversal_time": None}
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["solve", "--input", str(tmp_path / "nope.json"),
@@ -214,7 +221,16 @@ class TestRetimeCommand:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert "usecols" not in err[0]
         assert not out.exists()
+
+    def test_malformed_row_named_by_file_line(self, tmp_path, capsys):
+        prof = tmp_path / "profile.csv"
+        prof.write_text("s,h\n0,1\n\n0.5,1,2\n1,1\n", encoding="utf-8")
+        assert main(["retime", "--profile", str(prof), "--dt", "0.25",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: profile CSV line 4: expected 2 fields (s,h), got 3\n")
 
     def test_dt_too_small_exits_1(self, tmp_path, capsys):
         # 1 / 1e-320 overflows: a sample count no float loop could reach

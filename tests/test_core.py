@@ -236,15 +236,34 @@ class TestSerialization:
         assert p.grid.points.tolist() == [0.0, 1.0]
         assert p.values.tolist() == [1.0, 2.0]
 
-    @pytest.mark.parametrize("rows", ["0,1\n0.5,1,2\n1,1\n",
-                                      "0,1\n0.5\n1,1\n", "0,1\nx\n1,1\n",
-                                      "0,1\n0.5,x\n1,1\n",
-                                      "0,1,2\n3,4,5\n", "0\n1\n2\n3\n"],
-                             ids=["3-fields", "1-field", "x", "h-is-x",
-                                  "all-3-fields", "all-1-field"])
-    def test_csv_malformed_row_rejected(self, rows):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("rows,match", [
+        ("0,1\n0.5,1,2\n1,1\n", "line 3: expected 2 fields .*, got 3$"),
+        ("0,1\n0.5\n1,1\n", "line 3: expected 2 fields .*, got 1$"),
+        ("0,1\nx\n1,1\n", "line 3: expected 2 fields .*, got 1$"),
+        ("0,1\n0.5,x\n1,1\n", "line 3: 'x' is not a number$"),
+        ("0,1,2\n3,4,5\n", "line 2: expected 2 fields .*, got 3$"),
+        ("0\n1\n2\n3\n", "line 2: expected 2 fields .*, got 1$"),
+        ("0,1\n\n\n0.5,x\n", "line 5: 'x' is not a number$"),
+        ("0,1\r\n\r\n0.5,1,2\r\n", "line 4: expected 2 fields .*, got 3$"),
+        ("0,1\n \n1,1\n", "line 3: expected 2 fields .*, got 1$"),
+        ("0,1\n1_0,1\n", "line 3: '1_0' is not a number$"),
+        ("0,1\n1,\n", "line 3: '' is not a number$"),
+    ], ids=["3-fields", "1-field", "x", "h-is-x", "all-3-fields",
+            "all-1-field", "blank-lines-count", "crlf-blank-line",
+            "spaces-only", "underscore", "empty-field"])
+    def test_csv_malformed_row_rejected(self, rows, match):
+        # the header is line 1 and blank lines count, as in an editor
+        with pytest.raises(ValueError, match=match) as err:
             SpeedProfile.from_csv(io.StringIO("s,h\n" + rows))
+        assert "usecols" not in str(err.value)
+
+    def test_csv_malformed_row_of_unseekable_stream(self):
+        class Pipe(io.StringIO):
+            def seekable(self):
+                return False
+
+        with pytest.raises(ValueError, match="^profile CSV has a malformed row$"):
+            SpeedProfile.from_csv(Pipe("s,h\n0,1\n0.5,x\n"))
 
     def test_json_round_trip(self, grid3):
         p = SpeedProfile(grid3, np.array([0.0, 1.0, 0.0]), "oracle")

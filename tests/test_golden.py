@@ -2,11 +2,19 @@
 
 ``toppkit solve`` at n = 1001, then ``toppkit retime`` of its profile at
 dt = T / 1001, must reproduce these files byte for byte: any change to
-a writer's layout or to a float it writes shows here. The hashes were
-recorded with the row-by-row writers that the block writers replaced,
-on x86-64 Linux with numpy 2.4. They pin the floats of the platform's
-libm and numpy build too, so a platform whose last bits differ has to
-record its own.
+a writer's layout or to a float it writes shows here. So must
+``toppkit oracle`` at n = 201 and ``toppkit sweep`` at 11, 21 and 41
+points against the finest reference. The hashes were recorded with the
+row-by-row writers that the block writers replaced, and the oracle and
+sweep hashes with the streaming JSON writer that ``json.dumps``
+replaced, on x86-64 Linux with numpy 2.4. They pin the floats of the
+platform's libm and numpy build too, so a platform whose last bits
+differ has to record its own.
+
+The ``report.json`` hashes were re-recorded when the file became a
+summary of ``status``, ``n`` and ``traversal_time``, without the four
+per-point arrays that ``profile.csv`` already holds; every other hash
+was kept.
 """
 
 import hashlib
@@ -24,7 +32,7 @@ GOLDEN = {
         "profile.csv":
             "3fb5627d0ce21031346fb999040a679767f77d2401df3ba0c419dc022a99acf0",
         "report.json":
-            "1f0e688a022a312292206480f136b2fbe38deebeca3cae87336e9d8007e1e055",
+            "646eec0140e3cebe7a8debb6efc3c4fb223ca9f8996262d62979f99cc9af92aa",
         "summary.json":
             "79ef1d3548469668d3b7999a3b5cd0c45d8c0ef46f465c77944a45fd77414fc1",
         "trajectory.csv":
@@ -36,7 +44,7 @@ GOLDEN = {
         "profile.csv":
             "5b26ddead9f42023a8a2fd10063aa25d45dde171361c0f5a8382e80a9ae4e5bc",
         "report.json":
-            "af8ed548ba61d3d97a99a5dc10becd4537a0f752d1d1afcb6b3ad6e95fcf6534",
+            "3b24506d425b825a7d818dd613d344d117130141b39283f279c08fb3d91e2689",
         "summary.json":
             "46bb4c2bf0469f6c6586657ec459c7126562f6a1bd408ddaa5f4c69a741ce065",
         "trajectory.csv":
@@ -48,7 +56,7 @@ GOLDEN = {
         "profile.csv":
             "c33c3e548042d362a91ca48bd5ca0f5138a15957f88a63b2d53f2ef181636b43",
         "report.json":
-            "f7d944f380adec7e15ebd880d83b27df6fb253cf57da62cf411bcbd010335598",
+            "11226b65f240c368018fd4786d334860259dd6b65c3248510bf99def3aeea858",
         "summary.json":
             "4fa2ee9f01e6e9b96d4231d87c6021cc49fa09baceffdc3098ac9ec7a173d21a",
         "trajectory.csv":
@@ -60,7 +68,7 @@ GOLDEN = {
         "profile.csv":
             "3cdc8272cbbb8d91a655104db44c9d38a04383b398e1e88bff76c913e9805f38",
         "report.json":
-            "9099b94742d46ca129fb7270a9e3ce2b1314a30ddb0e65583f3bf52036061bad",
+            "f6f2aae55633c32d5b6a411da1944811c8ee9096bdf33658e1f3b12ef14abec5",
         "summary.json":
             "bb07813d4f78a81734b3cab4b851492ed33872c7d32d27efbad4240dc1d06760",
         "trajectory.csv":
@@ -72,7 +80,7 @@ GOLDEN = {
         "profile.csv":
             "6fc54f253ea61d12c70eafc49eaa90b016e85b024c530326464b532e8c6c2535",
         "report.json":
-            "db84b16a90129a0c2eee0f8c3f6a44b0531ff6a182b0b6a1b6521c9a88b2cd7a",
+            "0844d186452d0110efb780f52870b9e75306772abed4ef14742f0932b352016a",
         "summary.json":
             "a037e177a2ccf3cea62da77a93a45bf11afbb65856ecbb1564bfe4d36f978864",
         "trajectory.csv":
@@ -83,20 +91,124 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_artifacts_match_recorded_hashes(tmp_path, capsys, monkeypatch, name):
-    monkeypatch.delenv("TOPPKIT_TOL", raising=False)
+# toppkit oracle --n 201, and toppkit sweep --resolutions 11,21,41
+# --reference finest, of the bundled instances.
+GOLDEN_ORACLE = {
+    "capped_arc": {
+        "oracle.csv":
+            "cfd98e8c616bc18e239b2aa54b28d1c1bcedb89efa8b13b1dd6fc0da39e9f715",
+        "agreement.json":
+            "0b129e0c83aaa37ce94273bca245f2bbfe5e363bc9899f857b3fda3dd52a643a",
+        "stdout":
+            "fd3734d7f8039120d8a4679af1b04ff97cbc80110f7d6912ef11ad8ca0bd6188",
+    },
+    "capped_line": {
+        "oracle.csv":
+            "7f71431ea291a824f3d295982721edf285307d0674df1fad65b9ded7cfc7cd4d",
+        "agreement.json":
+            "22c6f1e4f3b1fa5befcb91563ff56fd0e48f3ef852ac1161b8009b7e6b9d5bc7",
+        "stdout":
+            "6412725d55376162a4a276329392c77abc1adee2653b0223af6a1903e2772661",
+    },
+    "circle": {
+        "oracle.csv":
+            "ed2371027531ca6b0e0a4007afb8f51c66d73fef2ed301c3ce8cb837af8c5ed4",
+        "agreement.json":
+            "1cfb9bccffb03ce5eabd9512312381f6088e5330323f3dbcd426dd55ea14ad82",
+        "stdout":
+            "0ea056f80e2ad26359a510b22847c0712af8b5d1bd4c1352df29d2b8b7aff522",
+    },
+    "line": {
+        "oracle.csv":
+            "ba8f1b3df18a9806dd3d264d2d1a089b92249fe21ee0dc7d62f30b273cfa0c20",
+        "agreement.json":
+            "f3eb47b44295aec04805571f411bd485630ae2db446578789231c352b0956f6f",
+        "stdout":
+            "3ca178cf71452ed4178817341cd606991e311e22978d2a2dc499edbb89083f21",
+    },
+    "wave_table": {
+        "oracle.csv":
+            "fc88f71dd256ee8165064570cdb2abf7b39106df99117c3e614be67f28235738",
+        "agreement.json":
+            "06fc0441bfc636cbae1d1c9833aee52ff543e1f15aa3331596de5ac30cbe267b",
+        "stdout":
+            "a0d2fc4cadd455c2986934402a006c231c76d3ca1134ad143dcba5665052ef7e",
+    },
+}
+GOLDEN_SWEEP = {
+    "capped_arc": {
+        "sweep.csv":
+            "cbd9e770956f9f5f7d8c391a40864523b318aece64136e225a5b07cdde9738ea",
+        "stdout":
+            "e6049a3b0e8a82b8e9ed23f700e5a4f71b8dcaf99b0b31389deb61e263fdb08f",
+    },
+    "capped_line": {
+        "sweep.csv":
+            "6b0beb60b8436a0c4d1ac1e58ba677e973b0c9db8bfab86f59a33514acf22fac",
+        "stdout":
+            "4524e6db61bef54bff4aed3ad99e56581f46e03524fda16d541733c94fbc5baf",
+    },
+    "circle": {
+        "sweep.csv":
+            "bc397a82d273411d100d09c0b4663f7ffe090cc45e5524e352f36086c03e2a36",
+        "stdout":
+            "540e51f77c5014624124ad8c5a5ca5e65d891cdb83f40410fa9be4a3f56560e1",
+    },
+    "line": {
+        "sweep.csv":
+            "818109a6d5327a1f7ce9cac3f43f5d2dbc95bec9e57e4e7b0c77704edac96db4",
+        "stdout":
+            "6129a3fc4fcff6a1530aa2cf3c9b633cb729abe9cda4d87a4f7c9b8993d2988a",
+    },
+    "wave_table": {
+        "sweep.csv":
+            "5e62e4ceb7a790ce26f084912073bd5676533e1c07d5a757fea67db1cd0ac6ed",
+        "stdout":
+            "f7974166b8714409bc6c4e465c411f73270cc2f0e769463a61b42206c13c02c7",
+    },
+}
+
+
+def _write_spec(tmp_path, name):
     spec = tmp_path / "path.json"
     spec.write_text(json.dumps(bundled_instances()[name].to_json_dict()),
                     encoding="utf-8")
+    return str(spec)
+
+
+def _hashes(out, files, capsys):
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+           for f in files}
+    got["stdout"] = hashlib.sha256(
+        capsys.readouterr().out.encode("utf-8")).hexdigest()
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifacts_match_recorded_hashes(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.delenv("TOPPKIT_TOL", raising=False)
     out = tmp_path / "out"
-    assert main(["solve", "--input", str(spec), "--n", str(N),
-                 "--out", str(out)]) == 0
+    assert main(["solve", "--input", _write_spec(tmp_path, name),
+                 "--n", str(N), "--out", str(out)]) == 0
     t = json.loads((out / "summary.json").read_text())["traversal_time"]
     assert main(["retime", "--profile", str(out / "profile.csv"),
                  "--dt", repr(t / N), "--out", str(out)]) == 0
-    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
-           for f in FILES}
-    got["stdout"] = hashlib.sha256(
-        capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert got == GOLDEN[name]
+    assert _hashes(out, FILES, capsys) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ORACLE))
+def test_oracle_matches_recorded_hashes(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    assert main(["oracle", "--input", _write_spec(tmp_path, name),
+                 "--n", "201", "--out", str(out)]) == 0
+    assert _hashes(out, ("oracle.csv", "agreement.json"),
+                   capsys) == GOLDEN_ORACLE[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEP))
+def test_sweep_matches_recorded_hashes(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    assert main(["sweep", "--input", _write_spec(tmp_path, name),
+                 "--resolutions", "11,21,41", "--reference", "finest",
+                 "--out", str(out)]) == 0
+    assert _hashes(out, ("sweep.csv",), capsys) == GOLDEN_SWEEP[name]

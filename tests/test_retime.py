@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toppkit import (Discretization, SpeedProfile, build_model,
-                     capped_arc_instance, line_instance, sample_trajectory,
-                     solve, traversal_time, wave_table_instance,
+                     bundled_instances, capped_arc_instance, line_instance,
+                     random_table_instance, sample_trajectory, solve,
+                     traversal_time, wave_table_instance,
                      write_trajectory_csv)
 from toppkit.retime import _knot_times
+
+INSTANCES = {**bundled_instances(),
+             **{f"table_{k}": random_table_instance(k) for k in range(5)}}
 
 
 def profile_on(points, values):
@@ -43,7 +47,7 @@ def scalar_sample_trajectory(profile, dt):
 
     rows = []
     k = 0
-    while k * dt < total:
+    while k * dt < total - 4.0 * math.ulp(total):  # not a few ulps below it
         t = k * dt
         pos, v = state_at(t)
         rows.append((t, pos, v))
@@ -139,6 +143,21 @@ class TestSampleTrajectory:
         ss = [r[1] for r in rows]
         assert all(s2 >= s1 for s1, s2 in zip(ss, ss[1:]))
         assert ss[0] == 0.0 and ss[-1] == 1.0
+
+    @pytest.mark.parametrize("n", [1001, 100001])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_dt_dividing_total_gives_one_row_per_step(self, name, n):
+        # m * (total / m) can round to an ulp below total; that sample
+        # must not sit next to the exact last row
+        path = INSTANCES[name]
+        report = solve(path.grid(n), build_model(path),
+                       endpoints=path.endpoints)
+        total = report.traversal_time
+        for m in (1001, 100000, 100001):
+            t = sample_trajectory(report.profile, total / m)[:, 0]
+            assert t.size == m + 1
+            assert t[-1] == total
+            assert np.all(np.diff(t) > 0.0)
 
     def test_speed_bounded_by_ceiling(self):
         path = line_instance()

@@ -199,15 +199,26 @@ class TestSolve:
     def test_report_json_shape(self, line_path, line_model, grid3):
         report = solve(grid3, line_model, endpoints=line_path.endpoints)
         d = report.to_json_dict()
-        assert set(d) == {"status", "backward", "forward", "profile",
-                          "traversal_time"}
+        assert set(d) == {"status", "n", "traversal_time"}
         assert d["status"] == {"feasible": True, "index": None, "pass": None}
-        assert d["backward"] == pytest.approx([2.0, 1.0, 0.0])
-        assert d["profile"]["provenance"] == "solver"
+        assert d["n"] == 3
+        assert d["traversal_time"] == report.traversal_time
+        # the arrays stay on the report, out of the file
+        assert report.backward == pytest.approx([2.0, 1.0, 0.0])
+        assert report.profile.provenance == "solver"
+        # the file's size does not grow with n, beyond the digits of n
+        path = circle_instance()
+        size = {}
+        for n in (101, 10001):
+            buf = io.StringIO()
+            solve(path.grid(n), build_model(path),
+                  endpoints=path.endpoints).write_json(buf)
+            size[n] = len(buf.getvalue().encode("utf-8"))
+        assert size[10001] - size[101] == len("10001") - len("101")
+        assert size[10001] < 1024
 
     @pytest.mark.parametrize("feasible", [True, False])
     def test_write_json_is_json_dump_of_dict(self, tmp_path, feasible):
-        # 10 001 points span several of the writer's blocks.
         if feasible:
             path = capped_arc_instance()
             report = solve(path.grid(10001), build_model(path),
