@@ -22,21 +22,19 @@ from .oracle import (agreement_tolerance, dp_optimum, lattice_spacing,
 from .paths import (PathSpec, analytic_optimum, analytic_time, build_model,
                     curvature)
 from .retime import sample_trajectory, traversal_time, write_trajectory_csv
-from .solver import (StepSolverConfig, backward_step, default_config,
-                     forward_step, solve)
+from .solver import default_config, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityReport", "ConvergenceRow", "Discretization",
     "DynamicsModel", "InfeasibleError", "PathSpec", "SolveReport",
-    "SolveStatus", "SpeedProfile", "StepSolverConfig",
-    "UnsupportedInstanceError", "XiRow", "agreement_tolerance",
-    "analytic_optimum", "analytic_time", "backward_step",
+    "SolveStatus", "SpeedProfile", "UnsupportedInstanceError", "XiRow",
+    "agreement_tolerance", "analytic_optimum", "analytic_time",
     "build_model", "bundled_instances", "capped_arc_instance",
     "capped_line_instance", "check_admissible", "circle_instance",
     "convergence_sweep", "curvature", "default_config", "default_tol",
-    "dp_optimum", "forward_step", "lattice_spacing", "line_instance",
+    "dp_optimum", "lattice_spacing", "line_instance",
     "measure_solve_seconds", "profile_error", "random_admissible",
     "random_table_instance", "relax", "sample_trajectory", "solve",
     "tightened_path", "traversal_time", "wave_table_instance",

@@ -9,7 +9,7 @@ import io
 import json
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -101,14 +101,6 @@ class Discretization:
         return cls(np.linspace(a, b, n))
 
     @property
-    def a(self) -> float:
-        return float(self.points[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.points[-1])
-
-    @property
     def delta(self) -> float:
         """Resolution: the largest gap between consecutive points."""
         return float(np.max(np.diff(self.points)))
@@ -125,13 +117,15 @@ class Discretization:
 class FrictionCircle:
     """Friction-circle bounds for array evaluation: slope window
     +-2*sqrt(f_fr^2 - kappa^2 h^2) (zero where the radicand is not
-    positive), ceiling min(vmax2, f_fr/kappa), floor zero. ``kappa`` maps
-    positions to curvatures. Elementwise, the methods give the floats of
-    the scalar callables that ``paths.build_model`` makes."""
+    positive) widened by +-xi, ceiling min(vmax2, f_fr/kappa), floor
+    zero. ``kappa`` maps positions to curvatures. Elementwise, the
+    methods give the floats of the scalar callables that
+    ``paths.build_model`` makes (and ``relax`` wraps once)."""
 
     f_fr: float
     vmax2: float
     kappa: Callable[[np.ndarray], np.ndarray]
+    xi: float = 0.0
 
     def ceiling(self, kappa: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):  # f/0 = inf: only v_max binds
@@ -143,7 +137,7 @@ class FrictionCircle:
         kh = kappa * h
         r = self.f_fr * self.f_fr - kh * kh
         root = np.where(r > 0.0, 2.0 * np.sqrt(np.maximum(r, 0.0)), 0.0)
-        return np.where(r > 0.0, -root, 0.0), root
+        return np.where(r > 0.0, -root, 0.0) - self.xi, root + self.xi
 
 
 @dataclass(frozen=True)
@@ -156,8 +150,9 @@ class DynamicsModel:
     with |fplus|, |fminus| <= B on the feasible region; the solver and
     oracle rely on it for bracketing, so the supplier must provide it.
     ``xi`` records the relaxation level already applied to the slopes.
-    ``friction``, when set, holds the same bounds in closed form, which
-    the solver and the admissibility check use instead of the callables.
+    ``friction``, when set, holds the same bounds in closed form, at the
+    same ``xi``; the solver and the admissibility check use it instead
+    of the callables.
     """
 
     fplus: Callable[[float, float], float]
@@ -173,8 +168,8 @@ class DynamicsModel:
             raise ValueError("slope_cap must be positive")
         if self.xi < 0.0:
             raise ValueError("xi must be non-negative")
-        if self.friction is not None and self.xi != 0.0:
-            raise ValueError("a friction-circle model cannot be relaxed in place")
+        if self.friction is not None and self.friction.xi != self.xi:
+            raise ValueError("friction.xi must equal xi; relax() widens both")
 
 
 def default_tol(model: DynamicsModel) -> float:
@@ -186,8 +181,9 @@ def relax(model: DynamicsModel, xi: float) -> DynamicsModel:
     """Widen the slope window by +-xi; box bounds are unchanged.
 
     The returned model records the cumulative relaxation level and a
-    slope cap enlarged by xi so bracketing stays valid. It carries no
-    ``friction`` description, so solves of it use the callables.
+    slope cap enlarged by xi so bracketing stays valid. A ``friction``
+    description is kept, widened by the same xi, so solves of a relaxed
+    friction-circle model stay in closed form.
     """
     if xi < 0.0:
         raise ValueError("relaxation level must be non-negative")
@@ -206,6 +202,8 @@ def relax(model: DynamicsModel, xi: float) -> DynamicsModel:
         bl=model.bl,
         slope_cap=model.slope_cap + xi,
         xi=model.xi + xi,
+        friction=None if model.friction is None else replace(
+            model.friction, xi=model.friction.xi + xi),
     )
 
 
@@ -270,16 +268,6 @@ class SpeedProfile:
                 raise ValueError(f"profile CSV {where}") from None
         s, h = rows.reshape(-1, 2).T
         return cls(Discretization(s), h, provenance)
-
-    def to_json_dict(self) -> dict:
-        return {"grid": self.grid.points.tolist(),
-                "values": self.values.tolist(), "provenance": self.provenance}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SpeedProfile":
-        return cls(Discretization(np.asarray(d["grid"], dtype=float)),
-                   np.asarray(d["values"], dtype=float),
-                   str(d.get("provenance", "synthetic")))
 
 
 @dataclass(frozen=True)

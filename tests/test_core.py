@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toppkit import (Discretization, PathSpec, SpeedProfile, build_model,
-                     check_admissible, default_tol, profile_error, relax)
+                     capped_arc_instance, check_admissible, default_tol,
+                     line_instance, profile_error, relax, solve)
 
 from conftest import constant_box_model, plain_model
 
@@ -15,7 +17,7 @@ from conftest import constant_box_model, plain_model
 class TestDiscretization:
     def test_uniform_hits_endpoints_exactly(self):
         g = Discretization.uniform(0.0, 1.0, 7)
-        assert g.a == 0.0 and g.b == 1.0
+        assert g.points[0] == 0.0 and g.points[-1] == 1.0
         assert len(g) == 7
         assert g.delta == pytest.approx(1.0 / 6.0)
 
@@ -187,6 +189,26 @@ class TestRelax:
         twice = relax(relax(line_model, 0.25), 0.25)
         assert twice.xi == pytest.approx(0.5)
         assert twice.fplus(0.0, 0.0) == pytest.approx(2.5)
+        assert twice.friction.xi == twice.xi
+        assert twice.friction.slopes(np.zeros(1), np.zeros(1)) == (
+            pytest.approx([-2.5]), pytest.approx([2.5]))
+
+    @pytest.mark.parametrize("path", [line_instance(), capped_arc_instance()],
+                             ids=["line", "arc"])
+    def test_friction_check_applies_xi(self, path):
+        model = build_model(path)
+        relaxed = relax(model, 1.0)
+
+        def forbidden(*args):
+            raise AssertionError("model callable called")
+
+        blind = replace(relaxed, fplus=forbidden, fminus=forbidden,
+                        bu=forbidden, bl=forbidden)
+        profile = solve(path.grid(201), relaxed,
+                        endpoints=path.endpoints).profile
+        assert check_admissible(profile, blind)
+        verdict = check_admissible(profile, model)
+        assert not verdict and verdict.constraint.startswith("slope_")
 
     def test_negative_level_rejected(self, line_model):
         with pytest.raises(ValueError):
@@ -195,7 +217,6 @@ class TestRelax:
     @given(st.floats(0.0, 3.0))
     @settings(max_examples=60)
     def test_widening_preserves_admissibility(self, xi, ):
-        from toppkit import line_instance, solve
         path = line_instance()
         model = build_model(path)
         grid = Discretization.uniform(0.0, 1.0, 9)
@@ -264,14 +285,6 @@ class TestSerialization:
 
         with pytest.raises(ValueError, match="^profile CSV has a malformed row$"):
             SpeedProfile.from_csv(Pipe("s,h\n0,1\n0.5,x\n"))
-
-    def test_json_round_trip(self, grid3):
-        p = SpeedProfile(grid3, np.array([0.0, 1.0, 0.0]), "oracle")
-        d = p.to_json_dict()
-        assert d["provenance"] == "oracle"
-        q = SpeedProfile.from_json_dict(d)
-        assert np.array_equal(p.values, q.values)
-        assert p.grid.same_grid(q.grid)
 
 
 def test_default_tol_scales_with_slope_cap(line_model):

@@ -5,17 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import toppkit
 from toppkit import (Discretization, DynamicsModel, InfeasibleError,
-                     PathSpec, StepSolverConfig, backward_step,
-                     build_model, capped_arc_instance, check_admissible,
-                     circle_instance, curvature, default_config,
-                     forward_step, line_instance, relax, solve,
+                     PathSpec, build_model, capped_arc_instance,
+                     check_admissible, circle_instance, curvature,
+                     default_config, line_instance, relax, solve,
                      wave_table_instance)
 
 from conftest import plain_model
-
-CFG = StepSolverConfig(abs_tol=1e-12)
 
 # Car-model scalar subproblem: largest h with h - 0.2*sqrt(1 - h^2) <= 0.5.
 # Value frozen from a plain-bisection solve of the inequality; it also
@@ -38,37 +38,65 @@ def car_model():
                                 angle=2 * math.pi))
 
 
+def two_point_solve(model, s0, s1, endpoints):
+    """Solve on the grid [s0, s1]: backward[0] is one backward step from
+    the end seed, forward[1] one forward step from the start seed."""
+    return solve(Discretization(np.array([s0, s1])), model, endpoints=endpoints)
+
+
 class TestBackwardStep:
+    """Single generic backward steps, as solves of callable-only models."""
+
     def test_linear_closed_form(self, line_model):
-        h = backward_step(0.5, 0.5, 0.0, line_model, CFG)
-        assert h == pytest.approx(1.0, abs=1e-9)
+        report = two_point_solve(plain_model(line_model), 0.5, 1.0, (None, 0.0))
+        assert report.backward.tolist() == [1.0, 0.0]
 
     def test_upper_bound_binds_when_target_is_slack(self, line_model):
         # h_next beyond bu + cap*ds: the ceiling is the answer
-        h = backward_step(0.5, 0.5, 200.0, line_model, CFG)
-        assert h == line_model.bu(0.5) == 100.0
+        model = replace(plain_model(line_model),
+                        bu=lambda s: 100.0 if s < 1.0 else 300.0)
+        report = two_point_solve(model, 0.5, 1.0, (None, 200.0))
+        assert report.backward.tolist() == [100.0, 200.0]
 
     def test_car_model_root(self):
-        model = car_model()
-        h = backward_step(0.3, 0.1, 0.5, model, CFG)
-        assert h == pytest.approx(CAR_BACKWARD_ROOT, abs=1e-9)
-        # returned point satisfies the constraint outright and is maximal
-        assert h + model.fminus(0.3, h) * 0.1 <= 0.5
-        bumped = h + 1e-6
-        assert bumped + model.fminus(0.3, bumped) * 0.1 > 0.5
+        model = plain_model(car_model())
+        ds = 0.4 - 0.3  # 0.1 plus an ulp, as the solver sees it
+        h = two_point_solve(model, 0.3, 0.4, (None, 0.5)).backward[0]
+        assert h == pytest.approx(CAR_BACKWARD_ROOT, abs=1e-15)
+        # the search stops at adjacent floats: h holds, the next float fails
+        assert h + model.fminus(0.3, h) * ds <= 0.5
+        up = math.nextafter(h, math.inf)
+        assert up + model.fminus(0.3, up) * ds > 0.5
+
+    @given(st.floats(0.0, 1.0), st.floats(1e-6, 0.5), st.floats(0.0, 1.0),
+           st.floats(0.0, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_stops_at_adjacent_floats(self, s0, ds, h_end, xi):
+        # below the ceiling, the step is the largest float that holds
+        model = plain_model(relax(car_model(), xi))
+        h = two_point_solve(model, s0, s0 + ds, (None, h_end)).backward[0]
+        ds = (s0 + ds) - s0
+        assert h + model.fminus(s0, h) * ds <= h_end
+        if h < model.bu(s0):
+            up = math.nextafter(h, math.inf)
+            assert up + model.fminus(s0, up) * ds > h_end
 
     def test_empty_box_is_infeasible(self):
         model = DynamicsModel(fplus=lambda s, h: 1.0, fminus=lambda s, h: -1.0,
-                              bu=lambda s: -1.0, bl=lambda s: 0.0,
-                              slope_cap=1.0)
-        assert backward_step(0.0, 0.1, 1.0, model, CFG) is None
+                              bu=lambda s: -1.0 if s < 0.05 else 10.0,
+                              bl=lambda s: 0.0, slope_cap=1.0)
+        report = two_point_solve(model, 0.0, 0.1, (None, 1.0))
+        assert (report.status.index, report.status.pass_name) == (0, "backward")
+        assert np.isnan(report.backward[0]) and report.forward is None
 
     def test_unreachable_target_is_infeasible(self):
         # floor 5, target 0, |slope| <= 1: even h = 5 cannot brake to 0
         model = DynamicsModel(fplus=lambda s, h: 1.0, fminus=lambda s, h: -1.0,
-                              bu=lambda s: 10.0, bl=lambda s: 5.0,
+                              bu=lambda s: 10.0,
+                              bl=lambda s: 5.0 if s < 0.05 else 0.0,
                               slope_cap=1.0)
-        assert backward_step(0.0, 0.1, 0.0, model, CFG) is None
+        report = two_point_solve(model, 0.0, 0.1, (None, 0.0))
+        assert (report.status.index, report.status.pass_name) == (0, "backward")
 
     def test_scan_fallback_finds_interior_dip(self):
         # Slope floor dips sharply around h = 0.5, so g(h) has an interior
@@ -84,40 +112,40 @@ class TestBackwardStep:
             return h + fminus(0.0, h) * 1.0 - 0.0
 
         assert g(0.0) > 0.0 and g(1.0) > 0.0 and g(0.5) < 0.0
-        h = backward_step(0.0, 1.0, 0.0, model, CFG)
+        h = two_point_solve(model, 0.0, 1.0, (None, 0.0)).backward[0]
         # brute-force the boundary on a fine grid for comparison
         hs = np.linspace(0.0, 1.0, 2_000_001)
         feasible = hs[[g(float(x)) <= 0.0 for x in hs]]
         assert h == pytest.approx(float(feasible.max()), abs=1e-6)
-
-    def test_invalid_arguments(self, line_model):
-        with pytest.raises(ValueError):
-            backward_step(0.0, 0.0, 1.0, line_model, CFG)
-        with pytest.raises(ValueError):
-            backward_step(0.0, 0.1, math.nan, line_model, CFG)
+        assert g(h) <= 0.0 < g(math.nextafter(h, math.inf))
 
 
 class TestForwardStep:
+    """Single forward steps, as solves of callable-only models."""
+
     def test_reaches_cap_exactly(self, line_model):
-        assert forward_step(0.0, 0.5, 0.0, 1.0, line_model) == 1.0
+        report = two_point_solve(plain_model(line_model), 0.0, 0.5, (0.0, 1.0))
+        assert report.forward.tolist() == [0.0, 1.0]
 
     def test_cap_at_current_value(self, line_model):
-        assert forward_step(0.0, 0.5, 0.7, 0.7, line_model) == 0.7
+        report = two_point_solve(plain_model(line_model), 0.0, 0.5, (0.7, 0.7))
+        assert report.forward.tolist() == [0.7, 0.7]
 
     def test_car_model_reach(self):
-        h = forward_step(0.3, 0.1, 0.8, 1.0, car_model())
-        assert h == pytest.approx(0.92, abs=1e-12)
+        model = car_model()
+        for m in (model, plain_model(model)):
+            report = two_point_solve(m, 0.3, 0.4, (0.8, None))
+            assert report.backward[1] == 1.0
+            assert report.forward[1] == pytest.approx(0.92, abs=1e-12)
 
     def test_floor_violation_is_infeasible(self):
         model = DynamicsModel(fplus=lambda s, h: 0.0, fminus=lambda s, h: 0.0,
                               bu=lambda s: 10.0,
                               bl=lambda s: 5.0 if s > 0.25 else 0.0,
                               slope_cap=1.0)
-        assert forward_step(0.2, 0.1, 1.0, 10.0, model) is None
-
-    def test_invalid_ds(self, line_model):
-        with pytest.raises(ValueError):
-            forward_step(0.0, -0.1, 0.0, 1.0, line_model)
+        report = two_point_solve(model, 0.2, 0.3, (1.0, None))
+        assert (report.status.index, report.status.pass_name) == (1, "forward")
+        assert report.forward[0] == 1.0 and np.isnan(report.forward[1])
 
 
 class TestSolve:
@@ -246,13 +274,14 @@ class TestFrictionFastPath:
         def forbidden(*args):
             raise AssertionError("model callable called")
 
-        blind = replace(model, fplus=forbidden, fminus=forbidden,
-                        bu=forbidden, bl=forbidden)
         grid = path.grid(501)
-        report = solve(grid, blind, endpoints=path.endpoints)
-        assert np.array_equal(report.forward, solve(
-            grid, model, endpoints=path.endpoints).forward)
-        assert check_admissible(report.profile, blind)
+        for m in (model, relax(model, 0.5)):
+            blind = replace(m, fplus=forbidden, fminus=forbidden,
+                            bu=forbidden, bl=forbidden)
+            report = solve(grid, blind, endpoints=path.endpoints)
+            assert np.array_equal(report.forward, solve(
+                grid, m, endpoints=path.endpoints).forward)
+            assert check_admissible(report.profile, blind)
 
     @pytest.mark.parametrize("path", [line_instance(), capped_arc_instance(),
                                       wave_table_instance()],
@@ -289,23 +318,36 @@ class TestFrictionFastPath:
     def test_relaxed_model_solves_relaxed(self, line_path):
         model = build_model(line_path)
         relaxed = relax(model, 0.25)
-        assert relaxed.friction is None
+        assert relaxed.friction.xi == 0.25
         grid = line_path.grid(101)
         base = solve(grid, model, endpoints=line_path.endpoints)
         wide = solve(grid, relaxed, endpoints=line_path.endpoints)
+        # the line's window is constant, so the generic search lands on
+        # the same floats as the closed form
         assert np.array_equal(wide.forward, solve(
-            grid, relax(plain_model(model), 0.25),
-            endpoints=line_path.endpoints).forward)
+            grid, plain_model(relaxed), endpoints=line_path.endpoints).forward)
         assert wide.traversal_time < base.traversal_time
         with pytest.raises(ValueError):
             replace(model, xi=0.25)
+        with pytest.raises(ValueError):
+            replace(relaxed, xi=0.5)
 
 
-def test_step_config_validation():
-    with pytest.raises(ValueError):
-        StepSolverConfig(abs_tol=0.0)
+def test_default_config_does_no_grid_work(line_path):
+    def forbidden(*args):
+        raise AssertionError("model callable called")
+
+    blind = replace(plain_model(build_model(line_path)), fplus=forbidden,
+                    fminus=forbidden, bu=forbidden, bl=forbidden)
+    assert default_config(line_path.grid(5), blind) is None
 
 
-def test_default_config_scales_with_ceiling(line_path, line_model):
-    cfg = default_config(line_path.grid(5), line_model)
-    assert cfg.abs_tol == pytest.approx(1e-10)
+def test_public_names():
+    assert len(set(toppkit.__all__)) == len(toppkit.__all__)
+    for name in toppkit.__all__:
+        assert getattr(toppkit, name) is not None
+    for name in ("StepSolverConfig", "backward_step", "forward_step"):
+        assert not hasattr(toppkit, name)
+        assert not hasattr(toppkit.solver, name)
+    # the benchmark's traced pass imports it
+    assert "default_config" in toppkit.__all__
