@@ -188,23 +188,25 @@ def relax(model: DynamicsModel, xi: float) -> DynamicsModel:
     if xi < 0.0:
         raise ValueError("relaxation level must be non-negative")
     fplus, fminus = model.fplus, model.fminus
-
-    def fplus_relaxed(s, h, _f=fplus, _xi=xi):
-        return _f(s, h) + _xi
-
-    def fminus_relaxed(s, h, _f=fminus, _xi=xi):
-        return _f(s, h) - _xi
-
     return DynamicsModel(
-        fplus=fplus_relaxed,
-        fminus=fminus_relaxed,
-        bu=model.bu,
-        bl=model.bl,
-        slope_cap=model.slope_cap + xi,
-        xi=model.xi + xi,
+        fplus=lambda s, h: fplus(s, h) + xi,
+        fminus=lambda s, h: fminus(s, h) - xi,
+        bu=model.bu, bl=model.bl,
+        slope_cap=model.slope_cap + xi, xi=model.xi + xi,
         friction=None if model.friction is None else replace(
             model.friction, xi=model.friction.xi + xi),
     )
+
+
+def _box_bounds(points: np.ndarray, model: DynamicsModel):
+    """(kappa, floor, ceiling) at ``points``: from ``model.friction`` when
+    set (floor zero), else kappa None and one bl and one bu call a point."""
+    if model.friction is not None:
+        kappa = model.friction.kappa(points)
+        return kappa, np.zeros(points.size), model.friction.ceiling(kappa)
+    sl = points.tolist()
+    return None, *(np.array([b(x) for x in sl], dtype=float)
+                   for b in (model.bl, model.bu))
 
 
 def _bad_row(fh: io.TextIOBase, start) -> str:
@@ -301,13 +303,11 @@ def check_admissible(profile: SpeedProfile, model: DynamicsModel,
         raise ValueError("tolerance must be non-negative")
     s, h = profile.grid.points, profile.values
     n = h.size
-    if model.friction is not None:
-        kappa = model.friction.kappa(s)
-        lo, hi = np.zeros(n), model.friction.ceiling(kappa)
+    kappa, lo, hi = _box_bounds(s, model)
+    if kappa is not None:
         f_lo, f_hi = model.friction.slopes(kappa[:-1], h[:-1])
     else:
         sl, hl = s.tolist(), h.tolist()
-        lo, hi = (np.array([b(x) for x in sl]) for b in (model.bl, model.bu))
         f_lo, f_hi = (np.array([f(x, y) for x, y in zip(sl[:-1], hl)])
                       for f in (model.fminus, model.fplus))
     slope = np.diff(h) / np.diff(s)

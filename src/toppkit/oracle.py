@@ -4,19 +4,21 @@ Two tools live here. ``dp_optimum`` recomputes the optimum with a
 deliberately plain method: per grid point it scans a quantized set of
 candidate squared speeds for the controllable boundary and refines the
 straddled cell by plain bisection, then replays the reachable chain.
-No shared code with the solver's step machinery, so agreement between
-the two certifies both. ``random_admissible`` manufactures feasible
+It shares the curvature and ceiling sampling (``FrictionCircle``) with
+the solver but no step code, so agreement between the two certifies
+both. ``random_admissible`` manufactures feasible
 profiles by solving under uniformly tightened actuation limits; any
 profile feasible for the tightened limits is feasible for the original
 ones, which makes these profiles dominance-test fodder.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 
 from .core import (Discretization, DynamicsModel, Endpoints, InfeasibleError,
-                   SpeedProfile, check_admissible)
+                   SpeedProfile, _box_bounds, check_admissible)
 from .paths import PathSpec, build_model
 
 
@@ -25,9 +27,8 @@ def lattice_spacing(grid: Discretization, model: DynamicsModel,
     """Spacing of ``levels`` uniform values spanning the model's h-range."""
     if levels < 8:
         raise ValueError("levels must be at least 8")
-    lo = min(model.bl(float(s)) for s in grid.points)
-    hi = max(model.bu(float(s)) for s in grid.points)
-    return (hi - lo) / (levels - 1)
+    _, lo, hi = _box_bounds(grid.points, model)
+    return (float(hi.max()) - float(lo.min())) / (levels - 1)
 
 
 def agreement_tolerance(grid: Discretization, model: DynamicsModel,
@@ -35,6 +36,38 @@ def agreement_tolerance(grid: Discretization, model: DynamicsModel,
     """Acceptance band for solver/oracle disagreement on this instance."""
     return 2.0 * lattice_spacing(grid, model, levels) \
         + 2.0 * model.slope_cap * grid.delta
+
+
+def _lattice_down(lo: float, hi: float, levels: int):
+    """``np.linspace(lo, hi, levels)[-2::-1]`` one float at a time, with
+    numpy's arithmetic: j*step + lo, or (j/(levels-1))*(hi-lo) + lo when
+    step underflows to zero."""
+    last, span = levels - 1, hi - lo
+    step = span / last
+    for j in range(last - 1, -1, -1):
+        yield j * step + lo if step != 0.0 else j / last * span + lo
+
+
+def _slopes(model: DynamicsModel, s: list, kappa):
+    """(x, fminus, fplus), the slopes at point i being fminus(x[i], h)
+    and fplus(x[i], h): x is s for the model's callables, or the sampled
+    curvature for the friction circle's callable expressions."""
+    if kappa is None:
+        return s, model.fminus, model.fplus
+    f, xi, sqrt = model.friction.f_fr, model.friction.xi, math.sqrt
+    f2 = f * f
+
+    def fminus(k, h):
+        kh = k * h
+        r = f2 - kh * kh
+        return (-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi
+
+    def fplus(k, h):
+        kh = k * h
+        r = f2 - kh * kh
+        return (2.0 * sqrt(r) if r > 0.0 else 0.0) + xi
+
+    return kappa.tolist(), fminus, fplus
 
 
 def _refine_boundary(g, good: float, bad: float) -> float:
@@ -60,70 +93,60 @@ def dp_optimum(grid: Discretization, model: DynamicsModel, levels: int = 512,
     ceiling; it is located by scanning ``levels`` quantized candidates
     and bisecting the straddled cell. Forward: the reachable chain from
     the first controllable value, clipped by the ceilings. Raises
-    :class:`InfeasibleError` when a candidate set comes up empty.
+    :class:`InfeasibleError`, naming the index and position, when a
+    candidate set comes up empty. The box is sampled once per point.
     """
     if levels < 8:
         raise ValueError("levels must be at least 8")
     h_start, h_end = (None, None) if endpoints is None else endpoints
-    s = grid.points
-    n = s.size
+    s = grid.points.tolist()
+    n = len(s)
+    kappa, bl, bu = _box_bounds(grid.points, model)
+    bl, bu = bl.tolist(), bu.tolist()
+    x, fminus, fplus = _slopes(model, s, kappa)
 
-    ceiling = np.empty(n)
-    top = model.bu(float(s[-1]))
-    if h_end is not None:
-        top = min(top, h_end)
-    if top < model.bl(float(s[-1])):
-        raise InfeasibleError("empty candidate set at the terminal point",
-                              index=n - 1, pass_name="backward")
+    def empty(what, i, pass_name):
+        return InfeasibleError(f"{what} at index {i} at s={s[i]!r}",
+                               index=i, pass_name=pass_name)
+
+    ceiling = [0.0] * n
+    top = bu[-1] if h_end is None else min(bu[-1], h_end)
+    if top < bl[-1]:
+        raise empty("empty candidate set", n - 1, "backward")
     ceiling[-1] = top
 
     for i in range(n - 2, -1, -1):
-        si = float(s[i])
-        ds = float(s[i + 1] - s[i])
-        target = float(ceiling[i + 1])
+        ds = s[i + 1] - s[i]
+        target = ceiling[i + 1]
 
-        def g(h, _si=si, _ds=ds, _target=target):
-            return h + model.fminus(_si, h) * _ds - _target
+        def g(h, _x=x[i], _ds=ds, _target=target):
+            return h + fminus(_x, h) * _ds - _target
 
-        lo = model.bl(si)
-        hi = min(model.bu(si), target + model.slope_cap * ds)
+        lo = bl[i]
+        hi = min(bu[i], target + model.slope_cap * ds)
         if hi < lo:
-            raise InfeasibleError("empty candidate set", index=i,
-                                  pass_name="backward")
+            raise empty("empty candidate set", i, "backward")
         if g(hi) <= 0.0:
             ceiling[i] = hi
             continue
-        candidates = np.linspace(lo, hi, levels)
-        found = None
-        prev = float(candidates[-1])
-        for c in candidates[-2::-1]:
-            c = float(c)
+        prev = hi
+        for c in _lattice_down(lo, hi, levels):
             if g(c) <= 0.0:
-                found = _refine_boundary(g, c, prev)
+                ceiling[i] = _refine_boundary(g, c, prev)
                 break
             prev = c
-        if found is None:
-            raise InfeasibleError("empty candidate set", index=i,
-                                  pass_name="backward")
-        ceiling[i] = found
+        else:
+            raise empty("empty candidate set", i, "backward")
 
-    reach = np.empty(n)
-    first = float(ceiling[0])
-    if h_start is not None:
-        first = min(first, h_start)
-    if first < model.bl(float(s[0])):
-        raise InfeasibleError("start value below the floor", index=0,
-                              pass_name="forward")
-    reach[0] = first
+    h = ceiling[0] if h_start is None else min(ceiling[0], h_start)
+    if h < bl[0]:
+        raise empty("start value below the floor", 0, "forward")
+    reach = [h] * n
     for i in range(1, n):
-        sp = float(s[i - 1])
-        ds = float(s[i] - s[i - 1])
-        val = min(float(ceiling[i]),
-                  float(reach[i - 1]) + model.fplus(sp, float(reach[i - 1])) * ds)
-        if val < model.bl(float(s[i])):
-            raise InfeasibleError("reachable value below the floor", index=i,
-                                  pass_name="forward")
-        reach[i] = val
+        h = min(ceiling[i], h + fplus(x[i - 1], h) * (s[i] - s[i - 1]))
+        if h < bl[i]:
+            raise empty("reachable value below the floor", i, "forward")
+        reach[i] = h
 
     return SpeedProfile(grid, reach, "oracle")
 

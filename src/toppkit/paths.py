@@ -100,12 +100,9 @@ class PathSpec:
         else:
             d["table"] = [[s, k] for s, k in self.table]
         if self.endpoints is not None:
-            ep = {}
-            if self.endpoints[0] is not None:
-                ep["start_h"] = self.endpoints[0]
-            if self.endpoints[1] is not None:
-                ep["end_h"] = self.endpoints[1]
-            d["endpoints"] = ep
+            d["endpoints"] = {k: v for k, v in zip(("start_h", "end_h"),
+                                                   self.endpoints)
+                              if v is not None}
         return d
 
     @classmethod
@@ -119,10 +116,8 @@ class PathSpec:
         endpoints: Endpoints = None
         if "endpoints" in d and d["endpoints"] is not None:
             ep = d["endpoints"]
-            start = ep.get("start_h")
-            end = ep.get("end_h")
-            endpoints = (None if start is None else float(start),
-                         None if end is None else float(end))
+            endpoints = tuple(None if ep.get(k) is None else float(ep[k])
+                              for k in ("start_h", "end_h"))
         if kind == "line":
             if "length" not in d:
                 raise ValueError("line path spec missing field 'length'")
@@ -190,14 +185,9 @@ def build_model(path: PathSpec) -> DynamicsModel:
 
     def bu(s):
         k = kappa_at(s)
-        if k == 0.0:
-            return vmax2
-        return min(vmax2, f / k)
+        return vmax2 if k == 0.0 else min(vmax2, f / k)
 
-    def bl(s):
-        return 0.0
-
-    return DynamicsModel(fplus=fplus, fminus=fminus, bu=bu, bl=bl,
+    return DynamicsModel(fplus=fplus, fminus=fminus, bu=bu, bl=lambda s: 0.0,
                          slope_cap=2.0 * f,
                          friction=FrictionCircle(f, vmax2, kappa_array))
 

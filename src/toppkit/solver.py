@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (Discretization, DynamicsModel, Endpoints, FrictionCircle,
-                   SolveReport, SolveStatus, SpeedProfile)
+                   SolveReport, SolveStatus, SpeedProfile, _box_bounds)
 from .retime import traversal_time
 
 # Cells scanned for a sign change when the bracket ends of a backward
@@ -117,8 +117,7 @@ def _generic_sweeps(grid: Discretization, model: DynamicsModel,
     is min(backward, h + fplus(s, h)*ds) and fails below bl."""
     s = grid.points.tolist()
     n = len(s)
-    bl = [model.bl(x) for x in s]
-    bu = [model.bu(x) for x in s]
+    bl, bu = (b.tolist() for b in _box_bounds(grid.points, model)[1:])
     status = SolveStatus(True)
     backward, forward = [math.nan] * n, [math.nan] * n
     h = bu[-1] if h_end is None else min(bu[-1], h_end)
@@ -126,14 +125,12 @@ def _generic_sweeps(grid: Discretization, model: DynamicsModel,
         if i < n - 1:
             h = _backward_step(model, s[i], s[i + 1] - s[i], h, bl[i], bu[i])
         if h is None or h < bl[i]:
-            status = SolveStatus(False, i, "backward")
-            return status, np.array(backward), None
+            return SolveStatus(False, i, "backward"), np.array(backward), None
         backward[i] = h
     h = backward[0] if h_start is None else min(backward[0], h_start)
     for i in range(n):
         if i:
-            ds = s[i] - s[i - 1]
-            h = min(backward[i], h + model.fplus(s[i - 1], h) * ds)
+            h = min(backward[i], h + model.fplus(s[i - 1], h) * (s[i] - s[i - 1]))
         if h < bl[i]:
             status = SolveStatus(False, i, "forward")
             break

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,13 @@ def plain_model(model):
     return DynamicsModel(fplus=model.fplus, fminus=model.fminus,
                          bu=model.bu, bl=model.bl,
                          slope_cap=model.slope_cap, xi=model.xi)
+
+
+def blind_model(model):
+    """The same model with callables that fail the test when called, so
+    only its closed-form description can be read."""
+    def forbidden(*args):
+        raise AssertionError("model callable called")
+
+    return replace(model, fplus=forbidden, fminus=forbidden,
+                   bu=forbidden, bl=forbidden)

@@ -1,6 +1,5 @@
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from toppkit import (Discretization, PathSpec, SpeedProfile, build_model,
                      capped_arc_instance, check_admissible, default_tol,
                      line_instance, profile_error, relax, solve)
 
-from conftest import constant_box_model, plain_model
+from conftest import blind_model, constant_box_model, plain_model
 
 
 class TestDiscretization:
@@ -98,14 +97,17 @@ class TestCheckAdmissible:
 
 class TestCheckAdmissibleFrictionModel:
     """The ordering cases above on a built line model (ceiling 4, window
-    +-2*f_fr), sampled from its closed form and through its callables."""
+    +-2*f_fr), sampled from its closed form alone (callables blinded)
+    and through its callables."""
 
     @pytest.fixture(params=["friction", "callables"])
     def model_for(self, request):
         def make(f_fr):
             model = build_model(PathSpec("line", v_max=2.0, f_fr=f_fr,
                                          length=1.0))
-            return model if request.param == "friction" else plain_model(model)
+            if request.param == "friction":
+                return blind_model(model)
+            return plain_model(model)
         return make
 
     def test_bound_violation_reports_smallest_index(self, grid3, model_for):
@@ -198,12 +200,7 @@ class TestRelax:
     def test_friction_check_applies_xi(self, path):
         model = build_model(path)
         relaxed = relax(model, 1.0)
-
-        def forbidden(*args):
-            raise AssertionError("model callable called")
-
-        blind = replace(relaxed, fplus=forbidden, fminus=forbidden,
-                        bu=forbidden, bl=forbidden)
+        blind = blind_model(relaxed)
         profile = solve(path.grid(201), relaxed,
                         endpoints=path.endpoints).profile
         assert check_admissible(profile, blind)

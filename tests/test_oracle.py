@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toppkit import (Discretization, InfeasibleError,
                      agreement_tolerance, analytic_optimum, build_model,
-                     check_admissible, circle_instance, default_tol,
-                     dp_optimum, lattice_spacing, line_instance,
-                     profile_error, random_admissible, solve, tightened_path,
-                     wave_table_instance)
+                     bundled_instances, check_admissible, circle_instance,
+                     default_tol, dp_optimum, lattice_spacing, line_instance,
+                     profile_error, random_admissible, random_table_instance,
+                     relax, solve, tightened_path, wave_table_instance)
+from toppkit.oracle import _lattice_down
 
-from conftest import constant_box_model
+from conftest import blind_model, constant_box_model, plain_model
+
+INSTANCES = {**{f"table_{k}": (random_table_instance(k), 200)
+                for k in range(32)},
+             **{name: (path, 201) for name, path in bundled_instances().items()}}
 
 
 class TestDpOptimum:
@@ -73,6 +80,8 @@ class TestDpOptimum:
         with pytest.raises(InfeasibleError) as err:
             dp_optimum(grid, model, levels=32)
         assert err.value.pass_name == "backward"
+        assert err.value.index == 10
+        assert str(err.value) == "empty candidate set at index 10 at s=1.0"
 
     def test_levels_floor(self):
         path = line_instance()
@@ -81,6 +90,56 @@ class TestDpOptimum:
             dp_optimum(grid, build_model(path), levels=7)
         with pytest.raises(ValueError):
             lattice_spacing(grid, build_model(path), 4)
+
+
+class TestSampledBounds:
+    """A friction-circle model is sampled once per grid and stepped in
+    scalar floats; its callables, through ``plain_model``, are the
+    reference, and the two must agree bit for bit. Twice-relaxed models
+    are left out: their callables compute (f - a) - b, while ``friction``
+    computes f - (a + b), as ``solve`` and ``check_admissible`` do."""
+
+    @pytest.mark.parametrize("name", list(INSTANCES))
+    def test_equals_the_callable_path(self, name):
+        path, n = INSTANCES[name]
+        grid = path.grid(n)
+        base = build_model(path)
+        for model in (base, relax(base, 0.25)):
+            plain = plain_model(model)
+            for levels in (8, 512):
+                assert np.array_equal(
+                    dp_optimum(grid, model, levels, path.endpoints).values,
+                    dp_optimum(grid, plain, levels, path.endpoints).values)
+                assert lattice_spacing(grid, model, levels) == \
+                    lattice_spacing(grid, plain, levels)
+                assert agreement_tolerance(grid, model, levels) == \
+                    agreement_tolerance(grid, plain, levels)
+
+    def test_calls_no_callable(self):
+        path = wave_table_instance()
+        grid = path.grid(201)
+        base = build_model(path)
+        for model in (base, relax(base, 0.25)):
+            blind = blind_model(model)
+            assert np.array_equal(
+                dp_optimum(grid, blind, endpoints=path.endpoints).values,
+                dp_optimum(grid, model, endpoints=path.endpoints).values)
+            assert agreement_tolerance(grid, blind, 512) == \
+                agreement_tolerance(grid, model, 512)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+        # a few denormal ulps apart: the step underflows to zero
+        st.tuples(st.integers(-300, 300), st.integers(-300, 300)).map(
+            lambda m: (m[0] * 5e-324, m[1] * 5e-324)),
+        st.floats(-1e300, 1e300).map(lambda x: (x, x))),
+        st.integers(8, 1024))
+    def test_lattice_is_numpys_linspace(self, ends, levels):
+        lo, hi = sorted(ends)
+        got = np.array(list(_lattice_down(lo, hi, levels)))
+        want = np.ascontiguousarray(np.linspace(lo, hi, levels)[-2::-1])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestRandomAdmissible:

@@ -15,7 +15,7 @@ from toppkit import (Discretization, DynamicsModel, InfeasibleError,
                      default_config, line_instance, relax, solve,
                      wave_table_instance)
 
-from conftest import plain_model
+from conftest import blind_model, plain_model
 
 # Car-model scalar subproblem: largest h with h - 0.2*sqrt(1 - h^2) <= 0.5.
 # Value frozen from a plain-bisection solve of the inequality; it also
@@ -270,14 +270,9 @@ class TestFrictionFastPath:
     def test_makes_no_callable_calls(self):
         path = wave_table_instance()
         model = build_model(path)
-
-        def forbidden(*args):
-            raise AssertionError("model callable called")
-
         grid = path.grid(501)
         for m in (model, relax(model, 0.5)):
-            blind = replace(m, fplus=forbidden, fminus=forbidden,
-                            bu=forbidden, bl=forbidden)
+            blind = blind_model(m)
             report = solve(grid, blind, endpoints=path.endpoints)
             assert np.array_equal(report.forward, solve(
                 grid, m, endpoints=path.endpoints).forward)
@@ -334,11 +329,7 @@ class TestFrictionFastPath:
 
 
 def test_default_config_does_no_grid_work(line_path):
-    def forbidden(*args):
-        raise AssertionError("model callable called")
-
-    blind = replace(plain_model(build_model(line_path)), fplus=forbidden,
-                    fminus=forbidden, bu=forbidden, bl=forbidden)
+    blind = blind_model(plain_model(build_model(line_path)))
     assert default_config(line_path.grid(5), blind) is None
 
 
