@@ -13,7 +13,7 @@ from .core import (AdmissibilityReport, Discretization, DynamicsModel,
                    profile_error, relax)
 from .harness import (ConvergenceRow, XiRow, convergence_sweep,
                       measure_solve_seconds, write_convergence_csv,
-                      write_xi_csv, xi_sweep)
+                      xi_sweep)
 from .instances import (bundled_instances, capped_arc_instance,
                         capped_line_instance, circle_instance, line_instance,
                         random_table_instance, wave_table_instance)
@@ -38,6 +38,5 @@ __all__ = [
     "measure_solve_seconds", "profile_error", "random_admissible",
     "random_table_instance", "relax", "sample_trajectory", "solve",
     "tightened_path", "traversal_time", "wave_table_instance",
-    "write_convergence_csv", "write_trajectory_csv", "write_xi_csv",
-    "xi_sweep",
+    "write_convergence_csv", "write_trajectory_csv", "xi_sweep",
 ]

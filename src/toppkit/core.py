@@ -146,9 +146,10 @@ class DynamicsModel:
 
     fplus/fminus map (s, h) to the largest/smallest allowed profile
     slope (squared speed per meter) at that state; bu/bl map s to the
-    upper/lower squared-speed bound. ``slope_cap`` is a global bound B
-    with |fplus|, |fminus| <= B on the feasible region; the solver and
-    oracle rely on it for bracketing, so the supplier must provide it.
+    upper/lower squared-speed bound. The supplier must keep B =
+    ``slope_cap`` >= |fplus|, |fminus| on the feasible region (the solver
+    and oracle bracket by it) and fminus convex and fplus concave in h on
+    [bl, bu] (paper's class), or a feasible step may be reported infeasible.
     ``xi`` records the relaxation level already applied to the slopes.
     ``friction``, when set, holds the same bounds in closed form, at the
     same ``xi``; the solver and the admissibility check use it instead
@@ -229,11 +230,10 @@ def _bad_row(fh: io.TextIOBase, start) -> str:
 
 @dataclass(frozen=True)
 class SpeedProfile:
-    """Squared-speed values aligned to a grid, tagged with their origin."""
+    """Squared-speed values aligned to a grid."""
 
     grid: Discretization
     values: np.ndarray
-    provenance: str = "synthetic"
 
     def __post_init__(self):
         vals = _readonly(np.asarray(self.values, dtype=float))
@@ -250,8 +250,7 @@ class SpeedProfile:
             write_rows(fh, "%.17g,%.17g\n", self.grid.points, self.values)
 
     @classmethod
-    def from_csv(cls, f: Union[str, io.TextIOBase],
-                 provenance: str = "synthetic") -> "SpeedProfile":
+    def from_csv(cls, f: Union[str, io.TextIOBase]) -> "SpeedProfile":
         """Read rows "s,h" after that header; empty lines are skipped. A
         malformed row is named by its line in the file (header: line 1)."""
         with text_file(f) as fh:
@@ -269,7 +268,7 @@ class SpeedProfile:
                 where = "has a malformed row" if start is None else _bad_row(fh, start)
                 raise ValueError(f"profile CSV {where}") from None
         s, h = rows.reshape(-1, 2).T
-        return cls(Discretization(s), h, provenance)
+        return cls(Discretization(s), h)
 
 
 @dataclass(frozen=True)

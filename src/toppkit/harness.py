@@ -95,8 +95,7 @@ def convergence_sweep(path: PathSpec, resolutions: Sequence[int],
             ref = analytic_optimum(path, grid)
         else:
             stride = fine_intervals // (n - 1)
-            ref = SpeedProfile(grid, fine_profile.values[::stride],
-                               "solver")
+            ref = SpeedProfile(grid, fine_profile.values[::stride])
         rho = profile_error(report.profile, ref)
         rows.append(ConvergenceRow(n=n, delta=grid.delta, rho=rho,
                                    time_s=report.traversal_time))
@@ -159,12 +158,6 @@ def xi_sweep(path: PathSpec, grid: Discretization,
                 f"relaxation gaps increased from xi={r1.xi} ({r1.gap}) "
                 f"to xi={r2.xi} ({r2.gap})")
     return rows
-
-
-def write_xi_csv(rows: Sequence[XiRow], f: Union[str, io.TextIOBase]) -> None:
-    with text_file(f, "w") as fh:
-        fh.write("xi,gap\n")
-        write_rows(fh, "%.17g,%.17g\n", [r.xi for r in rows], [r.gap for r in rows])
 
 
 def measure_solve_seconds(path: PathSpec, n: int, repeats: int = 3) -> float:

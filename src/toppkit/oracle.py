@@ -148,7 +148,7 @@ def dp_optimum(grid: Discretization, model: DynamicsModel, levels: int = 512,
             raise empty("reachable value below the floor", i, "forward")
         reach[i] = h
 
-    return SpeedProfile(grid, reach, "oracle")
+    return SpeedProfile(grid, reach)
 
 
 def tightened_path(path: PathSpec, u_f: float, u_v: float) -> PathSpec:
@@ -175,9 +175,7 @@ def random_admissible(grid: Discretization, path: PathSpec,
     u_v = float(rng.uniform(0.3, 1.0))
     tight = build_model(tightened_path(path, u_f, u_v))
     report = solve(grid, tight, endpoints=path.endpoints)
-    profile = SpeedProfile(
-        grid, report.require_feasible("tightened solve").profile.values,
-        f"synthetic(seed={seed})")
+    profile = report.require_feasible("tightened solve").profile
     verdict = check_admissible(profile, build_model(path))
     if not verdict:
         raise RuntimeError(f"tightened solve not admissible for the original "

@@ -212,14 +212,14 @@ def analytic_optimum(path: PathSpec, grid: Discretization) -> SpeedProfile:
         h = np.minimum(np.minimum(2.0 * path.f_fr * s,
                                   2.0 * path.f_fr * (S - s)),
                        path.v_max ** 2)
-        return SpeedProfile(grid, h, "analytic")
+        return SpeedProfile(grid, h)
     if path.kind == "line" and _is_free(path):
         h = np.full(len(grid), path.v_max ** 2)
-        return SpeedProfile(grid, h, "analytic")
+        return SpeedProfile(grid, h)
     if path.kind == "arc" and _is_free(path):
         cap = min(path.v_max ** 2, path.f_fr * path.radius)
         h = np.full(len(grid), cap)
-        return SpeedProfile(grid, h, "analytic")
+        return SpeedProfile(grid, h)
     raise UnsupportedInstanceError(
         f"no closed-form optimum for kind={path.kind!r} "
         f"endpoints={path.endpoints!r}")

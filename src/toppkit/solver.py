@@ -8,7 +8,7 @@ backward cap. Both passes are one scalar maximization per grid step, so
 the whole solve is linear in the grid size. A friction-circle model,
 relaxed or not, takes each step in closed form; any other model takes
 it by an exact root search over its callables, which stops only at
-adjacent floats.
+adjacent floats and needs the paper's convex class (``DynamicsModel``).
 """
 
 import math
@@ -19,10 +19,6 @@ import numpy as np
 from .core import (Discretization, DynamicsModel, Endpoints, FrictionCircle,
                    SolveReport, SolveStatus, SpeedProfile, _box_bounds)
 from .retime import traversal_time
-
-# Cells scanned for a sign change when the bracket ends of a backward
-# step do not straddle the constraint boundary.
-SCAN_CELLS = 1024
 
 
 def default_config(grid: Discretization, model: DynamicsModel) -> None:
@@ -110,10 +106,9 @@ def _generic_sweeps(grid: Discretization, model: DynamicsModel,
     """Both sweeps through the callables: (status, backward, forward).
 
     bl and bu are sampled once per point. A backward step is the largest
-    h in [bl, bu] with h + fminus(s, h)*ds <= h_next; its bracket is
-    first tightened by the slope cap B (above h_next + B*ds fails, at
-    h_next - B*ds holds), and when neither end of that bracket holds, a
-    scan of SCAN_CELLS cells looks for an interior dip. A forward step
+    h in [bl, bu] with h + fminus(s, h)*ds <= h_next; as fminus is convex,
+    those h are an interval holding h_next - B*ds (B the slope cap), so
+    the step is empty when max(bl, h_next - B*ds) fails. A forward step
     is min(backward, h + fplus(s, h)*ds) and fails below bl."""
     s = grid.points.tolist()
     n = len(s)
@@ -151,23 +146,11 @@ def _backward_step(model: DynamicsModel, s: float, ds: float, h_next: float,
     g_hi = g(hi)
     if g_hi <= 0.0:
         return hi
-    lo_eff = max(lo, h_next - reach)
-    g_lo = g(lo_eff)
-    if g_lo > 0.0 and lo_eff > lo:
-        # h_next - B*ds should hold; landing here means the supplied
-        # slope_cap was violated, so retry from the floor.
-        lo_eff, g_lo = lo, g(lo)
-    if g_lo <= 0.0:
-        return _largest_feasible(g, lo_eff, hi, g_lo, g_hi)
-    # Steep slope functions can dip below zero between infeasible ends
-    # (only on coarse grids): take the highest feasible scan cell.
-    prev_x, prev_g = hi, g_hi
-    for x in np.linspace(lo_eff, hi, SCAN_CELLS + 1)[-2::-1].tolist():
-        gx = g(x)
-        if gx <= 0.0:
-            return _largest_feasible(g, x, prev_x, gx, prev_g)
-        prev_x, prev_g = x, gx
-    return None
+    lo = max(lo, h_next - reach)
+    g_lo = g(lo)
+    if g_lo > 0.0:
+        return None
+    return _largest_feasible(g, lo, hi, g_lo, g_hi)
 
 
 def solve(grid: Discretization, model: DynamicsModel,
@@ -193,7 +176,7 @@ def solve(grid: Discretization, model: DynamicsModel,
         status, backward, forward = _generic_sweeps(grid, model, h_start, h_end)
         if not status.feasible:
             return SolveReport(status=status, backward=backward, forward=forward)
-    profile = SpeedProfile(grid, forward, "solver")
+    profile = SpeedProfile(grid, forward)
     return SolveReport(status=SolveStatus(True), backward=backward,
                        forward=forward, profile=profile,
                        traversal_time=traversal_time(profile))

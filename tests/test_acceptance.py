@@ -72,7 +72,7 @@ def _whole_path_error(path, model, n: int) -> float:
     coarse = solve(path.grid(n), model, endpoints=path.endpoints).profile
     fine = path.grid(2 * (n - 1) + 1)
     h = np.interp(fine.points, coarse.grid.points, coarse.values)
-    return profile_error(SpeedProfile(fine, h, "solver"),
+    return profile_error(SpeedProfile(fine, h),
                          analytic_optimum(path, fine))
 
 

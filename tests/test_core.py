@@ -225,14 +225,12 @@ class TestRelax:
 class TestSerialization:
     def test_csv_round_trip_is_bit_exact(self, tmp_path):
         g = Discretization(np.array([0.0, 1 / 3, 0.5, 2 / 3, 1.0]))
-        p = SpeedProfile(g, np.array([0.0, 0.1 + 0.2, math.pi, 1e-17, 2.0]),
-                         "solver")
+        p = SpeedProfile(g, np.array([0.0, 0.1 + 0.2, math.pi, 1e-17, 2.0]))
         f = tmp_path / "profile.csv"
         p.to_csv(str(f))
-        q = SpeedProfile.from_csv(str(f), provenance="solver")
+        q = SpeedProfile.from_csv(str(f))
         assert np.array_equal(p.grid.points, q.grid.points)
         assert np.array_equal(p.values, q.values)
-        assert q.provenance == "solver"
 
     def test_csv_header_checked(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,7 @@ import pytest
 from toppkit import (PathSpec, build_model, capped_arc_instance,
                      circle_instance, convergence_sweep, default_tol,
                      line_instance, measure_solve_seconds,
-                     wave_table_instance, write_convergence_csv, write_xi_csv,
-                     xi_sweep)
+                     wave_table_instance, write_convergence_csv, xi_sweep)
 
 
 class TestConvergenceSweep:
@@ -98,15 +97,6 @@ class TestXiSweep:
             xi_sweep(path, grid, [0.2, 0.1])  # does not end at zero
         with pytest.raises(ValueError):
             xi_sweep(path, grid, [])
-
-    def test_csv_schema(self):
-        path = wave_table_instance()
-        rows = xi_sweep(path, path.grid(41), [0.5, 0.0])
-        buf = io.StringIO()
-        write_xi_csv(rows, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "xi,gap"
-        assert len(lines) == 3
 
 
 def test_sweep_solves_are_admissible_under_their_own_model():

@@ -175,7 +175,6 @@ class TestAnalyticOptimum:
         assert profile.values == pytest.approx([0.0, 0.5, 1.0, 0.5, 0.0])
         assert profile.values[2] == pytest.approx(1.0)
         assert analytic_time(path) == pytest.approx(2.0)
-        assert profile.provenance == "analytic"
 
     def test_arc_free_constant(self):
         path = PathSpec("arc", 10.0, 1.0, radius=1.0, angle=2 * math.pi)
@@ -211,9 +210,15 @@ class TestAnalyticOptimum:
             PathSpec("line", 10.0, 1.0, length=1.0, endpoints=(0.0, 0.0)),
             PathSpec("line", 0.5, 1.0, length=1.0, endpoints=(0.0, 0.0)),
             PathSpec("arc", 10.0, 1.0, radius=1.0, angle=2 * math.pi),
+            PathSpec("line", 2.0, 1.0, length=3.0),
         ):
             model = build_model(path)
             grid = path.grid(33)
             profile = analytic_optimum(path, grid)
             assert check_admissible(profile, model,
                                     tol=model.slope_cap * grid.delta)
+        # free line: the speed cap binds everywhere
+        report = solve(grid, model, endpoints=path.endpoints)
+        assert np.all(report.profile.values == path.v_max ** 2)
+        assert np.array_equal(profile.values, report.profile.values)
+        assert analytic_time(path) == path.length / path.v_max == 1.5

@@ -12,10 +12,10 @@ import toppkit
 from toppkit import (Discretization, DynamicsModel, InfeasibleError,
                      PathSpec, build_model, capped_arc_instance,
                      check_admissible, circle_instance, curvature,
-                     default_config, line_instance, relax, solve,
-                     wave_table_instance)
+                     default_config, dp_optimum, line_instance, relax,
+                     solve, wave_table_instance)
 
-from conftest import blind_model, plain_model
+from conftest import blind_model, constant_box_model, plain_model
 
 # Car-model scalar subproblem: largest h with h - 0.2*sqrt(1 - h^2) <= 0.5.
 # Value frozen from a plain-bisection solve of the inequality; it also
@@ -89,35 +89,40 @@ class TestBackwardStep:
         assert (report.status.index, report.status.pass_name) == (0, "backward")
         assert np.isnan(report.backward[0]) and report.forward is None
 
-    def test_unreachable_target_is_infeasible(self):
+    @pytest.mark.parametrize("model, s, endpoints", [
+        # upper bound below the floor at s = 0
+        (DynamicsModel(fplus=lambda s, h: 1.0, fminus=lambda s, h: -1.0,
+                       bu=lambda s: -1.0 if s < 0.05 else 10.0,
+                       bl=lambda s: 0.0, slope_cap=1.0),
+         (0.0, 0.1), (None, 1.0)),
         # floor 5, target 0, |slope| <= 1: even h = 5 cannot brake to 0
-        model = DynamicsModel(fplus=lambda s, h: 1.0, fminus=lambda s, h: -1.0,
-                              bu=lambda s: 10.0,
-                              bl=lambda s: 5.0 if s < 0.05 else 0.0,
-                              slope_cap=1.0)
-        report = two_point_solve(model, 0.0, 0.1, (None, 0.0))
-        assert (report.status.index, report.status.pass_name) == (0, "backward")
-
-    def test_scan_fallback_finds_interior_dip(self):
-        # Slope floor dips sharply around h = 0.5, so g(h) has an interior
-        # feasible valley although both interval ends are infeasible.
-        def fminus(s, h):
-            return 1.0 - 10.0 * math.exp(-100.0 * (h - 0.5) ** 2)
-
-        model = DynamicsModel(fplus=lambda s, h: 11.0, fminus=fminus,
-                              bu=lambda s: 1.0, bl=lambda s: 0.0,
-                              slope_cap=11.0)
-
-        def g(h):
-            return h + fminus(0.0, h) * 1.0 - 0.0
-
-        assert g(0.0) > 0.0 and g(1.0) > 0.0 and g(0.5) < 0.0
-        h = two_point_solve(model, 0.0, 1.0, (None, 0.0)).backward[0]
-        # brute-force the boundary on a fine grid for comparison
-        hs = np.linspace(0.0, 1.0, 2_000_001)
-        feasible = hs[[g(float(x)) <= 0.0 for x in hs]]
-        assert h == pytest.approx(float(feasible.max()), abs=1e-6)
-        assert g(h) <= 0.0 < g(math.nextafter(h, math.inf))
+        (DynamicsModel(fplus=lambda s, h: 1.0, fminus=lambda s, h: -1.0,
+                       bu=lambda s: 10.0,
+                       bl=lambda s: 5.0 if s < 0.05 else 0.0, slope_cap=1.0),
+         (0.0, 0.1), (None, 0.0)),
+        # the cap allows hi = 0.1, but braking at -0.5 from the floor 0.06
+        # still ends above 0: both bracket ends fail
+        (DynamicsModel(fplus=lambda s, h: 0.5, fminus=lambda s, h: -0.5,
+                       bu=lambda s: 10.0,
+                       bl=lambda s: 0.06 if s < 0.05 else 0.0, slope_cap=1.0),
+         (0.0, 0.1), (None, 0.0)),
+        (constant_box_model(1.0), (0.0, 0.1), (0.0, None)),
+        # reach 1 from the start, floor 5 at the next point
+        (DynamicsModel(fplus=lambda s, h: 0.0, fminus=lambda s, h: 0.0,
+                       bu=lambda s: 10.0,
+                       bl=lambda s: 5.0 if s > 0.25 else 0.0, slope_cap=1.0),
+         (0.2, 0.3), (1.0, None)),
+    ], ids=["empty-box", "unreachable-target", "floor-above-braking-reach",
+            "start-below-floor", "reach-below-floor"])
+    def test_unreachable_target_is_infeasible(self, model, s, endpoints):
+        # the solver and the oracle name the same index and pass
+        report = two_point_solve(model, *s, endpoints)
+        with pytest.raises(InfeasibleError) as err:
+            dp_optimum(Discretization(np.array(s)), model, endpoints=endpoints)
+        i = err.value.index
+        assert (report.status.index, report.status.pass_name) == (
+            i, err.value.pass_name)
+        assert str(err.value).endswith(f"at s={s[i]!r}")
 
 
 class TestForwardStep:
@@ -233,7 +238,6 @@ class TestSolve:
         assert d["traversal_time"] == report.traversal_time
         # the arrays stay on the report, out of the file
         assert report.backward == pytest.approx([2.0, 1.0, 0.0])
-        assert report.profile.provenance == "solver"
         # the file's size does not grow with n, beyond the digits of n
         path = circle_instance()
         size = {}
@@ -337,7 +341,8 @@ def test_public_names():
     assert len(set(toppkit.__all__)) == len(toppkit.__all__)
     for name in toppkit.__all__:
         assert getattr(toppkit, name) is not None
-    for name in ("StepSolverConfig", "backward_step", "forward_step"):
+    for name in ("StepSolverConfig", "backward_step", "forward_step",
+                 "write_xi_csv"):
         assert not hasattr(toppkit, name)
         assert not hasattr(toppkit.solver, name)
     # the benchmark's traced pass imports it
