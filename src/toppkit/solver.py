@@ -106,10 +106,11 @@ def _generic_sweeps(grid: Discretization, model: DynamicsModel,
     """Both sweeps through the callables: (status, backward, forward).
 
     bl and bu are sampled once per point. A backward step is the largest
-    h in [bl, bu] with h + fminus(s, h)*ds <= h_next; as fminus is convex,
-    those h are an interval holding h_next - B*ds (B the slope cap), so
-    the step is empty when max(bl, h_next - B*ds) fails. A forward step
-    is min(backward, h + fplus(s, h)*ds) and fails below bl."""
+    h in [bl, bu] with h + fminus(s, h)*ds <= h_next. As fminus is convex,
+    those h are one interval, holding h_next - B*ds (B the slope cap) if
+    that is above bl; else it may lie inside a bracket whose ends both
+    fail, and _convex_dip finds it. A forward step is
+    min(backward, h + fplus(s, h)*ds) and fails below bl."""
     s = grid.points.tolist()
     n = len(s)
     bl, bu = (b.tolist() for b in _box_bounds(grid.points, model)[1:])
@@ -148,9 +149,26 @@ def _backward_step(model: DynamicsModel, s: float, ds: float, h_next: float,
         return hi
     lo = max(lo, h_next - reach)
     g_lo = g(lo)
-    if g_lo > 0.0:
-        return None
-    return _largest_feasible(g, lo, hi, g_lo, g_hi)
+    if g_lo > 0.0 and lo < hi:  # the floor cut the bracket: look between
+        lo, g_lo = _convex_dip(g, lo, hi)
+    return None if g_lo > 0.0 else _largest_feasible(g, lo, hi, g_lo, g_hi)
+
+
+def _convex_dip(g, a: float, b: float):
+    """(h, g(h)) at the first probe with g(h) <= 0, for a convex g on
+    [a, b]; else at the lower of the last two probes once the golden-
+    section bracket is 1e-15*max(1, |b|) wide (74 calls on [0, 1])."""
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - r * (b - a), a + r * (b - a)
+    gc, gd = g(c), g(d)
+    while min(gc, gd) > 0.0 and b - a > 1e-15 * max(1.0, abs(b)):
+        if gc <= gd:  # the minimum of a convex g lies in [a, d]
+            b, d, gd, c = d, c, gc, d - r * (d - a)
+            gc = g(c)
+        else:
+            a, c, gc, d = c, d, gd, c + r * (b - c)
+            gd = g(d)
+    return (c, gc) if gc <= gd else (d, gd)
 
 
 def solve(grid: Discretization, model: DynamicsModel,

@@ -89,40 +89,60 @@ class TestBackwardStep:
         assert (report.status.index, report.status.pass_name) == (0, "backward")
         assert np.isnan(report.backward[0]) and report.forward is None
 
-    @pytest.mark.parametrize("model, s, endpoints", [
+    @pytest.mark.parametrize("model, s, endpoints, expected", [
         # upper bound below the floor at s = 0
         (DynamicsModel(fplus=lambda s, h: 1.0, fminus=lambda s, h: -1.0,
                        bu=lambda s: -1.0 if s < 0.05 else 10.0,
                        bl=lambda s: 0.0, slope_cap=1.0),
-         (0.0, 0.1), (None, 1.0)),
+         (0.0, 0.1), (None, 1.0), (0, "backward")),
         # floor 5, target 0, |slope| <= 1: even h = 5 cannot brake to 0
         (DynamicsModel(fplus=lambda s, h: 1.0, fminus=lambda s, h: -1.0,
                        bu=lambda s: 10.0,
                        bl=lambda s: 5.0 if s < 0.05 else 0.0, slope_cap=1.0),
-         (0.0, 0.1), (None, 0.0)),
+         (0.0, 0.1), (None, 0.0), (0, "backward")),
         # the cap allows hi = 0.1, but braking at -0.5 from the floor 0.06
         # still ends above 0: both bracket ends fail
         (DynamicsModel(fplus=lambda s, h: 0.5, fminus=lambda s, h: -0.5,
                        bu=lambda s: 10.0,
                        bl=lambda s: 0.06 if s < 0.05 else 0.0, slope_cap=1.0),
-         (0.0, 0.1), (None, 0.0)),
-        (constant_box_model(1.0), (0.0, 0.1), (0.0, None)),
+         (0.0, 0.1), (None, 0.0), (0, "backward")),
+        (constant_box_model(1.0), (0.0, 0.1), (0.0, None), (0, "forward")),
         # reach 1 from the start, floor 5 at the next point
         (DynamicsModel(fplus=lambda s, h: 0.0, fminus=lambda s, h: 0.0,
                        bu=lambda s: 10.0,
                        bl=lambda s: 5.0 if s > 0.25 else 0.0, slope_cap=1.0),
-         (0.2, 0.3), (1.0, None)),
+         (0.2, 0.3), (1.0, None), (1, "forward")),
     ], ids=["empty-box", "unreachable-target", "floor-above-braking-reach",
             "start-below-floor", "reach-below-floor"])
-    def test_unreachable_target_is_infeasible(self, model, s, endpoints):
-        # the solver and the oracle name the same index and pass
+    def test_unreachable_target_is_infeasible(self, model, s, endpoints,
+                                              expected):
+        # the solver and the oracle name the same, expected index and pass
         report = two_point_solve(model, *s, endpoints)
+        assert (report.status.index, report.status.pass_name) == expected
         with pytest.raises(InfeasibleError) as err:
             dp_optimum(Discretization(np.array(s)), model, endpoints=endpoints)
         i = err.value.index
         assert (report.status.index, report.status.pass_name) == (
             i, err.value.pass_name)
         assert str(err.value).endswith(f"at s={s[i]!r}")
+
+    def test_dip_between_failing_bracket_ends(self):
+        # fminus is convex on [bl, bu] = [0, 1] and within the cap, but the
+        # floor cuts the bracket: g(0) = 5 and g(1) = 6 both fail, while
+        # g < 0 near h = 0.82, so the step must find the dip between them
+        model = DynamicsModel(fplus=lambda s, h: 5.0,
+                              fminus=lambda s, h: 40.0 * (h - 0.5) ** 2 - 5.0,
+                              bu=lambda s: 1.0, bl=lambda s: 0.0,
+                              slope_cap=10.0)
+        report = two_point_solve(model, 0.0, 1.0, (None, 0.0))
+        assert report.status.feasible
+        h = report.backward[0]
+        assert h + model.fminus(0.0, h) <= 0.0
+        up = math.nextafter(h, math.inf)
+        assert up + model.fminus(0.0, up) > 0.0
+        oracle = dp_optimum(Discretization(np.array([0.0, 1.0])), model,
+                            endpoints=(None, 0.0))
+        assert oracle.values[0] == pytest.approx(h, abs=1e-12)
 
 
 class TestForwardStep:
