@@ -8,6 +8,7 @@ admissibility tolerance used in reports.
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -53,8 +54,8 @@ def _admissibility_tol(model) -> float:
         tol = float(raw)
     except ValueError as e:
         raise ValueError(f"TOPPKIT_TOL={raw!r} is not a number") from e
-    if tol < 0.0:
-        raise ValueError("TOPPKIT_TOL must be non-negative")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("TOPPKIT_TOL must be finite and non-negative")
     return tol
 
 

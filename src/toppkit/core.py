@@ -7,6 +7,7 @@ per-segment slope window evaluated at the segment's left endpoint.
 
 import io
 import json
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -115,16 +116,16 @@ class Discretization:
 
 @dataclass(frozen=True)
 class FrictionCircle:
-    """Friction-circle bounds for array evaluation: slope window
-    +-2*sqrt(f_fr^2 - kappa^2 h^2) (zero where the radicand is not
-    positive) widened by +-xi, ceiling min(vmax2, f_fr/kappa), floor
-    zero. ``kappa`` maps positions to curvatures. Elementwise, the
-    methods give the floats of the scalar callables that
-    ``paths.build_model`` makes (and ``relax`` wraps once)."""
+    """The friction-circle model, the one definition of the built-in
+    model: slope window +-2*sqrt(f_fr^2 - kappa^2 h^2) (zero where the
+    radicand is not positive) widened by +-xi, ceiling min(vmax2,
+    f_fr/kappa), floor zero. ``kappa`` maps position arrays to
+    curvatures, ``kappa_at`` one position to the same float."""
 
     f_fr: float
     vmax2: float
     kappa: Callable[[np.ndarray], np.ndarray]
+    kappa_at: Callable[[float], float]
     xi: float = 0.0
 
     def ceiling(self, kappa: np.ndarray) -> np.ndarray:
@@ -133,11 +134,43 @@ class FrictionCircle:
 
     def slopes(self, kappa: np.ndarray, h: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray]:
-        """(fminus, fplus) at the states (kappa, h)."""
+        """(fminus, fplus) at the states (kappa, h): elementwise, the
+        floats of :meth:`scalar_slopes`."""
         kh = kappa * h
         r = self.f_fr * self.f_fr - kh * kh
         root = np.where(r > 0.0, 2.0 * np.sqrt(np.maximum(r, 0.0)), 0.0)
         return np.where(r > 0.0, -root, 0.0) - self.xi, root + self.xi
+
+    def scalar_slopes(self):
+        """(fminus(k, h), fplus(k, h)): the slopes at one state (k, h)."""
+        f2, xi, sqrt = self.f_fr * self.f_fr, self.xi, math.sqrt
+
+        def fminus(k, h):
+            kh = k * h
+            r = f2 - kh * kh
+            return (-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi
+
+        def fplus(k, h):
+            kh = k * h
+            r = f2 - kh * kh
+            return (2.0 * sqrt(r) if r > 0.0 else 0.0) + xi
+
+        return fminus, fplus
+
+    def model(self, slope_cap: float) -> "DynamicsModel":
+        """These bounds as callables of s, with ``friction`` this circle."""
+        kappa_at, vmax2, f = self.kappa_at, self.vmax2, self.f_fr
+        fminus, fplus = self.scalar_slopes()
+
+        def bu(s):
+            k = kappa_at(s)
+            return vmax2 if k == 0.0 else min(vmax2, f / k)
+
+        return DynamicsModel(
+            fplus=lambda s, h: fplus(kappa_at(s), h),
+            fminus=lambda s, h: fminus(kappa_at(s), h),
+            bu=bu, bl=lambda s: 0.0, slope_cap=slope_cap, xi=self.xi,
+            friction=self)
 
 
 @dataclass(frozen=True)
@@ -151,9 +184,9 @@ class DynamicsModel:
     and oracle bracket by it) and fminus convex and fplus concave in h on
     [bl, bu] (paper's class), or a feasible step may be reported infeasible.
     ``xi`` records the relaxation level already applied to the slopes.
-    ``friction``, when set, holds the same bounds in closed form, at the
-    same ``xi``; the solver and the admissibility check use it instead
-    of the callables.
+    ``friction``, when set, is the model the callables were made from
+    (:meth:`FrictionCircle.model`), at the same ``xi``; the solver, the
+    admissibility check and the oracle read it instead of the callables.
     """
 
     fplus: Callable[[float, float], float]
@@ -182,21 +215,21 @@ def relax(model: DynamicsModel, xi: float) -> DynamicsModel:
     """Widen the slope window by +-xi; box bounds are unchanged.
 
     The returned model records the cumulative relaxation level and a
-    slope cap enlarged by xi so bracketing stays valid. A ``friction``
-    description is kept, widened by the same xi, so solves of a relaxed
-    friction-circle model stay in closed form.
+    slope cap enlarged by xi so bracketing stays valid. A model with a
+    ``friction`` description is made anew from it, widened by xi; any
+    other model has its slope callables wrapped.
     """
     if xi < 0.0:
         raise ValueError("relaxation level must be non-negative")
+    if model.friction is not None:
+        return replace(model.friction, xi=model.friction.xi + xi).model(
+            model.slope_cap + xi)
     fplus, fminus = model.fplus, model.fminus
     return DynamicsModel(
         fplus=lambda s, h: fplus(s, h) + xi,
         fminus=lambda s, h: fminus(s, h) - xi,
         bu=model.bu, bl=model.bl,
-        slope_cap=model.slope_cap + xi, xi=model.xi + xi,
-        friction=None if model.friction is None else replace(
-            model.friction, xi=model.friction.xi + xi),
-    )
+        slope_cap=model.slope_cap + xi, xi=model.xi + xi)
 
 
 def _box_bounds(points: np.ndarray, model: DynamicsModel):
@@ -298,8 +331,8 @@ def check_admissible(profile: SpeedProfile, model: DynamicsModel,
     """
     if tol is None:
         tol = default_tol(model)
-    if tol < 0.0:
-        raise ValueError("tolerance must be non-negative")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tolerance must be finite and non-negative")
     s, h = profile.grid.points, profile.values
     n = h.size
     kappa, lo, hi = _box_bounds(s, model)

@@ -140,10 +140,7 @@ def xi_sweep(path: PathSpec, grid: Discretization,
             continue
         relaxed = relax(model, xi)
         report = solve(grid, relaxed, endpoints=path.endpoints)
-        if not report.status.feasible:
-            raise RuntimeError(
-                f"relaxed solve (xi={xi}) infeasible although the base "
-                f"solve is feasible; this indicates a solver bug")
+        report.require_feasible(f"relaxed solve (xi={xi})")
         verdict = check_admissible(report.profile, relaxed)
         if not verdict:
             raise RuntimeError(

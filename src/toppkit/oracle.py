@@ -4,15 +4,14 @@ Two tools live here. ``dp_optimum`` recomputes the optimum with a
 deliberately plain method: per grid point it scans a quantized set of
 candidate squared speeds for the controllable boundary and refines the
 straddled cell by plain bisection, then replays the reachable chain.
-It shares the curvature and ceiling sampling (``FrictionCircle``) with
-the solver but no step code, so agreement between the two certifies
-both. ``random_admissible`` manufactures feasible
+It reads a friction-circle model from its ``FrictionCircle``, as the
+solver does, but shares no step code with it, so agreement between
+the two certifies both. ``random_admissible`` manufactures feasible
 profiles by solving under uniformly tightened actuation limits; any
 profile feasible for the tightened limits is feasible for the original
 ones, which makes these profiles dominance-test fodder.
 """
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -48,28 +47,6 @@ def _lattice_down(lo: float, hi: float, levels: int):
         yield j * step + lo if step != 0.0 else j / last * span + lo
 
 
-def _slopes(model: DynamicsModel, s: list, kappa):
-    """(x, fminus, fplus), the slopes at point i being fminus(x[i], h)
-    and fplus(x[i], h): x is s for the model's callables, or the sampled
-    curvature for the friction circle's callable expressions."""
-    if kappa is None:
-        return s, model.fminus, model.fplus
-    f, xi, sqrt = model.friction.f_fr, model.friction.xi, math.sqrt
-    f2 = f * f
-
-    def fminus(k, h):
-        kh = k * h
-        r = f2 - kh * kh
-        return (-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi
-
-    def fplus(k, h):
-        kh = k * h
-        r = f2 - kh * kh
-        return (2.0 * sqrt(r) if r > 0.0 else 0.0) + xi
-
-    return kappa.tolist(), fminus, fplus
-
-
 def _refine_boundary(g, good: float, bad: float) -> float:
     # Plain bisection from a straddling cell; keeps the feasible end.
     tol = 1e-13 * max(1.0, abs(bad))
@@ -103,7 +80,9 @@ def dp_optimum(grid: Discretization, model: DynamicsModel, levels: int = 512,
     n = len(s)
     kappa, bl, bu = _box_bounds(grid.points, model)
     bl, bu = bl.tolist(), bu.tolist()
-    x, fminus, fplus = _slopes(model, s, kappa)
+    fminus, fplus = (model.fminus, model.fplus) if kappa is None \
+        else model.friction.scalar_slopes()
+    x = s if kappa is None else kappa.tolist()  # slopes at i: f(x[i], h)
 
     def empty(what, i, pass_name):
         return InfeasibleError(f"{what} at index {i} at s={s[i]!r}",

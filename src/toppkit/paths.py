@@ -107,34 +107,30 @@ class PathSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PathSpec":
-        try:
-            kind = d["kind"]
-            v_max = float(d["v_max"])
-            f_fr = float(d["f_fr"])
-        except KeyError as e:
-            raise ValueError(f"path spec missing required field {e.args[0]!r}") from e
-        endpoints: Endpoints = None
-        if "endpoints" in d and d["endpoints"] is not None:
-            ep = d["endpoints"]
-            endpoints = tuple(None if ep.get(k) is None else float(ep[k])
-                              for k in ("start_h", "end_h"))
-        if kind == "line":
-            if "length" not in d:
-                raise ValueError("line path spec missing field 'length'")
-            return cls(kind, v_max, f_fr, length=float(d["length"]),
-                       endpoints=endpoints)
-        if kind == "arc":
-            for key in ("radius", "angle"):
-                if key not in d:
-                    raise ValueError(f"arc path spec missing field {key!r}")
-            return cls(kind, v_max, f_fr, radius=float(d["radius"]),
-                       angle=float(d["angle"]), endpoints=endpoints)
+        """The spec a JSON object describes; a ValueError names a missing
+        or wrongly typed field."""
+        if not isinstance(d, dict):
+            raise ValueError("path spec must be a JSON object")
+        kind = _field(d, "kind", lambda k: k)
+        keys = {"line": ("length",), "arc": ("radius", "angle")}.get(str(kind), ())
+        fields = {k: _field(d, k) for k in ("v_max", "f_fr", *keys)}
         if kind == "table":
-            if "table" not in d:
-                raise ValueError("table path spec missing field 'table'")
-            tab = tuple((float(s), float(k)) for s, k in d["table"])
-            return cls(kind, v_max, f_fr, table=tab, endpoints=endpoints)
-        raise ValueError(f"unknown path kind {kind!r}")
+            fields["table"] = _field(d, "table", lambda t: tuple(
+                (float(s), float(k)) for s, k in t), "a list of [s, kappa] pairs")
+        if d.get("endpoints") is not None:
+            fields["endpoints"] = _field(d, "endpoints", lambda ep: tuple(
+                None if ep.get(k) is None else float(ep[k])
+                for k in ("start_h", "end_h")), "an object of squared speeds")
+        return cls(kind, **fields)  # checks the kind
+
+
+def _field(d: dict, key: str, convert=float, what: str = "a number"):
+    if key not in d:
+        raise ValueError(f"path spec missing field {key!r}")
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError, OverflowError, AttributeError):
+        raise ValueError(f"path spec field {key!r} must be {what}") from None
 
 
 def curvature(path: PathSpec, s: float) -> float:
@@ -159,37 +155,19 @@ def _curvature_fns(path: PathSpec):
 
 
 def build_model(path: PathSpec) -> DynamicsModel:
-    """Dynamics bounds for a path under speed and acceleration caps.
+    """Dynamics bounds for a path under speed and acceleration caps: the
+    friction circle (:class:`FrictionCircle`) of the path's curvature.
 
     Slope window: +-2*sqrt(f_fr^2 - kappa^2 h^2), with the radicand
     clamped at zero so the window stays defined (and continuous) when a
     solver iterate grazes the ceiling. Ceiling: min(v_max^2, f_fr/kappa)
     with f_fr/0 treated as infinite. Floor: zero. The global slope cap
-    is 2*f_fr. The model's ``friction`` field holds the same bounds for
-    array evaluation; nothing is sampled here.
+    is 2*f_fr. Nothing is sampled here.
     """
-    kappa_at, kappa_array = _curvature_fns(path)
+    kappa_at, kappa = _curvature_fns(path)
     f = float(path.f_fr)
-    f2 = f * f
-    vmax2 = float(path.v_max) ** 2
-
-    def fplus(s, h):
-        kh = kappa_at(s) * h
-        r = f2 - kh * kh
-        return 2.0 * math.sqrt(r) if r > 0.0 else 0.0
-
-    def fminus(s, h):
-        kh = kappa_at(s) * h
-        r = f2 - kh * kh
-        return -2.0 * math.sqrt(r) if r > 0.0 else 0.0
-
-    def bu(s):
-        k = kappa_at(s)
-        return vmax2 if k == 0.0 else min(vmax2, f / k)
-
-    return DynamicsModel(fplus=fplus, fminus=fminus, bu=bu, bl=lambda s: 0.0,
-                         slope_cap=2.0 * f,
-                         friction=FrictionCircle(f, vmax2, kappa_array))
+    return FrictionCircle(f, float(path.v_max) ** 2, kappa, kappa_at).model(
+        2.0 * f)
 
 
 def _is_rest_to_rest(path: PathSpec) -> bool:

@@ -102,6 +102,24 @@ class TestSolveCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [
+        '[1, 2]',
+        '{"kind": "line", "v_max": null, "f_fr": 1.0, "length": 1.0}',
+        '{"kind": "table", "v_max": 1.0, "f_fr": 1.0, "table": 5}',
+        '{"kind": "line", "v_max": 1.0, "f_fr": 1.0, "length": 1.0, '
+        '"endpoints": [0, 0]}',
+        '{"kind": "table", "v_max": 1.0, "f_fr": 1.0, '
+        '"table": [[0, 0], [0, null]]}',
+    ], ids=["list", "null_v_max", "int_table", "list_endpoints", "null_row"])
+    def test_wrongly_typed_spec_exits_1(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.json"
+        bad.write_text(body, encoding="utf-8")
+        code = main(["solve", "--input", str(bad), "--n", "11",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_n_floor(self, tmp_path, capsys):
         spec = write_spec(tmp_path, line_instance())
         assert main(["solve", "--input", spec, "--n", "1",
@@ -119,9 +137,10 @@ class TestSolveCommand:
 
     def test_bad_tol_env_exits_1(self, tmp_path, monkeypatch, capsys):
         spec = write_spec(tmp_path, line_instance())
-        monkeypatch.setenv("TOPPKIT_TOL", "not-a-number")
-        assert main(["solve", "--input", spec, "--n", "11",
-                     "--out", str(tmp_path / "o")]) == 1
+        for raw in ("not-a-number", "nan", "inf", "-1"):
+            monkeypatch.setenv("TOPPKIT_TOL", raw)
+            assert main(["solve", "--input", spec, "--n", "11",
+                         "--out", str(tmp_path / "o")]) == 1
 
 
 class TestSweepCommand:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from toppkit import (Discretization, PathSpec, SpeedProfile, build_model,
                      capped_arc_instance, check_admissible, default_tol,
-                     line_instance, profile_error, relax, solve)
+                     line_instance, profile_error, relax, solve,
+                     wave_table_instance)
 
 from conftest import blind_model, constant_box_model, plain_model
 
@@ -82,9 +83,11 @@ class TestCheckAdmissible:
             SpeedProfile(grid3, np.array([0.0, 1.0]))
 
     def test_negative_tol_rejected(self, grid3, line_model):
-        p = SpeedProfile(grid3, np.zeros(3))
-        with pytest.raises(ValueError):
-            check_admissible(p, line_model, tol=-1.0)
+        # NaN and inf would admit a profile far above the ceiling
+        p = SpeedProfile(grid3, np.array([0.0, 1e6, 0.0]))
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                check_admissible(p, line_model, tol=tol)
 
     def test_bound_reported_before_slope_at_same_index(self, grid3):
         # index 0 breaks both the ceiling and the slope window
@@ -194,6 +197,19 @@ class TestRelax:
         assert twice.friction.xi == twice.xi
         assert twice.friction.slopes(np.zeros(1), np.zeros(1)) == (
             pytest.approx([-2.5]), pytest.approx([2.5]))
+        # The callables add f + (a + b), as friction.slopes does, not
+        # (f + a) + b; on a curved path the two differ in the last bit.
+        path = wave_table_instance()
+        twice = relax(relax(build_model(path), 0.3), 0.7)
+        fr = twice.friction
+        rng = np.random.default_rng(3)
+        s = rng.uniform(*path.domain, 2000)
+        h = rng.uniform(0.0, 1.2, s.size) * fr.ceiling(fr.kappa(s))
+        fminus, fplus = fr.slopes(fr.kappa(s), h)
+        sl, hl = s.tolist(), h.tolist()
+        for arr, f in ((fminus, twice.fminus), (fplus, twice.fplus)):
+            values = np.array([f(x, y) for x, y in zip(sl, hl)])
+            assert np.array_equal(arr.view(np.int64), values.view(np.int64))
 
     @pytest.mark.parametrize("path", [line_instance(), capped_arc_instance()],
                              ids=["line", "arc"])

@@ -94,16 +94,15 @@ class TestDpOptimum:
 class TestSampledBounds:
     """A friction-circle model is sampled once per grid and stepped in
     scalar floats; its callables, through ``plain_model``, are the
-    reference, and the two must agree bit for bit. Twice-relaxed models
-    are left out: their callables compute (f - a) - b, while ``friction``
-    computes f - (a + b), as ``solve`` and ``check_admissible`` do."""
+    reference, and the two must agree bit for bit, relaxed or not."""
 
     @pytest.mark.parametrize("name", list(INSTANCES))
     def test_equals_the_callable_path(self, name):
         path, n = INSTANCES[name]
         grid = path.grid(n)
         base = build_model(path)
-        for model in (base, relax(base, 0.25)):
+        for model in (base, relax(base, 0.25),
+                      relax(relax(base, 0.3), 0.7)):
             plain = plain_model(model)
             for levels in (8, 512):
                 assert np.array_equal(

@@ -306,22 +306,24 @@ class TestFrictionFastPath:
                                       wave_table_instance()],
                              ids=["line", "arc", "table"])
     def test_sampling_equals_scalar_callables(self, path):
-        model = build_model(path)
-        fr = model.friction
+        base = build_model(path)
         s = path.grid(1001).points
-        kappa = fr.kappa(s)
-        h = np.linspace(0.0, 1.2, s.size) * fr.ceiling(kappa)
-        fminus, fplus = fr.slopes(kappa, h)
-        sl, hl = s.tolist(), h.tolist()
+        sl = s.tolist()
 
         def same(arr, values):
             return np.array_equal(arr.view(np.int64),
                                   np.array(values).view(np.int64))
 
-        assert same(kappa, [curvature(path, x) for x in sl])
-        assert same(fr.ceiling(kappa), [model.bu(x) for x in sl])
-        assert same(fminus, [model.fminus(x, y) for x, y in zip(sl, hl)])
-        assert same(fplus, [model.fplus(x, y) for x, y in zip(sl, hl)])
+        for model in (base, relax(relax(base, 0.3), 0.7)):
+            fr = model.friction
+            kappa = fr.kappa(s)
+            h = np.linspace(0.0, 1.2, s.size) * fr.ceiling(kappa)
+            fminus, fplus = fr.slopes(kappa, h)
+            hl = h.tolist()
+            assert same(kappa, [curvature(path, x) for x in sl])
+            assert same(fr.ceiling(kappa), [model.bu(x) for x in sl])
+            assert same(fminus, [model.fminus(x, y) for x, y in zip(sl, hl)])
+            assert same(fplus, [model.fplus(x, y) for x, y in zip(sl, hl)])
 
     def test_step_matches_car_root(self):
         # two points: the backward value at s = 0.3 is the root itself
