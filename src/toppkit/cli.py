@@ -35,8 +35,6 @@ def _load_path_spec(filename: str) -> PathSpec:
     try:
         with open(filename, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as e:
-        raise ValueError(f"cannot read {filename}: {e.strerror or e}") from e
     except json.JSONDecodeError as e:
         raise ValueError(
             f"{filename}: line {e.lineno}, column {e.colno}: {e.msg}") from e
@@ -60,21 +58,14 @@ def _admissibility_tol(model) -> float:
 
 
 def cmd_solve(args) -> int:
-    try:
-        path = _load_path_spec(args.input)
-        if args.n < 2:
-            raise ValueError("--n must be at least 2")
-        model = build_model(path)
-        tol = _admissibility_tol(model)
-        grid = path.grid(args.n)
-    except ValueError as e:
-        return _fail(str(e))
+    path = _load_path_spec(args.input)
+    model = build_model(path)
+    tol = _admissibility_tol(model)
+    grid = path.grid(args.n)
     os.makedirs(args.out, exist_ok=True)
     report = solve(grid, model, endpoints=path.endpoints)
     report.write_json(os.path.join(args.out, "report.json"))
-    if not report.status.feasible:
-        print(report.status.message, file=sys.stderr)
-        return EXIT_INFEASIBLE
+    report.require_feasible("solve")
     report.profile.to_csv(os.path.join(args.out, "profile.csv"))
     verdict = check_admissible(report.profile, model, tol)
     summary = {
@@ -88,18 +79,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        path = _load_path_spec(args.input)
-        resolutions = [int(tok) for tok in args.resolutions.split(",") if tok]
-    except ValueError as e:
-        return _fail(str(e))
-    try:
-        rows = convergence_sweep(path, resolutions, reference=args.reference)
-    except InfeasibleError as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as e:
-        return _fail(str(e))
+    path = _load_path_spec(args.input)
+    resolutions = [int(tok) for tok in args.resolutions.split(",") if tok]
+    rows = convergence_sweep(path, resolutions, reference=args.reference)
     os.makedirs(args.out, exist_ok=True)
     write_convergence_csv(rows, os.path.join(args.out, "sweep.csv"))
     for r in rows:
@@ -108,48 +90,28 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        path = _load_path_spec(args.input)
-        if args.n < 2:
-            raise ValueError("--n must be at least 2")
-        if args.levels < 8:
-            raise ValueError("--levels must be at least 8")
-        model = build_model(path)
-        grid = path.grid(args.n)
-    except ValueError as e:
-        return _fail(str(e))
-    report = solve(grid, model, endpoints=path.endpoints)
-    if not report.status.feasible:
-        print(report.status.message, file=sys.stderr)
-        return EXIT_INFEASIBLE
-    try:
-        oracle_profile = dp_optimum(grid, model, levels=args.levels,
-                                    endpoints=path.endpoints)
-    except InfeasibleError as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    path = _load_path_spec(args.input)
+    model = build_model(path)
+    grid = path.grid(args.n)
+    tol = agreement_tolerance(grid, model, args.levels)
+    report = solve(grid, model, endpoints=path.endpoints).require_feasible(
+        "solve")
+    oracle_profile = dp_optimum(grid, model, levels=args.levels,
+                                endpoints=path.endpoints)
     os.makedirs(args.out, exist_ok=True)
     oracle_profile.to_csv(os.path.join(args.out, "oracle.csv"))
     err = profile_error(oracle_profile, report.profile)
-    tol = agreement_tolerance(grid, model, args.levels)
     agreement = {"error": err, "tolerance": tol, "within": err <= tol,
                  "levels": args.levels, "n": args.n}
     write_json(agreement, os.path.join(args.out, "agreement.json"))
     print(f"agreement error: {err:.3e} (tolerance {tol:.3e})")
     if err > tol:
-        print("error: oracle disagrees with the solver beyond tolerance",
-              file=sys.stderr)
-        return EXIT_INPUT
+        return _fail("oracle disagrees with the solver beyond tolerance")
     return EXIT_OK
 
 
 def cmd_retime(args) -> int:
-    try:
-        if args.dt <= 0.0:
-            raise ValueError("--dt must be positive")
-        rows = sample_trajectory(SpeedProfile.from_csv(args.profile), args.dt)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
+    rows = sample_trajectory(SpeedProfile.from_csv(args.profile), args.dt)
     os.makedirs(args.out, exist_ok=True)
     write_trajectory_csv(rows, os.path.join(args.out, "trajectory.csv"))
     print(f"traversal time: {rows[-1][0]:.6f} s ({len(rows)} samples)")
@@ -193,13 +155,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    """Run one command and return its exit code; commands raise, and
+    only here do their errors become exit codes."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         # argparse exits with 2 on usage errors; 2 means infeasible here
         return EXIT_OK if e.code == 0 else EXIT_INPUT
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InfeasibleError as e:
+        print(f"infeasible: {e}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (OSError, ValueError) as e:
+        return _fail(str(e))
 
 
 if __name__ == "__main__":

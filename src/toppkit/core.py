@@ -214,22 +214,16 @@ def default_tol(model: DynamicsModel) -> float:
 def relax(model: DynamicsModel, xi: float) -> DynamicsModel:
     """Widen the slope window by +-xi; box bounds are unchanged.
 
-    The returned model records the cumulative relaxation level and a
-    slope cap enlarged by xi so bracketing stays valid. A model with a
-    ``friction`` description is made anew from it, widened by xi; any
-    other model has its slope callables wrapped.
+    The model is made anew from its ``friction`` description, widened by
+    xi, with the cumulative relaxation level and a slope cap enlarged by
+    xi so bracketing stays valid. A model without one is rejected.
     """
     if xi < 0.0:
         raise ValueError("relaxation level must be non-negative")
-    if model.friction is not None:
-        return replace(model.friction, xi=model.friction.xi + xi).model(
-            model.slope_cap + xi)
-    fplus, fminus = model.fplus, model.fminus
-    return DynamicsModel(
-        fplus=lambda s, h: fplus(s, h) + xi,
-        fminus=lambda s, h: fminus(s, h) - xi,
-        bu=model.bu, bl=model.bl,
-        slope_cap=model.slope_cap + xi, xi=model.xi + xi)
+    if model.friction is None:
+        raise ValueError("relax needs a model with a friction description")
+    return replace(model.friction, xi=model.friction.xi + xi).model(
+        model.slope_cap + xi)
 
 
 def _box_bounds(points: np.ndarray, model: DynamicsModel):

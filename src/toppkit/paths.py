@@ -32,6 +32,7 @@ class PathSpec:
     f_fr:       acceleration-magnitude cap in m/s^2.
     endpoints:  optional (start, end) squared speeds; None entries leave
                 the corresponding end free.
+    Construction converts and checks every field; a ValueError names it.
     """
 
     kind: str
@@ -46,44 +47,38 @@ class PathSpec:
     def __post_init__(self):
         if self.kind not in ("line", "arc", "table"):
             raise ValueError(f"unknown path kind {self.kind!r}")
-        if not (self.v_max > 0.0 and self.f_fr > 0.0):
-            raise ValueError("v_max and f_fr must be positive")
-        if self.kind == "line":
-            if self.length is None or not self.length > 0.0:
-                raise ValueError("line path needs positive length")
-        elif self.kind == "arc":
-            if self.radius is None or not self.radius > 0.0:
-                raise ValueError("arc path needs positive radius")
-            if self.angle is None or not self.angle > 0.0:
-                raise ValueError("arc path needs positive angle")
-        else:
-            tab = tuple((float(s), float(k)) for s, k in (self.table or ()))
+        for key in ("v_max", "f_fr", *_FIELDS[self.kind]):
+            if key != "table":  # checked below
+                value = _field(key, getattr(self, key),
+                               lambda v: _finite(v, 0.0), "a positive finite number")
+                object.__setattr__(self, key, value)
+        # build_model's speed ceiling v_max**2 and slope cap 2*f_fr are finite
+        _field("v_max", self.v_max, lambda v: _finite(v ** 2), "small enough to square")
+        _field("f_fr", self.f_fr, lambda f: _finite(2.0 * f), "small enough to double")
+        if self.kind == "table":
+            tab = _field("table", self.table, lambda t: tuple(
+                (_finite(s), _finite(k)) for s, k in t),
+                "a list of finite [s, kappa] pairs")
             if len(tab) < 2:
                 raise ValueError("curvature table needs at least two samples")
-            ss = [s for s, _ in tab]
-            if any(s2 <= s1 for s1, s2 in zip(ss, ss[1:])):
+            if any(b[0] <= a[0] for a, b in zip(tab, tab[1:])):
                 raise ValueError("curvature table positions must be strictly increasing")
             if any(k < 0.0 for _, k in tab):
                 raise ValueError("curvature must be non-negative")
             object.__setattr__(self, "table", tab)
         if self.endpoints is not None:
-            h0, h1 = self.endpoints
-            for v in (h0, h1):
-                if v is not None and v < 0.0:
-                    raise ValueError("endpoint squared speeds must be non-negative")
-            object.__setattr__(self, "endpoints", (h0, h1))
-        values = [self.v_max, self.f_fr, self.length, self.radius, self.angle,
-                  *(x for row in self.table or () for x in row),
-                  *(self.endpoints or ())]
-        if not all(v is None or math.isfinite(v) for v in values):
-            raise ValueError("path spec values must be finite")
+            ep = _field("endpoints", self.endpoints, _squared_speeds,
+                        "a (start, end) pair of finite squared speeds")
+            if any(h < 0.0 for h in ep if h is not None):
+                raise ValueError("endpoint squared speeds must be non-negative")
+            object.__setattr__(self, "endpoints", ep)
 
     @property
     def domain(self) -> Tuple[float, float]:
         if self.kind == "line":
-            return 0.0, float(self.length)
+            return 0.0, self.length
         if self.kind == "arc":
-            return 0.0, float(self.radius * self.angle)
+            return 0.0, self.radius * self.angle
         return self.table[0][0], self.table[-1][0]
 
     def grid(self, n: int) -> Discretization:
@@ -111,26 +106,37 @@ class PathSpec:
         or wrongly typed field."""
         if not isinstance(d, dict):
             raise ValueError("path spec must be a JSON object")
-        kind = _field(d, "kind", lambda k: k)
-        keys = {"line": ("length",), "arc": ("radius", "angle")}.get(str(kind), ())
-        fields = {k: _field(d, k) for k in ("v_max", "f_fr", *keys)}
-        if kind == "table":
-            fields["table"] = _field(d, "table", lambda t: tuple(
-                (float(s), float(k)) for s, k in t), "a list of [s, kappa] pairs")
+        keys = ("kind", "v_max", "f_fr", *_FIELDS.get(str(d.get("kind")), ()))
+        for key in keys:
+            if key not in d:
+                raise ValueError(f"path spec missing field {key!r}")
+        fields = {key: d[key] for key in keys}
         if d.get("endpoints") is not None:
-            fields["endpoints"] = _field(d, "endpoints", lambda ep: tuple(
-                None if ep.get(k) is None else float(ep[k])
-                for k in ("start_h", "end_h")), "an object of squared speeds")
-        return cls(kind, **fields)  # checks the kind
+            fields["endpoints"] = _field("endpoints", d["endpoints"], lambda ep: (
+                ep.get("start_h"), ep.get("end_h")), "an object of squared speeds")
+        return cls(**fields)  # converts and checks every field
 
 
-def _field(d: dict, key: str, convert=float, what: str = "a number"):
-    if key not in d:
-        raise ValueError(f"path spec missing field {key!r}")
+_FIELDS = {"line": ("length",), "arc": ("radius", "angle"), "table": ("table",)}
+
+
+def _field(key: str, value, convert=float, what: str = "a number"):
     try:
-        return convert(d[key])
+        return convert(value)
     except (TypeError, ValueError, OverflowError, AttributeError):
         raise ValueError(f"path spec field {key!r} must be {what}") from None
+
+
+def _finite(x, low: float = -math.inf) -> float:
+    x = float(x)
+    if low < x < math.inf:
+        return x
+    raise ValueError(x)
+
+
+def _squared_speeds(ep) -> Endpoints:
+    start, end = ep
+    return tuple(None if h is None else _finite(h) for h in (start, end))
 
 
 def curvature(path: PathSpec, s: float) -> float:
@@ -165,9 +171,8 @@ def build_model(path: PathSpec) -> DynamicsModel:
     is 2*f_fr. Nothing is sampled here.
     """
     kappa_at, kappa = _curvature_fns(path)
-    f = float(path.f_fr)
-    return FrictionCircle(f, float(path.v_max) ** 2, kappa, kappa_at).model(
-        2.0 * f)
+    return FrictionCircle(path.f_fr, path.v_max ** 2, kappa, kappa_at).model(
+        2.0 * path.f_fr)
 
 
 def _is_rest_to_rest(path: PathSpec) -> bool:
@@ -186,7 +191,7 @@ def analytic_optimum(path: PathSpec, grid: Discretization) -> SpeedProfile:
     """
     if path.kind == "line" and _is_rest_to_rest(path):
         s = grid.points
-        S = float(path.length)
+        S = path.length
         h = np.minimum(np.minimum(2.0 * path.f_fr * s,
                                   2.0 * path.f_fr * (S - s)),
                        path.v_max ** 2)
@@ -206,14 +211,14 @@ def analytic_optimum(path: PathSpec, grid: Discretization) -> SpeedProfile:
 def analytic_time(path: PathSpec) -> float:
     """Exact traversal time matching :func:`analytic_optimum`."""
     if path.kind == "line" and _is_rest_to_rest(path):
-        S, f, v = float(path.length), path.f_fr, path.v_max
+        S, f, v = path.length, path.f_fr, path.v_max
         if v * v >= f * S:
             # triangular profile: accelerate to the midpoint, brake after
             return 2.0 * math.sqrt(S / f)
         # trapezoid: accelerate to v, cruise, brake
         return S / v + v / f
     if path.kind == "line" and _is_free(path):
-        return float(path.length) / path.v_max
+        return path.length / path.v_max
     if path.kind == "arc" and _is_free(path):
         a, b = path.domain
         cap = min(path.v_max ** 2, path.f_fr * path.radius)

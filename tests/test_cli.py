@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from toppkit import (SpeedProfile, build_model, circle_instance,
-                     line_instance, solve)
+from toppkit import (InfeasibleError, SpeedProfile, build_model,
+                     circle_instance, line_instance, solve)
 from toppkit.cli import main
 
 
@@ -110,15 +110,22 @@ class TestSolveCommand:
         '"endpoints": [0, 0]}',
         '{"kind": "table", "v_max": 1.0, "f_fr": 1.0, '
         '"table": [[0, 0], [0, null]]}',
-    ], ids=["list", "null_v_max", "int_table", "list_endpoints", "null_row"])
+        # v_max**2 and 2*f_fr (the model's ceiling and slope cap) overflow
+        '{"kind": "line", "v_max": 1e200, "f_fr": 1, "length": 1}',
+        '{"kind": "arc", "v_max": 1, "f_fr": 1e308, "radius": 1e308, '
+        '"angle": 1}',
+    ], ids=["list", "null_v_max", "int_table", "list_endpoints", "null_row",
+            "v_max_squared_overflows", "slope_cap_overflows"])
     def test_wrongly_typed_spec_exits_1(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.json"
         bad.write_text(body, encoding="utf-8")
+        out = tmp_path / "o"
         code = main(["solve", "--input", str(bad), "--n", "11",
-                     "--out", str(tmp_path / "o")])
+                     "--out", str(out)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
 
     def test_n_floor(self, tmp_path, capsys):
         spec = write_spec(tmp_path, line_instance())
@@ -164,6 +171,23 @@ class TestSweepCommand:
         tol = 2e-9  # default tolerance for slope cap 2
         assert all(float(line.split(",")[2]) <= tol for line in lines[1:])
 
+    def test_infeasible_exits_2_and_names_index(self, tmp_path, capsys,
+                                                monkeypatch):
+        import toppkit.cli as cli
+
+        def fake_sweep(path, resolutions, reference):
+            raise InfeasibleError("reference solve infeasible at index 5",
+                                  index=5, pass_name="forward")
+
+        monkeypatch.setattr(cli, "convergence_sweep", fake_sweep)
+        spec = write_spec(tmp_path, line_instance())
+        out = tmp_path / "o"
+        assert main(["sweep", "--input", spec, "--resolutions", "11,21",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible: reference solve infeasible at index 5\n")
+        assert not out.exists()
+
     def test_non_dividing_finest_exits_1(self, tmp_path, capsys):
         spec = write_spec(tmp_path, line_instance())
         code = main(["sweep", "--input", spec, "--resolutions", "10,16",
@@ -192,10 +216,34 @@ class TestOracleCommand:
         agreement = json.loads((out / "agreement.json").read_text())
         assert agreement["within"] is True
 
-    def test_levels_floor_exits_1(self, tmp_path):
+    def test_infeasible_oracle_exits_2_and_names_index(self, tmp_path,
+                                                       capsys, monkeypatch):
+        import toppkit.cli as cli
+
+        def fake_oracle(grid, model, levels, endpoints):
+            raise InfeasibleError("empty candidate set at index 3",
+                                  index=3, pass_name="backward")
+
+        monkeypatch.setattr(cli, "dp_optimum", fake_oracle)
+        spec = write_spec(tmp_path, line_instance())
+        out = tmp_path / "o"
+        assert main(["oracle", "--input", spec, "--n", "50",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "infeasible: empty candidate set at index 3\n")
+        assert not out.exists()
+
+    def test_levels_floor_exits_1(self, tmp_path, monkeypatch):
+        import toppkit.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking --levels")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
         spec = write_spec(tmp_path, line_instance())
         assert main(["oracle", "--input", spec, "--n", "50", "--levels", "7",
                      "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestRetimeCommand:
@@ -227,7 +275,6 @@ class TestRetimeCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")  # a numpy warning fails the test
     @pytest.mark.parametrize("rows", ["", "0,1\n", "0,1\n0.5,1,2\n1,1\n",
                                       "0,1\n0.5\n1,1\n", "0,1\nx\n1,1\n"],
                              ids=["header-only", "one-row", "3-fields",

@@ -227,6 +227,10 @@ class TestRelax:
         with pytest.raises(ValueError):
             relax(line_model, -0.1)
 
+    def test_model_without_friction_rejected(self, line_model):
+        with pytest.raises(ValueError, match="friction"):
+            relax(plain_model(line_model), 0.5)
+
     @given(st.floats(0.0, 3.0))
     @settings(max_examples=60)
     def test_widening_preserves_admissibility(self, xi, ):

@@ -52,6 +52,15 @@ class TestPathSpec:
                 PathSpec("line", v_max=1.0, f_fr=1.0, length=1.0,
                          endpoints=(None, bad))
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("table", dict(kind="table", table=5)),
+        ("v_max", dict(kind="line", v_max=None, length=1.0)),
+        ("table", dict(kind="table", table=((0.0, 0.0), (1, None)))),
+    ], ids=["int_table", "none_v_max", "none_in_row"])
+    def test_wrongly_typed_field_named(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            PathSpec(**{"v_max": 1.0, "f_fr": 1.0, **kwargs})
+
     def test_domains(self):
         assert PathSpec("line", 1.0, 1.0, length=2.5).domain == (0.0, 2.5)
         arc = PathSpec("arc", 1.0, 1.0, radius=2.0, angle=math.pi)

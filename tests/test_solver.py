@@ -128,21 +128,25 @@ class TestBackwardStep:
 
     def test_dip_between_failing_bracket_ends(self):
         # fminus is convex on [bl, bu] = [0, 1] and within the cap, but the
-        # floor cuts the bracket: g(0) = 5 and g(1) = 6 both fail, while
-        # g < 0 near h = 0.82, so the step must find the dip between them
-        model = DynamicsModel(fplus=lambda s, h: 5.0,
-                              fminus=lambda s, h: 40.0 * (h - 0.5) ** 2 - 5.0,
-                              bu=lambda s: 1.0, bl=lambda s: 0.0,
-                              slope_cap=10.0)
-        report = two_point_solve(model, 0.0, 1.0, (None, 0.0))
-        assert report.status.feasible
-        h = report.backward[0]
-        assert h + model.fminus(0.0, h) <= 0.0
-        up = math.nextafter(h, math.inf)
-        assert up + model.fminus(0.0, up) > 0.0
-        oracle = dp_optimum(Discretization(np.array([0.0, 1.0])), model,
-                            endpoints=(None, 0.0))
-        assert oracle.values[0] == pytest.approx(h, abs=1e-12)
+        # floor cuts the bracket, so the step must find the dip between
+        # two failing ends. First g(0) = 5 and g(1) = 6, and g < 0 near
+        # h = 0.82, at the first golden-section probe. Then g(0) = 79.5 and
+        # g(1) = 0.5, and g < 0 only on (0.82, 0.97), right of both first
+        # probes, so the search must move its left end up to find it.
+        for fminus, cap in ((lambda s, h: 40.0 * (h - 0.5) ** 2 - 5.0, 10.0),
+                            (lambda s, h: 100.0 * (h - 0.9) ** 2 - 1.5, 80.0)):
+            model = DynamicsModel(fplus=lambda s, h: cap, fminus=fminus,
+                                  bu=lambda s: 1.0, bl=lambda s: 0.0,
+                                  slope_cap=cap)
+            report = two_point_solve(model, 0.0, 1.0, (None, 0.0))
+            assert report.status.feasible
+            h = report.backward[0]
+            assert h + model.fminus(0.0, h) <= 0.0
+            up = math.nextafter(h, math.inf)
+            assert up + model.fminus(0.0, up) > 0.0
+            oracle = dp_optimum(Discretization(np.array([0.0, 1.0])), model,
+                                endpoints=(None, 0.0))
+            assert oracle.values[0] == pytest.approx(h, abs=1e-12)
 
 
 class TestForwardStep:
