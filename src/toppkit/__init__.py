@@ -3,8 +3,8 @@
 Plan the fastest traversal of a path under speed and acceleration
 limits: translate the path into per-position bounds on the squared
 speed and its slope, run the linear-time backward-forward sweep solver,
-re-time profiles into trajectories, and verify everything against an
-independent brute-force oracle.
+re-time profiles into trajectories, and cross-check the sweeps against
+a brute-force oracle that runs the same greedy, written independently.
 """
 
 from .core import (AdmissibilityReport, Discretization, DynamicsModel,

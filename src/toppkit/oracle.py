@@ -1,12 +1,12 @@
-"""Independent verification against the sweep solver.
+"""Cross-checks of the sweep solver.
 
-Two tools live here. ``dp_optimum`` recomputes the optimum with a
+Two tools live here. ``dp_optimum`` re-runs the solver's greedy with a
 deliberately plain method: per grid point it scans a quantized set of
 candidate squared speeds for the controllable boundary and refines the
 straddled cell by plain bisection, then replays the reachable chain.
 It reads a friction-circle model from its ``FrictionCircle``, as the
-solver does, but shares no step code with it, so agreement between
-the two certifies both. ``random_admissible`` manufactures feasible
+solver does, but shares no step code with it: agreement checks each
+one's steps, not that the greedy is optimal. ``random_admissible`` makes
 profiles by solving under uniformly tightened actuation limits; any
 profile feasible for the tightened limits is feasible for the original
 ones, which makes these profiles dominance-test fodder.
@@ -63,7 +63,7 @@ def _refine_boundary(g, good: float, bad: float) -> float:
 
 def dp_optimum(grid: Discretization, model: DynamicsModel, levels: int = 512,
                endpoints: Endpoints = None) -> SpeedProfile:
-    """Brute-force recomputation of the optimal profile.
+    """Brute-force re-run of the solver's greedy, written independently.
 
     Backward: the controllable ceiling at each point is the largest h
     (bounded by the box) whose braking reach stays under the next

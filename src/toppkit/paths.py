@@ -55,6 +55,8 @@ class PathSpec:
         # build_model's speed ceiling v_max**2 and slope cap 2*f_fr are finite
         _field("v_max", self.v_max, lambda v: _finite(v ** 2), "small enough to square")
         _field("f_fr", self.f_fr, lambda f: _finite(2.0 * f), "small enough to double")
+        if self.kind == "arc" and self.radius * self.angle == math.inf:
+            raise ValueError("path spec arc length 'radius' * 'angle' overflows")
         if self.kind == "table":
             tab = _field("table", self.table, lambda t: tuple(
                 (_finite(s), _finite(k)) for s, k in t),

@@ -4,14 +4,16 @@ Backward pass: from the terminal ceiling, each point gets the largest
 squared speed from which the next point's value is still reachable
 without exceeding the braking slope. Forward pass: from the initial
 value, each point gets the accelerating-slope reach, clipped by the
-backward cap. Both passes are one scalar maximization per grid step, so
-the whole solve is linear in the grid size. A friction-circle model,
-relaxed or not, takes each step in closed form; any other model takes
-it by an exact root search over its callables, which stops only at
-adjacent floats and needs the paper's convex class (``DynamicsModel``).
+backward cap. Each step is one scalar maximization, so the whole solve
+is linear in the grid size. A friction-circle model, relaxed or not,
+takes its steps in closed form, and arrays decide its ceiling runs, so
+only braking and accelerating arcs take scalar steps. Any other model
+takes each step by an exact root search over its callables, which stops
+only at adjacent floats and needs the paper's convex class.
 """
 
 import math
+from bisect import bisect_left
 from typing import Optional
 
 import numpy as np
@@ -62,42 +64,82 @@ def _largest_feasible(g, a: float, b: float, fa: float, fb: float) -> float:
 
 def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
                      h_start: Optional[float], h_end: Optional[float]):
-    """Both sweeps of a friction-circle model: kappa and bu sampled once,
-    then closed-form steps in scalar floats. Relaxation by xi moves the
+    """Both sweeps of a friction-circle model. Relaxation by xi moves the
     braking target to t = h_next + xi ds. A backward step is the larger
     root of (1 + 4 ds^2 kappa^2) h^2 - 2 t h + t^2 - 4 ds^2 f^2, or t when
-    that is larger (every h <= t brakes to h_next), clipped to
-    min(bu, h_next + (2 f + xi) ds), then stepped down one float at a
-    time until the generic step's constraint expression holds exactly.
-    The floor is zero, so no pass can fail."""
-    kappa = fr.kappa(points)
-    # Lists read fastest; bu and the results stay arrays to keep memory low.
-    bu = memoryview(fr.ceiling(kappa))
-    k, d = kappa.tolist(), np.diff(points).tolist()
+    that is larger (every h <= t brakes to h_next), clipped to min(bu,
+    h_next + (2 f + xi) ds), then stepped down one float at a time until
+    the generic step's constraint holds exactly; a forward step is
+    min(backward, h + fplus(h) ds). The floor is zero, so no pass fails.
+    Arrays first decide which steps only copy a bound: bu[i+1] to bu[i]
+    backward, backward[i-1] clipped to backward[i] forward. Each loop
+    copies such a run whole once on its bound and takes every other step
+    in scalar floats, so the result is theirs to the bit. The arrays
+    repeat the scalar floats but the root's squares, which ``**`` takes
+    with libm ``pow`` (an ulp off ``x*x`` in about 1 of 1 200 products),
+    so the root must clear bu[i] by a relative 1e-12, thousands of ulps,
+    or the step is taken in scalar floats."""
+    kappa, delta = fr.kappa(points), np.diff(points)
+    ceiling = fr.ceiling(kappa)
     f2, xi, cap = fr.f_fr * fr.f_fr, fr.xi, 2.0 * fr.f_fr + fr.xi
-    sqrt = math.sqrt  # a local name: read on every step of both loops
+    k0, c0, c1 = kappa[:-1], ceiling[:-1], ceiling[1:]
+    runs = c0 + fr.slopes(k0, c0)[0] * delta - c1 <= 0.0
+    runs &= c0 <= c1 + cap * delta
+    t = c1 + xi * delta
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN: no run
+        a = 1.0 + (2.0 * delta * k0) ** 2
+        runs &= (c0 <= t) | ((t + 2.0 * delta * np.sqrt(np.maximum(
+            f2 * a - (k0 * t) ** 2, 0.0))) / a >= c0 * (1.0 + 1e-12))
+    del t, a
+    k, d, bu = memoryview(kappa), memoryview(delta), memoryview(ceiling)
     n = len(k)
     backward, forward = np.empty(n), np.empty(n)
     b, fw = memoryview(backward), memoryview(forward)
-    h = b[n - 1] = bu[n - 1] if h_end is None else min(bu[n - 1], h_end)
-    for i in range(n - 2, -1, -1):
-        h_next, ds, ki = h, d[i], k[i]
+    sqrt = math.sqrt  # a local name: read on every step of both loops
+    on = memoryview(runs)
+    stops = memoryview(np.append(-1, np.flatnonzero(~runs)))
+    c = bu[n - 1]
+    h = b[n - 1] = c if h_end is None else min(c, h_end)
+    i = n - 2
+    while i >= 0:
+        if h == c and on[i]:  # on a ceiling run: copy it down to its stop
+            j = stops[bisect_left(stops, i) - 1]
+            backward[j + 1:i + 1] = ceiling[j + 1:i + 1]
+            h = c = bu[j + 1]
+            i = j
+            continue
+        h_next, ds, ki, c = h, d[i], k[i], bu[i]
         t = h_next + xi * ds
         a = 1.0 + (2.0 * ds * ki) ** 2
         root = sqrt(max(f2 * a - (ki * t) ** 2, 0.0))
-        h = min(max((t + 2.0 * ds * root) / a, t), bu[i], h_next + cap * ds)
+        h = min(max((t + 2.0 * ds * root) / a, t), c, h_next + cap * ds)
         r = f2 - (ki * h) * (ki * h)
         while h + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds \
                 - h_next > 0.0:
             h = math.nextafter(h, -math.inf)
             r = f2 - (ki * h) * (ki * h)
         b[i] = h
-    h = fw[0] = b[0] if h_start is None else min(b[0], h_start)
-    for i in range(1, n):
+        i -= 1
+    b0 = backward[:-1]
+    runs = b0 + fr.slopes(k0, b0)[1] * delta >= backward[1:]
+    on = memoryview(runs)
+    stops = memoryview(np.append(np.flatnonzero(~runs) + 1, n))
+    c = b[0]
+    h = fw[0] = c if h_start is None else min(c, h_start)
+    i = 1
+    while i < n:
+        if h == c and on[i - 1]:  # on a backward run: copy it up to its stop
+            j = stops[bisect_left(stops, i)]
+            forward[i:j] = backward[i:j]
+            h = c = b[j - 1]
+            i = j
+            continue
         kh = k[i - 1] * h
         r = f2 - kh * kh
-        h = fw[i] = min(b[i], h + (
+        c = b[i]
+        h = fw[i] = min(c, h + (
             (2.0 * sqrt(r) if r > 0.0 else 0.0) + xi) * d[i - 1])
+        i += 1
     return backward, forward
 
 

@@ -148,7 +148,8 @@ def test_criterion_5_dominance_suite():
             worst = max(worst, gap)
             assert gap <= tol, f"{name} seed={seed}: violation {gap:.3e}"
             total += 1
-    _report(5, True, f"solver dominates {total} random admissible profiles "
+    _report(5, True, f"solver dominates {total} random admissible profiles, "
+                     f"each a solve under tightened limits "
                      f"(worst excess {worst:.1e})")
 
 

@@ -114,8 +114,11 @@ class TestSolveCommand:
         '{"kind": "line", "v_max": 1e200, "f_fr": 1, "length": 1}',
         '{"kind": "arc", "v_max": 1, "f_fr": 1e308, "radius": 1e308, '
         '"angle": 1}',
+        # the arc length radius*angle overflows
+        '{"kind": "arc", "v_max": 1, "f_fr": 1, "radius": 1e308, "angle": 10}',
     ], ids=["list", "null_v_max", "int_table", "list_endpoints", "null_row",
-            "v_max_squared_overflows", "slope_cap_overflows"])
+            "v_max_squared_overflows", "slope_cap_overflows",
+            "arc_length_overflows"])
     def test_wrongly_typed_spec_exits_1(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.json"
         bad.write_text(body, encoding="utf-8")

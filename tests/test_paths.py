@@ -61,6 +61,13 @@ class TestPathSpec:
         with pytest.raises(ValueError, match=f"field '{field}'"):
             PathSpec(**{"v_max": 1.0, "f_fr": 1.0, **kwargs})
 
+    def test_arc_length_must_be_finite(self):
+        # each field is finite, but the arc length radius*angle overflows
+        with pytest.raises(ValueError, match=r"'radius' \* 'angle'"):
+            PathSpec("arc", v_max=1.0, f_fr=1.0, radius=1e308, angle=10.0)
+        assert PathSpec("arc", 1.0, 1.0, radius=1e307, angle=10.0).domain[1] \
+            == 1e307 * 10.0
+
     def test_domains(self):
         assert PathSpec("line", 1.0, 1.0, length=2.5).domain == (0.0, 2.5)
         arc = PathSpec("arc", 1.0, 1.0, radius=2.0, angle=math.pi)
