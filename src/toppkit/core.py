@@ -119,17 +119,21 @@ class FrictionCircle:
     """The friction-circle model, the one definition of the built-in
     model: slope window +-2*sqrt(f_fr^2 - kappa^2 h^2) (zero where the
     radicand is not positive) widened by +-xi, ceiling min(vmax2,
-    f_fr/kappa), floor zero. ``kappa`` maps position arrays to
-    curvatures, ``kappa_at`` one position to the same float."""
+    f_fr/kappa), floor zero. ``kappa`` maps positions, an array or one
+    float, to curvatures as numpy floats."""
 
     f_fr: float
     vmax2: float
     kappa: Callable[[np.ndarray], np.ndarray]
-    kappa_at: Callable[[float], float]
     xi: float = 0.0
 
+    @property
+    def slope_cap(self) -> float:
+        """2*f_fr + xi: no slope of the window is larger in magnitude."""
+        return 2.0 * self.f_fr + self.xi
+
     def ceiling(self, kappa: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):  # f/0 = inf: only v_max binds
+        with np.errstate(divide="ignore", over="ignore"):  # inf: v_max binds
             return np.minimum(self.vmax2, self.f_fr / kappa)
 
     def slopes(self, kappa: np.ndarray, h: np.ndarray
@@ -157,20 +161,15 @@ class FrictionCircle:
 
         return fminus, fplus
 
-    def model(self, slope_cap: float) -> "DynamicsModel":
+    def model(self) -> "DynamicsModel":
         """These bounds as callables of s, with ``friction`` this circle."""
-        kappa_at, vmax2, f = self.kappa_at, self.vmax2, self.f_fr
+        kappa, ceiling = self.kappa, self.ceiling
         fminus, fplus = self.scalar_slopes()
-
-        def bu(s):
-            k = kappa_at(s)
-            return vmax2 if k == 0.0 else min(vmax2, f / k)
-
         return DynamicsModel(
-            fplus=lambda s, h: fplus(kappa_at(s), h),
-            fminus=lambda s, h: fminus(kappa_at(s), h),
-            bu=bu, bl=lambda s: 0.0, slope_cap=slope_cap, xi=self.xi,
-            friction=self)
+            fplus=lambda s, h: fplus(float(kappa(s)), h),
+            fminus=lambda s, h: fminus(float(kappa(s)), h),
+            bu=lambda s: float(ceiling(kappa(s))), bl=lambda s: 0.0,
+            slope_cap=self.slope_cap, xi=self.xi, friction=self)
 
 
 @dataclass(frozen=True)
@@ -214,16 +213,14 @@ def default_tol(model: DynamicsModel) -> float:
 def relax(model: DynamicsModel, xi: float) -> DynamicsModel:
     """Widen the slope window by +-xi; box bounds are unchanged.
 
-    The model is made anew from its ``friction`` description, widened by
-    xi, with the cumulative relaxation level and a slope cap enlarged by
-    xi so bracketing stays valid. A model without one is rejected.
+    The model is made anew from its ``friction`` description at the
+    cumulative level; a model without one is rejected.
     """
     if xi < 0.0:
         raise ValueError("relaxation level must be non-negative")
     if model.friction is None:
         raise ValueError("relax needs a model with a friction description")
-    return replace(model.friction, xi=model.friction.xi + xi).model(
-        model.slope_cap + xi)
+    return replace(model.friction, xi=model.friction.xi + xi).model()
 
 
 def _box_bounds(points: np.ndarray, model: DynamicsModel):

@@ -67,6 +67,14 @@ class PathSpec:
                 raise ValueError("curvature table positions must be strictly increasing")
             if any(k < 0.0 for _, k in tab):
                 raise ValueError("curvature must be non-negative")
+            span = tab[-1][0] - tab[0][0]
+            if span == math.inf:
+                raise ValueError("path spec 'table' position span overflows")
+            # the sweeps square 2*ds*kappa and kappa*h, with h <= v_max**2
+            big = max(k for _, k in tab) * max(2.0 * span, self.v_max ** 2)
+            if not big * big < math.inf:
+                raise ValueError("path spec 'table' curvature too large: kappa * "
+                                 "max(2 * span, v_max**2) overflows squared")
             object.__setattr__(self, "table", tab)
         if self.endpoints is not None:
             ep = _field("endpoints", self.endpoints, _squared_speeds,
@@ -146,20 +154,19 @@ def curvature(path: PathSpec, s: float) -> float:
     a, b = path.domain
     if s < a or s > b:
         raise ValueError(f"position {s!r} outside path domain [{a!r}, {b!r}]")
-    return _curvature_fns(path)[0](s)
+    return float(_curvature(path)(s))
 
 
-def _curvature_fns(path: PathSpec):
-    # Scalar and array lookups for model evaluators, equal at every s.
-    # Both clamp s into the path domain, so last-segment float overshoot
-    # (s_prev + ds a few ulps past the end) cannot raise mid-solve.
+def _curvature(path: PathSpec):
+    # Numpy curvatures at one position or an array of them, s clamped
+    # into the path domain: last-segment float overshoot (s_prev + ds a
+    # few ulps past the end) cannot raise mid-solve.
     if path.kind != "table":
-        k = 0.0 if path.kind == "line" else 1.0 / path.radius
-        return (lambda s: k), (lambda s: np.full(np.shape(s), k))
+        k = np.float64(0.0 if path.kind == "line" else 1.0 / path.radius)
+        return lambda s: k + 0.0 * s
     ss = np.array([p for p, _ in path.table])
     kk = np.array([k for _, k in path.table])
-    return ((lambda s, _ss=ss, _kk=kk: float(np.interp(s, _ss, _kk))),
-            (lambda s: np.interp(s, ss, kk)))
+    return lambda s: np.interp(s, ss, kk)
 
 
 def build_model(path: PathSpec) -> DynamicsModel:
@@ -172,9 +179,7 @@ def build_model(path: PathSpec) -> DynamicsModel:
     with f_fr/0 treated as infinite. Floor: zero. The global slope cap
     is 2*f_fr. Nothing is sampled here.
     """
-    kappa_at, kappa = _curvature_fns(path)
-    return FrictionCircle(path.f_fr, path.v_max ** 2, kappa, kappa_at).model(
-        2.0 * path.f_fr)
+    return FrictionCircle(path.f_fr, path.v_max ** 2, _curvature(path)).model()
 
 
 def _is_rest_to_rest(path: PathSpec) -> bool:

@@ -72,24 +72,22 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     the generic step's constraint holds exactly; a forward step is
     min(backward, h + fplus(h) ds). The floor is zero, so no pass fails.
     Arrays first decide which steps only copy a bound: bu[i+1] to bu[i]
-    backward, backward[i-1] clipped to backward[i] forward. Each loop
-    copies such a run whole once on its bound and takes every other step
-    in scalar floats, so the result is theirs to the bit. The arrays
-    repeat the scalar floats but the root's squares, which ``**`` takes
-    with libm ``pow`` (an ulp off ``x*x`` in about 1 of 1 200 products),
-    so the root must clear bu[i] by a relative 1e-12, thousands of ulps,
-    or the step is taken in scalar floats."""
+    backward, backward[i-1] clipped to backward[i] forward. Every square
+    is a product, never ``**`` (libm ``pow``), so the arrays repeat the
+    scalar step's floats: each loop copies such a run whole once on its
+    bound, takes every other step in scalar floats, and the result is
+    the scalar steps' to the bit."""
     kappa, delta = fr.kappa(points), np.diff(points)
     ceiling = fr.ceiling(kappa)
-    f2, xi, cap = fr.f_fr * fr.f_fr, fr.xi, 2.0 * fr.f_fr + fr.xi
+    f2, xi, cap = fr.f_fr * fr.f_fr, fr.xi, fr.slope_cap
     k0, c0, c1 = kappa[:-1], ceiling[:-1], ceiling[1:]
     runs = c0 + fr.slopes(k0, c0)[0] * delta - c1 <= 0.0
     runs &= c0 <= c1 + cap * delta
     t = c1 + xi * delta
     with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN: no run
-        a = 1.0 + (2.0 * delta * k0) ** 2
+        a = 1.0 + np.square(2.0 * delta * k0)
         runs &= (c0 <= t) | ((t + 2.0 * delta * np.sqrt(np.maximum(
-            f2 * a - (k0 * t) ** 2, 0.0))) / a >= c0 * (1.0 + 1e-12))
+            f2 * a - np.square(k0 * t), 0.0))) / a >= c0)
     del t, a
     k, d, bu = memoryview(kappa), memoryview(delta), memoryview(ceiling)
     n = len(k)
@@ -109,9 +107,9 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
             i = j
             continue
         h_next, ds, ki, c = h, d[i], k[i], bu[i]
-        t = h_next + xi * ds
-        a = 1.0 + (2.0 * ds * ki) ** 2
-        root = sqrt(max(f2 * a - (ki * t) ** 2, 0.0))
+        t, w = h_next + xi * ds, 2.0 * ds * ki
+        kt, a = ki * t, 1.0 + w * w
+        root = sqrt(max(f2 * a - kt * kt, 0.0))
         h = min(max((t + 2.0 * ds * root) / a, t), c, h_next + cap * ds)
         r = f2 - (ki * h) * (ki * h)
         while h + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds \

@@ -116,9 +116,16 @@ class TestSolveCommand:
         '"angle": 1}',
         # the arc length radius*angle overflows
         '{"kind": "arc", "v_max": 1, "f_fr": 1, "radius": 1e308, "angle": 10}',
+        # the table span overflows; the sweeps' squares of 2*ds*kappa overflow
+        '{"kind": "table", "v_max": 1, "f_fr": 1, '
+        '"table": [[-1e308, 0], [1e308, 1]]}',
+        '{"kind": "table", "v_max": 1, "f_fr": 1, '
+        '"table": [[0, 1e300], [1, 1e300]], '
+        '"endpoints": {"start_h": 0, "end_h": 0}}',
     ], ids=["list", "null_v_max", "int_table", "list_endpoints", "null_row",
             "v_max_squared_overflows", "slope_cap_overflows",
-            "arc_length_overflows"])
+            "arc_length_overflows", "table_span_overflows",
+            "table_curvature_squared_overflows"])
     def test_wrongly_typed_spec_exits_1(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.json"
         bad.write_text(body, encoding="utf-8")
@@ -129,6 +136,20 @@ class TestSolveCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
+
+    def test_subnormal_curvature_solves_without_warning(self, tmp_path,
+                                                        capsys):
+        # f_fr / kappa overflows to inf: only v_max binds
+        spec = tmp_path / "tiny.json"
+        spec.write_text('{"kind": "table", "v_max": 1, "f_fr": 1, "table": '
+                        '[[0, 2.2250738585e-313], [1, 2.2250738585e-313]]}',
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["solve", "--input", str(spec), "--n", "1001",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["admissible"] is True
 
     def test_n_floor(self, tmp_path, capsys):
         spec = write_spec(tmp_path, line_instance())

@@ -190,6 +190,14 @@ class TestRelax:
         assert relaxed.slope_cap == pytest.approx(2.5)
         assert relaxed.xi == pytest.approx(0.5)
 
+    def test_slope_cap_is_two_f_plus_cumulative_xi(self, line_model):
+        # not (2 f + 0.1) + 0.2, which is one ulp above 2 f + (0.1 + 0.2)
+        twice = relax(relax(line_model, 0.1), 0.2)
+        f = twice.friction.f_fr
+        assert (2.0 * f + 0.1) + 0.2 != 2.0 * f + (0.1 + 0.2)
+        assert twice.slope_cap == 2.0 * f + (0.1 + 0.2)
+        assert twice.slope_cap == twice.friction.slope_cap
+
     def test_relaxation_accumulates(self, line_model):
         twice = relax(relax(line_model, 0.25), 0.25)
         assert twice.xi == pytest.approx(0.5)

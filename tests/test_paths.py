@@ -68,6 +68,26 @@ class TestPathSpec:
         assert PathSpec("arc", 1.0, 1.0, radius=1e307, angle=10.0).domain[1] \
             == 1e307 * 10.0
 
+    def test_table_span_must_be_finite(self):
+        # each position is finite, but the span last - first overflows
+        with pytest.raises(ValueError, match="'table' position span"):
+            PathSpec("table", 1.0, 1.0, table=((-1e308, 0.0), (1e308, 1.0)))
+        assert PathSpec("table", 1.0, 1.0, table=(
+            (-1e307, 0.0), (1e307, 0.0))).domain == (-1e307, 1e307)
+
+    @pytest.mark.parametrize("kappa", [1e300, 1e154])
+    def test_table_curvature_must_square(self, kappa):
+        # the sweeps square 2*ds*kappa and kappa*h: here 2*kappa overflows
+        with pytest.raises(ValueError, match="'table' curvature too large"):
+            PathSpec("table", 1.0, 1.0, table=((0.0, kappa), (1.0, kappa)),
+                     endpoints=(0.0, 0.0))
+        path = PathSpec("table", 1.0, 1.0, table=((0.0, 1e153), (1.0, 1e153)),
+                        endpoints=(0.0, 0.0))
+        model, grid = build_model(path), path.grid(1001)
+        report = solve(grid, model, endpoints=path.endpoints)
+        assert report.status.feasible
+        assert check_admissible(report.profile, model)
+
     def test_domains(self):
         assert PathSpec("line", 1.0, 1.0, length=2.5).domain == (0.0, 2.5)
         arc = PathSpec("arc", 1.0, 1.0, radius=2.0, angle=math.pi)

@@ -306,9 +306,10 @@ class TestFrictionFastPath:
                 grid, m, endpoints=path.endpoints).forward)
             assert check_admissible(report.profile, blind)
 
-    @pytest.mark.parametrize("path", [line_instance(), capped_arc_instance(),
-                                      wave_table_instance()],
-                             ids=["line", "arc", "table"])
+    @pytest.mark.parametrize("path", [
+        line_instance(), capped_arc_instance(), wave_table_instance(),
+        PathSpec("table", 1.0, 1.0, table=((0.0, 5e-324), (1.0, 2e-310)))],
+        ids=["line", "arc", "table", "subnormal_table"])
     def test_sampling_equals_scalar_callables(self, path):
         base = build_model(path)
         s = path.grid(1001).points
@@ -318,7 +319,8 @@ class TestFrictionFastPath:
             return np.array_equal(arr.view(np.int64),
                                   np.array(values).view(np.int64))
 
-        for model in (base, relax(relax(base, 0.3), 0.7)):
+        for model in (base, relax(base, 0.05), relax(base, 1.0),
+                      relax(relax(base, 0.3), 0.7)):
             fr = model.friction
             kappa = fr.kappa(s)
             h = np.linspace(0.0, 1.2, s.size) * fr.ceiling(kappa)

@@ -1,8 +1,8 @@
 """The arc-structured friction-circle sweeps against the scalar loop
 they replace: equal bit for bit on the bundled and random instances,
 relaxed or not, on drawn tables with every endpoint choice, and where a
-backward root lands inside the array decision's margin. Plus the traced
-memory of a solve at n = 1e5."""
+backward root equals the bound exactly. Plus the traced memory of a
+solve at n = 1e5."""
 
 import math
 import tracemalloc
@@ -26,14 +26,14 @@ XI = (0.0, 0.05, 1.0)
 
 ENDS = st.one_of(st.none(), st.just(0.0), st.floats(0.0, 8.0))
 
-# No subnormal curvature: f_fr / kappa overflows in FrictionCircle.ceiling.
-KAPPA = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+KAPPA = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(1e-3, 3.0))
 
 
 def scalar_sweeps(points: np.ndarray, fr: FrictionCircle,
                      h_start: Optional[float], h_end: Optional[float]):
-    """The scalar loop the friction sweeps replaced, verbatim: one Python
-    step per point in each pass. The sweeps must equal it bit for bit."""
+    """The scalar loop the friction sweeps replaced, squaring by
+    multiplication: one Python step per point in each pass. The sweeps
+    must equal it bit for bit."""
     kappa = fr.kappa(points)
     # Lists read fastest; bu and the results stay arrays to keep memory low.
     bu = memoryview(fr.ceiling(kappa))
@@ -46,9 +46,9 @@ def scalar_sweeps(points: np.ndarray, fr: FrictionCircle,
     h = b[n - 1] = bu[n - 1] if h_end is None else min(bu[n - 1], h_end)
     for i in range(n - 2, -1, -1):
         h_next, ds, ki = h, d[i], k[i]
-        t = h_next + xi * ds
-        a = 1.0 + (2.0 * ds * ki) ** 2
-        root = sqrt(max(f2 * a - (ki * t) ** 2, 0.0))
+        t, w = h_next + xi * ds, 2.0 * ds * ki
+        a = 1.0 + w * w
+        root = sqrt(max(f2 * a - (ki * t) * (ki * t), 0.0))
         h = min(max((t + 2.0 * ds * root) / a, t), bu[i], h_next + cap * ds)
         r = f2 - (ki * h) * (ki * h)
         while h + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds \
@@ -101,24 +101,24 @@ def test_equal_on_drawn_tables(rows, v_max, f_fr, n, h_start, h_end):
         assert_bitwise_equal(points, model.friction, h_start, h_end)
 
 
-def test_root_inside_the_margin_takes_the_scalar_step():
-    """One braking step from bu[1] = 1/k1 whose root, computed with x*x
-    as the arrays compute it, is exactly bu[0] = vmax2, while the scalar
-    step squares with ** and gets the float below. The step lies inside
-    the margin, so the sweep takes it in scalar floats; copying bu[0]
-    would be one ulp high."""
+def test_root_equal_to_the_bound_is_copied():
+    """One braking step from bu[1] = 1/k1 whose root is exactly vmax2.
+    With bu[0] = vmax2, the array decision and the scalar step square
+    alike, so the step is a run and the sweep returns bu[0]. With a
+    higher ceiling, the scalar step returns the root itself; squaring
+    with ``**`` (libm ``pow``) would give the float below."""
     k0, ds, k1 = 0.8566282100258467, 0.3246814003821313, 2.867312758432948
     vmax2 = 0.8141371728816146
     t, w = 1.0 / k1, 2.0 * ds * k0
     assert (t + 2.0 * ds * math.sqrt(1.0 + w * w - (k0 * t) * (k0 * t))) \
         / (1.0 + w * w) == vmax2
-    fr = FrictionCircle(1.0, vmax2, lambda s: np.interp(s, [0.0, ds], [k0, k1]),
-                        lambda s: float(np.interp(s, [0.0, ds], [k0, k1])))
     points = np.array([0.0, ds])
-    assert list(fr.ceiling(fr.kappa(points))) == [vmax2, t]
-    assert _friction_sweeps(points, fr, None, None)[0][0] \
-        == math.nextafter(vmax2, 0.0)
-    assert_bitwise_equal(points, fr, None, None)
+    for ceiling in (vmax2, 1.0):
+        fr = FrictionCircle(1.0, ceiling,
+                            lambda s: np.interp(s, [0.0, ds], [k0, k1]))
+        assert list(fr.ceiling(fr.kappa(points))) == [ceiling, t]
+        assert _friction_sweeps(points, fr, None, None)[0][0] == vmax2
+        assert_bitwise_equal(points, fr, None, None)
 
 
 @pytest.mark.parametrize("path", [random_table_instance(0),
