@@ -53,11 +53,16 @@ def text_file(f: Union[str, io.TextIOBase], mode: str = "r"
 BLOCK_ROWS = 4096
 
 
-def write_rows(fh: io.TextIOBase, fmt: str, *columns) -> None:
-    """Write ``fmt % row`` per row of the columns, BLOCK_ROWS rows a write."""
-    for i in range(0, len(columns[0]), BLOCK_ROWS):
-        block = np.column_stack([c[i:i + BLOCK_ROWS] for c in columns])
-        fh.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+def write_csv(f: Union[str, io.TextIOBase], header: str, fmt: str,
+              *columns) -> None:
+    """Write the line ``header``, then the line ``fmt % row`` per row of
+    the columns, BLOCK_ROWS rows a write."""
+    line = fmt + "\n"
+    with text_file(f, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), BLOCK_ROWS):
+            block = np.column_stack([c[i:i + BLOCK_ROWS] for c in columns])
+            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def write_json(data: dict, f: Union[str, io.TextIOBase]) -> None:
@@ -216,8 +221,8 @@ def relax(model: DynamicsModel, xi: float) -> DynamicsModel:
     The model is made anew from its ``friction`` description at the
     cumulative level; a model without one is rejected.
     """
-    if xi < 0.0:
-        raise ValueError("relaxation level must be non-negative")
+    if not 0.0 <= xi < math.inf:
+        raise ValueError("relaxation level must be finite and non-negative")
     if model.friction is None:
         raise ValueError("relax needs a model with a friction description")
     return replace(model.friction, xi=model.friction.xi + xi).model()
@@ -269,9 +274,7 @@ class SpeedProfile:
 
     def to_csv(self, f: Union[str, io.TextIOBase]) -> None:
         """Write rows "s,h" with 17 significant digits (lossless round trip)."""
-        with text_file(f, "w") as fh:
-            fh.write("s,h\n")
-            write_rows(fh, "%.17g,%.17g\n", self.grid.points, self.values)
+        write_csv(f, "s,h", "%.17g,%.17g", self.grid.points, self.values)
 
     @classmethod
     def from_csv(cls, f: Union[str, io.TextIOBase]) -> "SpeedProfile":

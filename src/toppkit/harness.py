@@ -22,7 +22,7 @@ from typing import List, Sequence, Union
 import numpy as np
 
 from .core import (Discretization, SpeedProfile, check_admissible, default_tol,
-                   profile_error, relax, text_file, write_rows)
+                   profile_error, relax, write_csv)
 from .paths import PathSpec, analytic_optimum, build_model
 from .solver import solve
 
@@ -104,10 +104,8 @@ def convergence_sweep(path: PathSpec, resolutions: Sequence[int],
 
 def write_convergence_csv(rows: Sequence[ConvergenceRow],
                           f: Union[str, io.TextIOBase]) -> None:
-    with text_file(f, "w") as fh:
-        fh.write("n,delta,rho,time_s\n")
-        cols = ([getattr(r, k) for r in rows] for k in ("n", "delta", "rho", "time_s"))
-        write_rows(fh, "%d,%.17g,%.17g,%.17g\n", *cols)
+    write_csv(f, "n,delta,rho,time_s", "%d,%.17g,%.17g,%.17g", *(
+        [getattr(r, k) for r in rows] for k in ("n", "delta", "rho", "time_s")))
 
 
 def xi_sweep(path: PathSpec, grid: Discretization,

@@ -55,8 +55,13 @@ class PathSpec:
         # build_model's speed ceiling v_max**2 and slope cap 2*f_fr are finite
         _field("v_max", self.v_max, lambda v: _finite(v ** 2), "small enough to square")
         _field("f_fr", self.f_fr, lambda f: _finite(2.0 * f), "small enough to double")
-        if self.kind == "arc" and self.radius * self.angle == math.inf:
-            raise ValueError("path spec arc length 'radius' * 'angle' overflows")
+        if self.kind == "arc":  # the sweeps' squares, bounded as for tables below
+            k, span = 1.0 / self.radius, self.radius * self.angle
+            big = max(2.0 * (k * span), k * min(self.v_max ** 2, self.f_fr / k))
+            if not big * big < math.inf:
+                raise ValueError("path spec arc out of range: kappa * max(2 * span, "
+                                 "min('v_max'**2, 'f_fr' / kappa)) overflows squared, "
+                                 "kappa = 1 / 'radius', span = 'radius' * 'angle'")
         if self.kind == "table":
             tab = _field("table", self.table, lambda t: tuple(
                 (_finite(s), _finite(k)) for s, k in t),
@@ -96,14 +101,10 @@ class PathSpec:
         return Discretization.uniform(a, b, n)
 
     def to_json_dict(self) -> dict:
-        d: dict = {"kind": self.kind, "v_max": self.v_max, "f_fr": self.f_fr}
-        if self.kind == "line":
-            d["length"] = self.length
-        elif self.kind == "arc":
-            d["radius"] = self.radius
-            d["angle"] = self.angle
-        else:
-            d["table"] = [[s, k] for s, k in self.table]
+        d = {key: getattr(self, key)
+             for key in ("kind", "v_max", "f_fr", *_FIELDS[self.kind])}
+        if self.kind == "table":
+            d["table"] = [list(row) for row in self.table]
         if self.endpoints is not None:
             d["endpoints"] = {k: v for k, v in zip(("start_h", "end_h"),
                                                    self.endpoints)
@@ -182,12 +183,22 @@ def build_model(path: PathSpec) -> DynamicsModel:
     return FrictionCircle(path.f_fr, path.v_max ** 2, _curvature(path)).model()
 
 
-def _is_rest_to_rest(path: PathSpec) -> bool:
-    return path.endpoints is not None and path.endpoints == (0.0, 0.0)
-
-
-def _is_free(path: PathSpec) -> bool:
-    return path.endpoints is None or path.endpoints == (None, None)
+def _closed_form(path: PathSpec):
+    """(h at an array of positions, exact traversal time) of the optimum in
+    the cases :func:`analytic_optimum` supports; else UnsupportedInstanceError."""
+    S, f, v = path.domain[1], path.f_fr, path.v_max
+    if path.kind == "line" and path.endpoints == (0.0, 0.0):
+        # a triangle (accelerate to the midpoint, brake after) or, when the
+        # speed cap binds, a trapezoid (accelerate to v, cruise, brake)
+        t = 2.0 * math.sqrt(S / f) if v * v >= f * S else S / v + v / f
+        return lambda s: np.minimum(np.minimum(2.0 * f * s, 2.0 * f * (S - s)),
+                                    v ** 2), t
+    if path.kind != "table" and path.endpoints in (None, (None, None)):
+        cap = v ** 2 if path.kind == "line" else min(v ** 2, f * path.radius)
+        t = S / v if path.kind == "line" else S / math.sqrt(cap)
+        return lambda s: np.full(s.size, cap), t
+    raise UnsupportedInstanceError(
+        f"no closed form for kind={path.kind!r} endpoints={path.endpoints!r}")
 
 
 def analytic_optimum(path: PathSpec, grid: Discretization) -> SpeedProfile:
@@ -196,40 +207,9 @@ def analytic_optimum(path: PathSpec, grid: Discretization) -> SpeedProfile:
     Supported: a line traversed rest-to-rest or with free endpoints, and
     an arc with free endpoints. Anything else has no closed form here.
     """
-    if path.kind == "line" and _is_rest_to_rest(path):
-        s = grid.points
-        S = path.length
-        h = np.minimum(np.minimum(2.0 * path.f_fr * s,
-                                  2.0 * path.f_fr * (S - s)),
-                       path.v_max ** 2)
-        return SpeedProfile(grid, h)
-    if path.kind == "line" and _is_free(path):
-        h = np.full(len(grid), path.v_max ** 2)
-        return SpeedProfile(grid, h)
-    if path.kind == "arc" and _is_free(path):
-        cap = min(path.v_max ** 2, path.f_fr * path.radius)
-        h = np.full(len(grid), cap)
-        return SpeedProfile(grid, h)
-    raise UnsupportedInstanceError(
-        f"no closed-form optimum for kind={path.kind!r} "
-        f"endpoints={path.endpoints!r}")
+    return SpeedProfile(grid, _closed_form(path)[0](grid.points))
 
 
 def analytic_time(path: PathSpec) -> float:
     """Exact traversal time matching :func:`analytic_optimum`."""
-    if path.kind == "line" and _is_rest_to_rest(path):
-        S, f, v = path.length, path.f_fr, path.v_max
-        if v * v >= f * S:
-            # triangular profile: accelerate to the midpoint, brake after
-            return 2.0 * math.sqrt(S / f)
-        # trapezoid: accelerate to v, cruise, brake
-        return S / v + v / f
-    if path.kind == "line" and _is_free(path):
-        return path.length / path.v_max
-    if path.kind == "arc" and _is_free(path):
-        a, b = path.domain
-        cap = min(path.v_max ** 2, path.f_fr * path.radius)
-        return (b - a) / math.sqrt(cap)
-    raise UnsupportedInstanceError(
-        f"no closed-form time for kind={path.kind!r} "
-        f"endpoints={path.endpoints!r}")
+    return _closed_form(path)[1]

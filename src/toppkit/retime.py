@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import SpeedProfile, text_file, write_rows
+from .core import SpeedProfile, write_csv
 
 
 def _knot_times(profile: SpeedProfile) -> np.ndarray:
@@ -61,8 +61,8 @@ def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
     for slope m = dh/ds != 0, and s(t) = s0 + sqrt(h0) * tau when the
     segment is constant; s(t) is then clamped to the segment.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     t_knots = _knot_times(profile)
     total = float(t_knots[-1])
     if math.isinf(total):
@@ -98,6 +98,4 @@ def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
 
 def write_trajectory_csv(rows: np.ndarray, f: Union[str, io.TextIOBase]) -> None:
     """Write sampled (t, s, v) rows with header "t,s,v"."""
-    with text_file(f, "w") as fh:
-        fh.write("t,s,v\n")
-        write_rows(fh, "%.17g,%.17g,%.17g\n", *np.asarray(rows).T)
+    write_csv(f, "t,s,v", "%.17g,%.17g,%.17g", *np.asarray(rows).T)

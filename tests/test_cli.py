@@ -122,10 +122,19 @@ class TestSolveCommand:
         '{"kind": "table", "v_max": 1, "f_fr": 1, '
         '"table": [[0, 1e300], [1, 1e300]], '
         '"endpoints": {"start_h": 0, "end_h": 0}}',
+        # the sweeps' squares f_fr**2 and (kappa*h)**2 overflow on an arc
+        '{"kind": "arc", "v_max": 1e150, "f_fr": 1e300, "radius": 1, '
+        '"angle": 1, "endpoints": {"start_h": 0, "end_h": 0}}',
+        '{"kind": "arc", "v_max": 1e80, "f_fr": 1e160, "radius": 1, '
+        '"angle": 1, "endpoints": {"start_h": 0, "end_h": 0}}',
+        '{"kind": "arc", "v_max": 1, "f_fr": 1, "radius": 1e-100, '
+        '"angle": 1e200, "endpoints": {"start_h": 0, "end_h": 0}}',
     ], ids=["list", "null_v_max", "int_table", "list_endpoints", "null_row",
             "v_max_squared_overflows", "slope_cap_overflows",
             "arc_length_overflows", "table_span_overflows",
-            "table_curvature_squared_overflows"])
+            "table_curvature_squared_overflows", "arc_ceiling_squared_overflows",
+            "arc_ceiling_squared_overflows_smaller",
+            "arc_step_squared_overflows"])
     def test_wrongly_typed_spec_exits_1(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.json"
         bad.write_text(body, encoding="utf-8")
@@ -335,6 +344,16 @@ class TestRetimeCommand:
         prof.write_text("s,h\n0,1\n1,1\n", encoding="utf-8")
         assert main(["retime", "--profile", str(prof), "--dt", "0",
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_infinite_dt_exits_1(self, tmp_path, capsys):
+        prof = tmp_path / "profile.csv"
+        prof.write_text("s,h\n0,1\n1,1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["retime", "--profile", str(prof), "--dt", "inf",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: dt must be positive and finite\n")
+        assert not out.exists()
 
 
 def test_usage_errors_exit_1():

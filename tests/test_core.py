@@ -235,6 +235,11 @@ class TestRelax:
         with pytest.raises(ValueError):
             relax(line_model, -0.1)
 
+    @pytest.mark.parametrize("xi", [math.nan, math.inf])
+    def test_non_finite_level_rejected(self, line_model, xi):
+        with pytest.raises(ValueError, match="relaxation level"):
+            relax(line_model, xi)
+
     def test_model_without_friction_rejected(self, line_model):
         with pytest.raises(ValueError, match="friction"):
             relax(plain_model(line_model), 0.5)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from toppkit import (PathSpec, UnsupportedInstanceError, analytic_optimum,
-                     analytic_time, build_model, check_admissible, curvature,
-                     profile_error, solve, traversal_time)
+                     analytic_time, build_model, capped_line_instance,
+                     check_admissible, circle_instance, curvature,
+                     line_instance, profile_error, solve, traversal_time)
 
 
 class TestPathSpec:
@@ -84,6 +85,29 @@ class TestPathSpec:
         path = PathSpec("table", 1.0, 1.0, table=((0.0, 1e153), (1.0, 1e153)),
                         endpoints=(0.0, 0.0))
         model, grid = build_model(path), path.grid(1001)
+        report = solve(grid, model, endpoints=path.endpoints)
+        assert report.status.feasible
+        assert check_admissible(report.profile, model)
+
+    @pytest.mark.parametrize("v_max, f_fr, radius, angle", [
+        (1e150, 1e300, 1.0, 1.0), (1e80, 1e160, 1.0, 1.0),
+        (1.0, 1.0, 1e-100, 1e200),
+    ])
+    def test_arc_squares_must_be_finite(self, v_max, f_fr, radius, angle):
+        # kappa * max(2 * span, ceiling) overflows squared: constructing
+        # the spec raises, so it is never solved
+        with pytest.raises(ValueError, match="arc out of range"):
+            PathSpec("arc", v_max, f_fr, radius=radius, angle=angle,
+                     endpoints=(0.0, 0.0))
+
+    @pytest.mark.parametrize("v_max, f_fr, radius, angle", [
+        (1.0, 1e300, 1.0, 1.0), (1.0, 1.0, 1e-160, 3.0),
+        (1e100, 1e200, 1e50, 1.0),
+    ], ids=["huge_f_fr", "tight_radius", "huge_radius"])
+    def test_extreme_arcs_still_solve(self, v_max, f_fr, radius, angle):
+        path = PathSpec("arc", v_max, f_fr, radius=radius, angle=angle,
+                        endpoints=(0.0, 0.0))
+        model, grid = build_model(path), path.grid(101)
         report = solve(grid, model, endpoints=path.endpoints)
         assert report.status.feasible
         assert check_admissible(report.profile, model)
@@ -237,9 +261,12 @@ class TestAnalyticOptimum:
             analytic_optimum(arc_r2r, arc_r2r.grid(5))
         with pytest.raises(UnsupportedInstanceError):
             analytic_time(arc_r2r)
-        table = PathSpec("table", 1.0, 1.0, table=((0.0, 0.1), (1.0, 0.2)))
-        with pytest.raises(UnsupportedInstanceError):
-            analytic_optimum(table, table.grid(5))
+        for path in (PathSpec("table", 1.0, 1.0, table=((0.0, 0.1), (1.0, 0.2))),
+                     PathSpec("line", 1.0, 1.0, length=1.0, endpoints=(0.0, None))):
+            with pytest.raises(UnsupportedInstanceError):
+                analytic_optimum(path, path.grid(5))
+            with pytest.raises(UnsupportedInstanceError):
+                analytic_time(path)
 
     def test_profiles_admissible_at_slope_slack(self):
         for path in (
@@ -258,3 +285,39 @@ class TestAnalyticOptimum:
         assert np.all(report.profile.values == path.v_max ** 2)
         assert np.array_equal(profile.values, report.profile.values)
         assert analytic_time(path) == path.length / path.v_max == 1.5
+
+
+class TestClosedFormFloats:
+    """analytic_optimum and analytic_time give exactly the floats of these
+    expressions, written out case by case."""
+
+    @pytest.mark.parametrize("path, triangle", [
+        (line_instance(), True), (capped_line_instance(), False),
+    ], ids=["triangle", "trapezoid"])
+    def test_line_rest_to_rest(self, path, triangle):
+        grid = path.grid(1001)
+        s, S, f, v = grid.points, path.length, path.f_fr, path.v_max
+        h = np.minimum(np.minimum(2.0 * f * s, 2.0 * f * (S - s)), v ** 2)
+        assert np.array_equal(analytic_optimum(path, grid).values, h)
+        assert (v * v >= f * S) is triangle
+        expected = 2.0 * math.sqrt(S / f) if triangle else S / v + v / f
+        assert analytic_time(path) == expected
+
+    @pytest.mark.parametrize("endpoints", [None, (None, None)])
+    def test_free_line(self, endpoints):
+        path = PathSpec("line", 0.1, 1.0, length=3.0, endpoints=endpoints)
+        grid = path.grid(17)
+        assert np.array_equal(analytic_optimum(path, grid).values,
+                              np.full(17, 0.1 ** 2))
+        assert analytic_time(path) == 3.0 / 0.1
+
+    @pytest.mark.parametrize("path, cap", [
+        (circle_instance(), 1.0 * 1.0),  # f_fr * radius binds
+        (PathSpec("arc", 0.3, 1.0, radius=0.7, angle=2.9), 0.3 ** 2),
+    ], ids=["friction_binds", "speed_binds"])
+    def test_free_arc(self, path, cap):
+        assert cap == min(path.v_max ** 2, path.f_fr * path.radius)
+        grid = path.grid(33)
+        assert np.array_equal(analytic_optimum(path, grid).values,
+                              np.full(33, cap))
+        assert analytic_time(path) == path.radius * path.angle / math.sqrt(cap)

@@ -171,6 +171,9 @@ class TestSampleTrajectory:
     def test_invalid_dt_rejected(self):
         with pytest.raises(ValueError):
             sample_trajectory(profile_on([0.0, 1.0], [1.0, 1.0]), 0.0)
+        for dt in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                sample_trajectory(profile_on([0.0, 1.0], [1.0, 1.0]), dt)
         # 1 / 1e-320 overflows to inf: too many samples, not an OverflowError
         with pytest.raises(ValueError, match="too many samples"):
             sample_trajectory(profile_on([0.0, 1.0], [1.0, 1.0]), 1e-320)
