@@ -57,6 +57,11 @@ def _admissibility_tol(model) -> float:
     return tol
 
 
+def _seconds(t: float) -> str:
+    """Six decimals; seven significant digits when 0 < t < 1e-3 s, never 0."""
+    return f"{t:.7g}" if 0.0 < t < 1e-3 else f"{t:.6f}"
+
+
 def cmd_solve(args) -> int:
     path = _load_path_spec(args.input)
     model = build_model(path)
@@ -74,7 +79,7 @@ def cmd_solve(args) -> int:
         "admissibility_tol": tol,
     }
     write_json(summary, os.path.join(args.out, "summary.json"))
-    print(f"traversal time: {report.traversal_time:.6f} s")
+    print(f"traversal time: {_seconds(report.traversal_time)} s")
     return EXIT_OK
 
 
@@ -114,7 +119,7 @@ def cmd_retime(args) -> int:
     rows = sample_trajectory(SpeedProfile.from_csv(args.profile), args.dt)
     os.makedirs(args.out, exist_ok=True)
     write_trajectory_csv(rows, os.path.join(args.out, "trajectory.csv"))
-    print(f"traversal time: {rows[-1][0]:.6f} s ({len(rows)} samples)")
+    print(f"traversal time: {_seconds(rows[-1][0])} s ({len(rows)} samples)")
     return EXIT_OK
 
 

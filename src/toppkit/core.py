@@ -19,6 +19,15 @@ import numpy as np
 Endpoints = Optional[Tuple[Optional[float], Optional[float]]]
 
 
+def _endpoint_pair(endpoints: Endpoints) -> Tuple[Optional[float], Optional[float]]:
+    """(start, end) of ``endpoints``, None for a free end; a ValueError
+    for a NaN or negative squared speed (``inf`` caps nothing)."""
+    pair = (None, None) if endpoints is None else endpoints
+    if any(h is not None and not h >= 0.0 for h in pair):
+        raise ValueError("endpoint squared speeds must be non-negative")
+    return pair
+
+
 class InfeasibleError(RuntimeError):
     """Raised when no profile can satisfy the constraints.
 

@@ -62,16 +62,8 @@ def random_table_instance(seed: int) -> PathSpec:
     table = tuple((float(a), float(k)) for a, k in zip(s, kappa))
     v_max = float(rng.uniform(0.6, 2.5))
     f_fr = float(rng.uniform(0.5, 2.0))
-    choice = int(rng.integers(0, 5))
-    if choice == 0:
-        endpoints = None
-    elif choice == 1:
-        endpoints = (0.0, 0.0)
-    elif choice == 2:
-        endpoints = (0.0, None)
-    elif choice == 3:
-        endpoints = (None, 0.0)
-    else:
-        endpoints = (float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)))
+    choice = int(rng.integers(0, 5))  # free, at rest or drawn ends
+    endpoints = (None, (0.0, 0.0), (0.0, None), (None, 0.0))[choice] if choice < 4 \
+        else (float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 2.0)))
     return PathSpec("table", v_max=v_max, f_fr=f_fr, table=table,
                     endpoints=endpoints)

@@ -6,26 +6,38 @@ candidate squared speeds for the controllable boundary and refines the
 straddled cell by plain bisection, then replays the reachable chain.
 It reads a friction-circle model from its ``FrictionCircle``, as the
 solver does, but shares no step code with it: agreement checks each
-one's steps, not that the greedy is optimal. ``random_admissible`` makes
+one's steps, not that the greedy is optimal. On a friction circle the
+search and the chain write the circle's slope out in scalar floats, so
+no evaluation is a function call; the search through the model's
+callables is their bitwise reference. ``random_admissible`` makes
 profiles by solving under uniformly tightened actuation limits; any
 profile feasible for the tightened limits is feasible for the original
 ones, which makes these profiles dominance-test fodder.
 """
 
+import math
+import operator
 from dataclasses import replace
 
 import numpy as np
 
 from .core import (Discretization, DynamicsModel, Endpoints, InfeasibleError,
-                   SpeedProfile, _box_bounds, check_admissible)
+                   SpeedProfile, _box_bounds, _endpoint_pair, check_admissible)
 from .paths import PathSpec, build_model
+
+
+def _lattice_levels(levels: int) -> int:
+    """``levels`` as an int, at least 8; a TypeError for a non-integer."""
+    levels = operator.index(levels)
+    if levels < 8:
+        raise ValueError("levels must be at least 8")
+    return levels
 
 
 def lattice_spacing(grid: Discretization, model: DynamicsModel,
                     levels: int) -> float:
     """Spacing of ``levels`` uniform values spanning the model's h-range."""
-    if levels < 8:
-        raise ValueError("levels must be at least 8")
+    levels = _lattice_levels(levels)
     _, lo, hi = _box_bounds(grid.points, model)
     return (float(hi.max()) - float(lo.min())) / (levels - 1)
 
@@ -61,6 +73,43 @@ def _refine_boundary(g, good: float, bad: float) -> float:
     return good
 
 
+def _friction_ceilings(fr, k, cap, s, bl, bu, ceiling, levels, empty) -> None:
+    """Fill ``ceiling[:-1]`` in the floats of :func:`dp_optimum`'s callable
+    search, with its ``g`` (``scalar_slopes``' fminus), :func:`_lattice_down`
+    and :func:`_refine_boundary` written out, so that no ``g`` is a call."""
+    f2, xi, sqrt, last = fr.f_fr * fr.f_fr, fr.xi, math.sqrt, levels - 1
+    for i in range(len(s) - 2, -1, -1):
+        ds, t, ki, lo = s[i + 1] - s[i], ceiling[i + 1], k[i], bl[i]
+        hi = min(bu[i], t + cap * ds)
+        if hi < lo:
+            raise empty("empty candidate set", i, "backward")
+        r = f2 - (ki * hi) * (ki * hi)
+        if hi + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - t <= 0.0:
+            ceiling[i] = hi
+            continue
+        bad, span = hi, hi - lo
+        step = span / last
+        for j in range(last - 1, -1, -1):
+            good = j * step + lo if step != 0.0 else j / last * span + lo
+            r = f2 - (ki * good) * (ki * good)
+            if good + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - t <= 0.0:
+                break
+            bad = good
+        else:
+            raise empty("empty candidate set", i, "backward")
+        tol = 1e-13 * max(1.0, abs(bad))
+        while bad - good > tol:
+            mid = 0.5 * (good + bad)
+            if mid <= good or mid >= bad:
+                break
+            r = f2 - (ki * mid) * (ki * mid)
+            if mid + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - t <= 0.0:
+                good = mid
+            else:
+                bad = mid
+        ceiling[i] = good
+
+
 def dp_optimum(grid: Discretization, model: DynamicsModel, levels: int = 512,
                endpoints: Endpoints = None) -> SpeedProfile:
     """Brute-force re-run of the solver's greedy, written independently.
@@ -73,16 +122,12 @@ def dp_optimum(grid: Discretization, model: DynamicsModel, levels: int = 512,
     :class:`InfeasibleError`, naming the index and position, when a
     candidate set comes up empty. The box is sampled once per point.
     """
-    if levels < 8:
-        raise ValueError("levels must be at least 8")
-    h_start, h_end = (None, None) if endpoints is None else endpoints
+    levels = _lattice_levels(levels)
+    h_start, h_end = _endpoint_pair(endpoints)
     s = grid.points.tolist()
     n = len(s)
     kappa, bl, bu = _box_bounds(grid.points, model)
     bl, bu = bl.tolist(), bu.tolist()
-    fminus, fplus = (model.fminus, model.fplus) if kappa is None \
-        else model.friction.scalar_slopes()
-    x = s if kappa is None else kappa.tolist()  # slopes at i: f(x[i], h)
 
     def empty(what, i, pass_name):
         return InfeasibleError(f"{what} at index {i} at s={s[i]!r}",
@@ -93,36 +138,46 @@ def dp_optimum(grid: Discretization, model: DynamicsModel, levels: int = 512,
     if top < bl[-1]:
         raise empty("empty candidate set", n - 1, "backward")
     ceiling[-1] = top
+    if kappa is None:
+        for i in range(n - 2, -1, -1):
+            ds = s[i + 1] - s[i]
+            target = ceiling[i + 1]
 
-    for i in range(n - 2, -1, -1):
-        ds = s[i + 1] - s[i]
-        target = ceiling[i + 1]
+            def g(h, _x=s[i], _ds=ds, _target=target):
+                return h + model.fminus(_x, h) * _ds - _target
 
-        def g(h, _x=x[i], _ds=ds, _target=target):
-            return h + fminus(_x, h) * _ds - _target
-
-        lo = bl[i]
-        hi = min(bu[i], target + model.slope_cap * ds)
-        if hi < lo:
-            raise empty("empty candidate set", i, "backward")
-        if g(hi) <= 0.0:
-            ceiling[i] = hi
-            continue
-        prev = hi
-        for c in _lattice_down(lo, hi, levels):
-            if g(c) <= 0.0:
-                ceiling[i] = _refine_boundary(g, c, prev)
-                break
-            prev = c
-        else:
-            raise empty("empty candidate set", i, "backward")
+            lo = bl[i]
+            hi = min(bu[i], target + model.slope_cap * ds)
+            if hi < lo:
+                raise empty("empty candidate set", i, "backward")
+            if g(hi) <= 0.0:
+                ceiling[i] = hi
+                continue
+            prev = hi
+            for c in _lattice_down(lo, hi, levels):
+                if g(c) <= 0.0:
+                    ceiling[i] = _refine_boundary(g, c, prev)
+                    break
+                prev = c
+            else:
+                raise empty("empty candidate set", i, "backward")
+    else:
+        fr, k = model.friction, kappa.tolist()
+        f2, xi, sqrt = fr.f_fr * fr.f_fr, fr.xi, math.sqrt
+        _friction_ceilings(fr, k, model.slope_cap, s, bl, bu, ceiling, levels,
+                           empty)
 
     h = ceiling[0] if h_start is None else min(ceiling[0], h_start)
     if h < bl[0]:
         raise empty("start value below the floor", 0, "forward")
     reach = [h] * n
     for i in range(1, n):
-        h = min(ceiling[i], h + fplus(x[i - 1], h) * (s[i] - s[i - 1]))
+        ds = s[i] - s[i - 1]
+        if kappa is None:
+            h = min(ceiling[i], h + model.fplus(s[i - 1], h) * ds)
+        else:  # scalar_slopes' fplus, written out
+            r = f2 - (k[i - 1] * h) * (k[i - 1] * h)
+            h = min(ceiling[i], h + ((2.0 * sqrt(r) if r > 0.0 else 0.0) + xi) * ds)
         if h < bl[i]:
             raise empty("reachable value below the floor", i, "forward")
         reach[i] = h

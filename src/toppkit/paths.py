@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import (Discretization, DynamicsModel, Endpoints, FrictionCircle,
-                   SpeedProfile, UnsupportedInstanceError)
+                   SpeedProfile, UnsupportedInstanceError, _endpoint_pair)
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,7 @@ class PathSpec:
         if self.endpoints is not None:
             ep = _field("endpoints", self.endpoints, _squared_speeds,
                         "a (start, end) pair of finite squared speeds")
-            if any(h < 0.0 for h in ep if h is not None):
-                raise ValueError("endpoint squared speeds must be non-negative")
-            object.__setattr__(self, "endpoints", ep)
+            object.__setattr__(self, "endpoints", _endpoint_pair(ep))
 
     @property
     def domain(self) -> Tuple[float, float]:

@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (Discretization, DynamicsModel, Endpoints, FrictionCircle,
-                   SolveReport, SolveStatus, SpeedProfile, _box_bounds)
+                   SolveReport, SolveStatus, SpeedProfile, _box_bounds,
+                   _endpoint_pair)
 from .retime import traversal_time
 
 
@@ -223,10 +224,7 @@ def solve(grid: Discretization, model: DynamicsModel,
     ``friction`` description takes the closed-form steps and calls none
     of its callables; any other model takes the root-finding steps.
     """
-    h_start, h_end = (None, None) if endpoints is None else endpoints
-    for v in (h_start, h_end):
-        if v is not None and v < 0.0:
-            raise ValueError("endpoint squared speeds must be non-negative")
+    h_start, h_end = _endpoint_pair(endpoints)
     if model.friction is not None:
         backward, forward = _friction_sweeps(grid.points, model.friction,
                                              h_start, h_end)

@@ -3,15 +3,39 @@ import json
 import numpy as np
 import pytest
 
-from toppkit import (InfeasibleError, SpeedProfile, build_model,
+from toppkit import (InfeasibleError, PathSpec, SpeedProfile, build_model,
                      circle_instance, line_instance, solve)
-from toppkit.cli import main
+from toppkit.cli import _seconds, main
+
+# Rest to rest around an arc of radius 1e-160: about 4.05e-80 s.
+TINY_ARC = PathSpec("arc", 10.0, 1.0, radius=1e-160, angle=3.0,
+                    endpoints=(0.0, 0.0))
 
 
 def write_spec(tmp_path, spec, name="path.json"):
     f = tmp_path / name
     f.write_text(json.dumps(spec.to_json_dict()), encoding="utf-8")
     return str(f)
+
+
+def printed_seconds(stdout):
+    return float(stdout.split("traversal time: ")[1].split(" s")[0])
+
+
+@pytest.mark.parametrize("t, text", [
+    (2.0, "2.000000"), (1e-3, "0.001000"), (0.0014999, "0.001500"),
+    (123456.7891234, "123456.789123"), (0.0, "0.000000"),
+    (float("inf"), "inf")])
+def test_times_from_a_millisecond_print_with_six_decimals(t, text):
+    assert _seconds(t) == text == f"{t:.6f}"
+
+
+@pytest.mark.parametrize("t", [4.0512684627013544e-80, 5e-324, 1e-7,
+                               0.0009999994, 0.00099999996])
+def test_positive_time_below_a_millisecond_never_prints_zero(t):
+    back = float(_seconds(t))
+    assert back > 0.0
+    assert abs(back - t) <= 1e-6 * t
 
 
 class TestSolveCommand:
@@ -31,6 +55,15 @@ class TestSolveCommand:
         assert report["traversal_time"] == pytest.approx(t, abs=1e-6)
         assert (out / "profile.csv").exists()
         assert (out / "summary.json").exists()
+
+    def test_tiny_time_prints_positive(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", "--input", write_spec(tmp_path, TINY_ARC),
+                     "--n", "1001", "--out", str(out)]) == 0
+        t = json.loads((out / "summary.json").read_text())["traversal_time"]
+        assert 4e-80 < t < 4.1e-80
+        printed = printed_seconds(capsys.readouterr().out)
+        assert abs(printed - t) <= 1e-6 * t
 
     def test_profile_csv_round_trips_bit_exactly(self, tmp_path):
         spec = write_spec(tmp_path, circle_instance())
@@ -291,6 +324,17 @@ class TestRetimeCommand:
         assert len(lines) == 6
         last = [float(x) for x in lines[-1].split(",")]
         assert last == pytest.approx([1.0, 1.0, 1.0])
+
+    def test_tiny_time_prints_positive(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", "--input", write_spec(tmp_path, TINY_ARC),
+                     "--n", "1001", "--out", str(out)]) == 0
+        t = json.loads((out / "summary.json").read_text())["traversal_time"]
+        capsys.readouterr()
+        assert main(["retime", "--profile", str(out / "profile.csv"),
+                     "--dt", repr(t / 1000), "--out", str(tmp_path / "r")]) == 0
+        printed = printed_seconds(capsys.readouterr().out)
+        assert abs(printed - t) <= 1e-6 * t
 
     def test_stalled_profile_exits_1(self, tmp_path, capsys):
         prof = tmp_path / "profile.csv"

@@ -1,14 +1,17 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toppkit import (Discretization, InfeasibleError,
+from toppkit import (Discretization, InfeasibleError, PathSpec,
                      agreement_tolerance, analytic_optimum, build_model,
-                     bundled_instances, check_admissible, circle_instance,
-                     default_tol, dp_optimum, lattice_spacing, line_instance,
-                     profile_error, random_admissible, random_table_instance,
-                     relax, solve, tightened_path, wave_table_instance)
+                     bundled_instances, capped_arc_instance, check_admissible,
+                     circle_instance, default_tol, dp_optimum, lattice_spacing,
+                     line_instance, profile_error, random_admissible,
+                     random_table_instance, relax, solve, tightened_path,
+                     wave_table_instance)
 from toppkit.oracle import _lattice_down
 
 from conftest import blind_model, constant_box_model, plain_model
@@ -16,6 +19,27 @@ from conftest import blind_model, constant_box_model, plain_model
 INSTANCES = {**{f"table_{k}": (random_table_instance(k), 200)
                 for k in range(32)},
              **{name: (path, 201) for name, path in bundled_instances().items()}}
+
+# A few instances for the wider bitwise checks of the inline search.
+FEW = {"table_0": random_table_instance(0), "table_1": random_table_instance(1),
+       "wave_table": wave_table_instance(), "capped_arc": capped_arc_instance()}
+
+# Each end free, at rest, or at a positive squared speed.
+END_VALUES = (None, 0.0, 0.6)
+
+
+def models_relaxed(path):
+    """The path's model, relaxed once and relaxed twice."""
+    base = build_model(path)
+    return base, relax(base, 0.25), relax(relax(base, 0.3), 0.7)
+
+
+def assert_inline_equals_callable(grid, model, endpoints, levels=(8, 512)):
+    plain = plain_model(model)
+    for lv in levels:
+        got = dp_optimum(grid, model, lv, endpoints).values
+        want = dp_optimum(grid, plain, lv, endpoints).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestDpOptimum:
@@ -90,6 +114,46 @@ class TestDpOptimum:
         with pytest.raises(ValueError):
             lattice_spacing(grid, build_model(path), 4)
 
+    @pytest.mark.parametrize("levels", [8.5, 512.0, "512"])
+    def test_levels_must_be_an_integer(self, levels):
+        path = line_instance()
+        grid, model = path.grid(5), build_model(path)
+        for call in (lambda: dp_optimum(grid, model, levels),
+                     lambda: lattice_spacing(grid, model, levels),
+                     lambda: agreement_tolerance(grid, model, levels)):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_numpy_integer_levels(self):
+        path = wave_table_instance()
+        grid, model = path.grid(51), build_model(path)
+        for levels in (8, 512):
+            assert np.array_equal(
+                dp_optimum(grid, model, np.int64(levels), path.endpoints).values,
+                dp_optimum(grid, model, levels, path.endpoints).values)
+            assert lattice_spacing(grid, model, np.int64(levels)) == \
+                lattice_spacing(grid, model, levels)
+
+    @pytest.mark.parametrize("endpoints", [
+        (float("nan"), None), (None, float("nan")), (-1.0, None), (None, -1.0),
+        (-0.5, 0.0)])
+    def test_bad_endpoint_rejected(self, endpoints):
+        path = line_instance()
+        grid, model = path.grid(21), build_model(path)
+        for call in (dp_optimum, solve):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                call(grid, model, endpoints=endpoints)
+
+    def test_infinite_endpoint_is_a_free_end(self):
+        path = wave_table_instance()
+        grid, model = path.grid(101), build_model(path)
+        inf = float("inf")
+        for ends in ((inf, None), (None, inf), (inf, inf)):
+            assert np.array_equal(dp_optimum(grid, model, endpoints=ends).values,
+                                  dp_optimum(grid, model).values)
+            assert np.array_equal(solve(grid, model, endpoints=ends).forward,
+                                  solve(grid, model).forward)
+
 
 class TestSampledBounds:
     """A friction-circle model is sampled once per grid and stepped in
@@ -112,6 +176,70 @@ class TestSampledBounds:
                     lattice_spacing(grid, plain, levels)
                 assert agreement_tolerance(grid, model, levels) == \
                     agreement_tolerance(grid, plain, levels)
+
+    @pytest.mark.parametrize("name", list(FEW))
+    @pytest.mark.parametrize("start", END_VALUES)
+    @pytest.mark.parametrize("end", END_VALUES)
+    def test_every_endpoint_choice(self, name, start, end):
+        path = FEW[name]
+        grid = path.grid(101)
+        for model in models_relaxed(path):
+            assert_inline_equals_callable(grid, model, (start, end))
+
+    @pytest.mark.parametrize("name", list(FEW))
+    @pytest.mark.parametrize("n", [2, 3, 1_001])
+    def test_grid_sizes(self, name, n):
+        path = FEW[name]
+        grid = path.grid(n)
+        for model in models_relaxed(path):
+            assert_inline_equals_callable(grid, model, path.endpoints)
+
+    @given(rows=st.lists(st.tuples(st.floats(0.01, 1.0), st.one_of(
+               st.just(0.0), st.floats(0.0, 1e-300), st.floats(1e-3, 3.0))),
+               min_size=2, max_size=6),
+           v_max=st.floats(0.1, 3.0), f_fr=st.floats(0.1, 3.0),
+           n=st.integers(2, 120), start=st.one_of(st.none(), st.floats(0.0, 8.0)),
+           end=st.one_of(st.none(), st.floats(0.0, 8.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_on_drawn_tables(self, rows, v_max, f_fr, n, start, end):
+        s = np.cumsum([gap for gap, _ in rows]).tolist()
+        path = PathSpec("table", v_max, f_fr,
+                        table=tuple(zip(s, (k for _, k in rows))))
+        grid = path.grid(n)
+        for model in models_relaxed(path):
+            assert_inline_equals_callable(grid, model, (start, end))
+
+    def test_lattice_step_underflow(self):
+        """A subnormal candidate range: the lattice step underflows to
+        zero, the scan takes its other form, and no bisection runs, so
+        the ceiling is the lattice point itself."""
+        path = PathSpec("line", 1.0, 5e-323, length=1.0)
+        model = relax(build_model(path), 1e-322)
+        grid = path.grid(2)
+        assert dp_optimum(grid, model, 512, (None, 0.0)).values[0] == 1e-322
+        assert_inline_equals_callable(grid, model, (None, 0.0))
+
+    @pytest.mark.parametrize("path", [wave_table_instance(),
+                                      random_table_instance(1)],
+                             ids=["wave_table", "table_1"])
+    def test_no_call_per_evaluation(self, path):
+        """A structural guard, free of timing: the search on a friction
+        circle makes a bounded number of Python calls, not one or more
+        per evaluation (tens of thousands at this size)."""
+        n = 1_001
+        grid, model = path.grid(n), build_model(path)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            dp_optimum(grid, model, endpoints=path.endpoints)
+        finally:
+            sys.setprofile(None)
+        assert calls <= 4 * n
 
     def test_calls_no_callable(self):
         path = wave_table_instance()
