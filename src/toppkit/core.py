@@ -128,6 +128,15 @@ class Discretization:
             np.array_equal(self.points, other.points))
 
 
+def _check_caps(slope_cap: float, xi: float) -> None:
+    """A ValueError naming the field unless 0 < slope_cap < inf and
+    0 <= xi < inf: a tolerance or a bracket made from them is finite."""
+    if not 0.0 <= xi < math.inf:
+        raise ValueError("xi must be finite and non-negative")
+    if not 0.0 < slope_cap < math.inf:
+        raise ValueError("slope_cap must be finite and positive")
+
+
 @dataclass(frozen=True)
 class FrictionCircle:
     """The friction-circle model, the one definition of the built-in
@@ -141,6 +150,9 @@ class FrictionCircle:
     kappa: Callable[[np.ndarray], np.ndarray]
     xi: float = 0.0
 
+    def __post_init__(self):
+        _check_caps(self.slope_cap, self.xi)
+
     @property
     def slope_cap(self) -> float:
         """2*f_fr + xi: no slope of the window is larger in magnitude."""
@@ -153,42 +165,33 @@ class FrictionCircle:
     def slopes(self, kappa: np.ndarray, h: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray]:
         """(fminus, fplus) at the states (kappa, h): elementwise, the
-        floats of :meth:`scalar_slopes`."""
+        floats of :meth:`fminus` and :meth:`fplus`."""
         kh = kappa * h
         r = self.f_fr * self.f_fr - kh * kh
         root = np.where(r > 0.0, 2.0 * np.sqrt(np.maximum(r, 0.0)), 0.0)
         return np.where(r > 0.0, -root, 0.0) - self.xi, root + self.xi
 
-    def scalar_slopes(self):
-        """(fminus(k, h), fplus(k, h)): the slopes at one state (k, h)."""
-        f2, xi, sqrt = self.f_fr * self.f_fr, self.xi, math.sqrt
+    def fminus(self, s: float, h: float) -> float:
+        kh = float(self.kappa(s)) * h
+        r = self.f_fr * self.f_fr - kh * kh
+        return (-2.0 * math.sqrt(r) if r > 0.0 else 0.0) - self.xi
 
-        def fminus(k, h):
-            kh = k * h
-            r = f2 - kh * kh
-            return (-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi
+    def fplus(self, s: float, h: float) -> float:
+        kh = float(self.kappa(s)) * h
+        r = self.f_fr * self.f_fr - kh * kh
+        return (2.0 * math.sqrt(r) if r > 0.0 else 0.0) + self.xi
 
-        def fplus(k, h):
-            kh = k * h
-            r = f2 - kh * kh
-            return (2.0 * sqrt(r) if r > 0.0 else 0.0) + xi
+    def bu(self, s: float) -> float:
+        return float(self.ceiling(self.kappa(s)))
 
-        return fminus, fplus
-
-    def model(self) -> "DynamicsModel":
-        """These bounds as callables of s, with ``friction`` this circle."""
-        kappa, ceiling = self.kappa, self.ceiling
-        fminus, fplus = self.scalar_slopes()
-        return DynamicsModel(
-            fplus=lambda s, h: fplus(float(kappa(s)), h),
-            fminus=lambda s, h: fminus(float(kappa(s)), h),
-            bu=lambda s: float(ceiling(kappa(s))), bl=lambda s: 0.0,
-            slope_cap=self.slope_cap, xi=self.xi, friction=self)
+    def bl(self, s: float) -> float:
+        return 0.0
 
 
 @dataclass(frozen=True)
 class DynamicsModel:
-    """Slope and box bounds defining one profile-planning problem.
+    """Slope and box bounds defining one profile-planning problem, as
+    user-supplied callables (a built model is a :class:`FrictionCircle`).
 
     fplus/fminus map (s, h) to the largest/smallest allowed profile
     slope (squared speed per meter) at that state; bu/bl map s to the
@@ -197,9 +200,6 @@ class DynamicsModel:
     and oracle bracket by it) and fminus convex and fplus concave in h on
     [bl, bu] (paper's class), or a feasible step may be reported infeasible.
     ``xi`` records the relaxation level already applied to the slopes.
-    ``friction``, when set, is the model the callables were made from
-    (:meth:`FrictionCircle.model`), at the same ``xi``; the solver, the
-    admissibility check and the oracle read it instead of the callables.
     """
 
     fplus: Callable[[float, float], float]
@@ -208,41 +208,35 @@ class DynamicsModel:
     bl: Callable[[float], float]
     slope_cap: float
     xi: float = 0.0
-    friction: Optional[FrictionCircle] = None
 
     def __post_init__(self):
-        if not self.slope_cap > 0.0:
-            raise ValueError("slope_cap must be positive")
-        if self.xi < 0.0:
-            raise ValueError("xi must be non-negative")
-        if self.friction is not None and self.friction.xi != self.xi:
-            raise ValueError("friction.xi must equal xi; relax() widens both")
+        _check_caps(self.slope_cap, self.xi)
 
 
-def default_tol(model: DynamicsModel) -> float:
+Model = Union[FrictionCircle, DynamicsModel]  # what solve and the checks take
+
+
+def default_tol(model: Model) -> float:
     """Admissibility tolerance absorbing float error on active constraints."""
     return 1e-9 * max(1.0, model.slope_cap)
 
 
-def relax(model: DynamicsModel, xi: float) -> DynamicsModel:
-    """Widen the slope window by +-xi; box bounds are unchanged.
-
-    The model is made anew from its ``friction`` description at the
-    cumulative level; a model without one is rejected.
-    """
+def relax(model: FrictionCircle, xi: float) -> FrictionCircle:
+    """Widen the slope window by +-xi; box bounds are unchanged. Only a
+    friction circle is relaxed; the level adds to its ``xi``."""
     if not 0.0 <= xi < math.inf:
         raise ValueError("relaxation level must be finite and non-negative")
-    if model.friction is None:
-        raise ValueError("relax needs a model with a friction description")
-    return replace(model.friction, xi=model.friction.xi + xi).model()
+    if not isinstance(model, FrictionCircle):
+        raise ValueError("relax needs a friction-circle model")
+    return replace(model, xi=model.xi + xi)
 
 
-def _box_bounds(points: np.ndarray, model: DynamicsModel):
-    """(kappa, floor, ceiling) at ``points``: from ``model.friction`` when
-    set (floor zero), else kappa None and one bl and one bu call a point."""
-    if model.friction is not None:
-        kappa = model.friction.kappa(points)
-        return kappa, np.zeros(points.size), model.friction.ceiling(kappa)
+def _box_bounds(points: np.ndarray, model: Model):
+    """(kappa, floor, ceiling) at ``points``: a circle's arrays (floor
+    zero), else kappa None and one bl and one bu call a point."""
+    if isinstance(model, FrictionCircle):
+        kappa = model.kappa(points)
+        return kappa, np.zeros(points.size), model.ceiling(kappa)
     sl = points.tolist()
     return None, *(np.array([b(x) for x in sl], dtype=float)
                    for b in (model.bl, model.bu))
@@ -320,7 +314,7 @@ class AdmissibilityReport:
         return self.ok
 
 
-def check_admissible(profile: SpeedProfile, model: DynamicsModel,
+def check_admissible(profile: SpeedProfile, model: Model,
                      tol: Optional[float] = None) -> AdmissibilityReport:
     """Check box bounds at every point and slope windows on every segment.
 
@@ -329,8 +323,8 @@ def check_admissible(profile: SpeedProfile, model: DynamicsModel,
     no slope constraint at the final point. Ties are admissible. When
     ``tol`` is omitted the model's default tolerance is used. On failure
     the report names the smallest violating index and the constraint.
-    The bounds are sampled once per point (from ``model.friction`` when
-    set) and compared elementwise, with the same floats as a scalar loop.
+    The bounds are sampled once per point (in arrays on a friction
+    circle) and compared elementwise, with the same floats as a scalar loop.
     """
     if tol is None:
         tol = default_tol(model)
@@ -340,7 +334,7 @@ def check_admissible(profile: SpeedProfile, model: DynamicsModel,
     n = h.size
     kappa, lo, hi = _box_bounds(s, model)
     if kappa is not None:
-        f_lo, f_hi = model.friction.slopes(kappa[:-1], h[:-1])
+        f_lo, f_hi = model.slopes(kappa[:-1], h[:-1])
     else:
         sl, hl = s.tolist(), h.tolist()
         f_lo, f_hi = (np.array([f(x, y) for x, y in zip(sl[:-1], hl)])

@@ -15,6 +15,7 @@ relaxation level drops to zero.
 """
 
 import io
+import operator
 import time
 from dataclasses import dataclass
 from typing import List, Sequence, Union
@@ -58,7 +59,7 @@ def convergence_sweep(path: PathSpec, resolutions: Sequence[int],
     requested interval count must divide the finest one so reference
     values can be read off shared grid points without interpolation.
     """
-    sizes = [int(n) for n in resolutions]
+    sizes = [operator.index(n) for n in resolutions]
     if len(sizes) < 2:
         raise ValueError("need at least two grid sizes")
     if any(n2 <= n1 for n1, n2 in zip(sizes, sizes[1:])):

@@ -4,12 +4,12 @@ Two tools live here. ``dp_optimum`` re-runs the solver's greedy with a
 deliberately plain method: per grid point it scans a quantized set of
 candidate squared speeds for the controllable boundary and refines the
 straddled cell by plain bisection, then replays the reachable chain.
-It reads a friction-circle model from its ``FrictionCircle``, as the
-solver does, but shares no step code with it: agreement checks each
-one's steps, not that the greedy is optimal. On a friction circle the
-search and the chain write the circle's slope out in scalar floats, so
-no evaluation is a function call; the search through the model's
-callables is their bitwise reference. ``random_admissible`` makes
+It samples a ``FrictionCircle`` in arrays, as the solver does, but
+shares no step code with it: agreement checks each one's steps, not
+that the greedy is optimal. On a friction circle the search and the
+chain write the circle's slope out in scalar floats, so no evaluation
+is a function call; the search through the model's scalar bounds is
+their bitwise reference. ``random_admissible`` makes
 profiles by solving under uniformly tightened actuation limits; any
 profile feasible for the tightened limits is feasible for the original
 ones, which makes these profiles dominance-test fodder.
@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import (Discretization, DynamicsModel, Endpoints, InfeasibleError,
+from .core import (Discretization, Endpoints, InfeasibleError, Model,
                    SpeedProfile, _box_bounds, _endpoint_pair, check_admissible)
 from .paths import PathSpec, build_model
 
@@ -34,7 +34,7 @@ def _lattice_levels(levels: int) -> int:
     return levels
 
 
-def lattice_spacing(grid: Discretization, model: DynamicsModel,
+def lattice_spacing(grid: Discretization, model: Model,
                     levels: int) -> float:
     """Spacing of ``levels`` uniform values spanning the model's h-range."""
     levels = _lattice_levels(levels)
@@ -42,7 +42,7 @@ def lattice_spacing(grid: Discretization, model: DynamicsModel,
     return (float(hi.max()) - float(lo.min())) / (levels - 1)
 
 
-def agreement_tolerance(grid: Discretization, model: DynamicsModel,
+def agreement_tolerance(grid: Discretization, model: Model,
                         levels: int) -> float:
     """Acceptance band for solver/oracle disagreement on this instance."""
     return 2.0 * lattice_spacing(grid, model, levels) \
@@ -73,13 +73,15 @@ def _refine_boundary(g, good: float, bad: float) -> float:
     return good
 
 
-def _friction_ceilings(fr, k, cap, s, bl, bu, ceiling, levels, empty) -> None:
+def _friction_ceilings(fr, k, s, bu, ceiling, levels, empty) -> None:
     """Fill ``ceiling[:-1]`` in the floats of :func:`dp_optimum`'s callable
-    search, with its ``g`` (``scalar_slopes``' fminus), :func:`_lattice_down`
-    and :func:`_refine_boundary` written out, so that no ``g`` is a call."""
+    search, with its ``g`` (the circle's fminus), :func:`_lattice_down`
+    and :func:`_refine_boundary` written out, so that no ``g`` is a call.
+    ``fr`` is the circle: the floor is zero and the cap ``fr.slope_cap``."""
     f2, xi, sqrt, last = fr.f_fr * fr.f_fr, fr.xi, math.sqrt, levels - 1
+    cap, lo = fr.slope_cap, 0.0
     for i in range(len(s) - 2, -1, -1):
-        ds, t, ki, lo = s[i + 1] - s[i], ceiling[i + 1], k[i], bl[i]
+        ds, t, ki = s[i + 1] - s[i], ceiling[i + 1], k[i]
         hi = min(bu[i], t + cap * ds)
         if hi < lo:
             raise empty("empty candidate set", i, "backward")
@@ -110,7 +112,7 @@ def _friction_ceilings(fr, k, cap, s, bl, bu, ceiling, levels, empty) -> None:
         ceiling[i] = good
 
 
-def dp_optimum(grid: Discretization, model: DynamicsModel, levels: int = 512,
+def dp_optimum(grid: Discretization, model: Model, levels: int = 512,
                endpoints: Endpoints = None) -> SpeedProfile:
     """Brute-force re-run of the solver's greedy, written independently.
 
@@ -162,10 +164,9 @@ def dp_optimum(grid: Discretization, model: DynamicsModel, levels: int = 512,
             else:
                 raise empty("empty candidate set", i, "backward")
     else:
-        fr, k = model.friction, kappa.tolist()
-        f2, xi, sqrt = fr.f_fr * fr.f_fr, fr.xi, math.sqrt
-        _friction_ceilings(fr, k, model.slope_cap, s, bl, bu, ceiling, levels,
-                           empty)
+        k = kappa.tolist()
+        f2, xi, sqrt = model.f_fr * model.f_fr, model.xi, math.sqrt
+        _friction_ceilings(model, k, s, bu, ceiling, levels, empty)
 
     h = ceiling[0] if h_start is None else min(ceiling[0], h_start)
     if h < bl[0]:
@@ -175,7 +176,7 @@ def dp_optimum(grid: Discretization, model: DynamicsModel, levels: int = 512,
         ds = s[i] - s[i - 1]
         if kappa is None:
             h = min(ceiling[i], h + model.fplus(s[i - 1], h) * ds)
-        else:  # scalar_slopes' fplus, written out
+        else:  # the circle's fplus, written out
             r = f2 - (k[i - 1] * h) * (k[i - 1] * h)
             h = min(ceiling[i], h + ((2.0 * sqrt(r) if r > 0.0 else 0.0) + xi) * ds)
         if h < bl[i]:

@@ -18,8 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import (Discretization, DynamicsModel, Endpoints, FrictionCircle,
-                   SpeedProfile, UnsupportedInstanceError, _endpoint_pair)
+from .core import (Discretization, Endpoints, FrictionCircle, SpeedProfile,
+                   UnsupportedInstanceError, _endpoint_pair)
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def _curvature(path: PathSpec):
     return lambda s: np.interp(s, ss, kk)
 
 
-def build_model(path: PathSpec) -> DynamicsModel:
+def build_model(path: PathSpec) -> FrictionCircle:
     """Dynamics bounds for a path under speed and acceleration caps: the
     friction circle (:class:`FrictionCircle`) of the path's curvature.
 
@@ -178,7 +178,7 @@ def build_model(path: PathSpec) -> DynamicsModel:
     with f_fr/0 treated as infinite. Floor: zero. The global slope cap
     is 2*f_fr. Nothing is sampled here.
     """
-    return FrictionCircle(path.f_fr, path.v_max ** 2, _curvature(path)).model()
+    return FrictionCircle(path.f_fr, path.v_max ** 2, _curvature(path))
 
 
 def _closed_form(path: PathSpec):

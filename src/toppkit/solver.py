@@ -19,12 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .core import (Discretization, DynamicsModel, Endpoints, FrictionCircle,
-                   SolveReport, SolveStatus, SpeedProfile, _box_bounds,
+                   Model, SolveReport, SolveStatus, SpeedProfile, _box_bounds,
                    _endpoint_pair)
 from .retime import traversal_time
 
 
-def default_config(grid: Discretization, model: DynamicsModel) -> None:
+def default_config(grid: Discretization, model: Model) -> None:
     """No configuration remains: the root search is exact. Kept only for
     the benchmark's traced pass (``perfbench/run.py``), its one caller;
     it goes with the next change to that benchmark."""
@@ -212,7 +212,7 @@ def _convex_dip(g, a: float, b: float):
     return (c, gc) if gc <= gd else (d, gd)
 
 
-def solve(grid: Discretization, model: DynamicsModel,
+def solve(grid: Discretization, model: Model,
           endpoints: Endpoints = None) -> SolveReport:
     """Run both sweeps and assemble the report.
 
@@ -220,14 +220,13 @@ def solve(grid: Discretization, model: DynamicsModel,
     an end squared speed; the forward seed is the backward value at the
     first point, optionally min-capped by a start squared speed. On a
     feasible solve the profile is the forward sequence and passes the
-    admissibility check at the default tolerance. A model with a
-    ``friction`` description takes the closed-form steps and calls none
-    of its callables; any other model takes the root-finding steps.
+    admissibility check at the default tolerance. A friction circle
+    takes the closed-form steps and calls none of its scalar bounds; any
+    other model takes the root-finding steps through its callables.
     """
     h_start, h_end = _endpoint_pair(endpoints)
-    if model.friction is not None:
-        backward, forward = _friction_sweeps(grid.points, model.friction,
-                                             h_start, h_end)
+    if isinstance(model, FrictionCircle):
+        backward, forward = _friction_sweeps(grid.points, model, h_start, h_end)
     else:
         status, backward, forward = _generic_sweeps(grid, model, h_start, h_end)
         if not status.feasible:

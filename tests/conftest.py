@@ -5,6 +5,7 @@ import pytest
 
 from toppkit import (Discretization, DynamicsModel, build_model,
                      circle_instance, line_instance)
+from toppkit.core import FrictionCircle
 
 
 @pytest.fixture
@@ -54,18 +55,28 @@ def constant_box_model(c, f_lo=-1.0, f_hi=1.0):
 
 
 def plain_model(model):
-    """The same callables without the closed-form description, so
-    solves and checks of it take the generic callable path."""
+    """The same scalar bounds as a callable model, so solves and checks
+    of it take the generic callable path."""
     return DynamicsModel(fplus=model.fplus, fminus=model.fminus,
                          bu=model.bu, bl=model.bl,
                          slope_cap=model.slope_cap, xi=model.xi)
 
 
-def blind_model(model):
-    """The same model with callables that fail the test when called, so
-    only its closed-form description can be read."""
-    def forbidden(*args):
-        raise AssertionError("model callable called")
+def _forbidden(*args):
+    raise AssertionError("model callable called")
 
-    return replace(model, fplus=forbidden, fminus=forbidden,
-                   bu=forbidden, bl=forbidden)
+
+class _BlindCircle(FrictionCircle):
+    """A friction circle whose scalar bounds fail the test when called."""
+
+    fplus = fminus = bu = bl = _forbidden
+
+
+def blind_model(model):
+    """The same model with scalar bounds that fail the test when called:
+    of a friction circle only the arrays can be read, of a callable
+    model only its caps."""
+    if isinstance(model, FrictionCircle):
+        return _BlindCircle(model.f_fr, model.vmax2, model.kappa, model.xi)
+    return replace(model, fplus=_forbidden, fminus=_forbidden,
+                   bu=_forbidden, bl=_forbidden)

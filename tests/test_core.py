@@ -1,14 +1,15 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toppkit import (Discretization, PathSpec, SpeedProfile, build_model,
-                     capped_arc_instance, check_admissible, default_tol,
-                     line_instance, profile_error, relax, solve,
+from toppkit import (Discretization, DynamicsModel, PathSpec, SpeedProfile,
+                     build_model, capped_arc_instance, check_admissible,
+                     default_tol, line_instance, profile_error, relax, solve,
                      wave_table_instance)
 
 from conftest import blind_model, constant_box_model, plain_model
@@ -193,27 +194,26 @@ class TestRelax:
     def test_slope_cap_is_two_f_plus_cumulative_xi(self, line_model):
         # not (2 f + 0.1) + 0.2, which is one ulp above 2 f + (0.1 + 0.2)
         twice = relax(relax(line_model, 0.1), 0.2)
-        f = twice.friction.f_fr
+        f = twice.f_fr
         assert (2.0 * f + 0.1) + 0.2 != 2.0 * f + (0.1 + 0.2)
         assert twice.slope_cap == 2.0 * f + (0.1 + 0.2)
-        assert twice.slope_cap == twice.friction.slope_cap
+        assert twice == replace(line_model, xi=0.1 + 0.2)
 
     def test_relaxation_accumulates(self, line_model):
         twice = relax(relax(line_model, 0.25), 0.25)
         assert twice.xi == pytest.approx(0.5)
         assert twice.fplus(0.0, 0.0) == pytest.approx(2.5)
-        assert twice.friction.xi == twice.xi
-        assert twice.friction.slopes(np.zeros(1), np.zeros(1)) == (
+        assert twice == replace(line_model, xi=0.5)
+        assert twice.slopes(np.zeros(1), np.zeros(1)) == (
             pytest.approx([-2.5]), pytest.approx([2.5]))
-        # The callables add f + (a + b), as friction.slopes does, not
+        # The scalar bounds add f + (a + b), as slopes does, not
         # (f + a) + b; on a curved path the two differ in the last bit.
         path = wave_table_instance()
         twice = relax(relax(build_model(path), 0.3), 0.7)
-        fr = twice.friction
         rng = np.random.default_rng(3)
         s = rng.uniform(*path.domain, 2000)
-        h = rng.uniform(0.0, 1.2, s.size) * fr.ceiling(fr.kappa(s))
-        fminus, fplus = fr.slopes(fr.kappa(s), h)
+        h = rng.uniform(0.0, 1.2, s.size) * twice.ceiling(twice.kappa(s))
+        fminus, fplus = twice.slopes(twice.kappa(s), h)
         sl, hl = s.tolist(), h.tolist()
         for arr, f in ((fminus, twice.fminus), (fplus, twice.fplus)):
             values = np.array([f(x, y) for x, y in zip(sl, hl)])
@@ -243,6 +243,11 @@ class TestRelax:
     def test_model_without_friction_rejected(self, line_model):
         with pytest.raises(ValueError, match="friction"):
             relax(plain_model(line_model), 0.5)
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3, 1e-322, 2.5])
+    def test_is_the_circle_at_the_summed_level(self, xi):
+        model = relax(build_model(wave_table_instance()), 0.1)
+        assert relax(model, xi) == replace(model, xi=model.xi + xi)
 
     @given(st.floats(0.0, 3.0))
     @settings(max_examples=60)
@@ -313,6 +318,35 @@ class TestSerialization:
 
         with pytest.raises(ValueError, match="^profile CSV has a malformed row$"):
             SpeedProfile.from_csv(Pipe("s,h\n0,1\n0.5,x\n"))
+
+
+class TestModelCaps:
+    """Both model classes take 0 < slope_cap < inf and 0 <= xi < inf, so
+    a tolerance or bracket made from them is finite."""
+
+    @staticmethod
+    def callables(slope_cap=1.0, xi=0.0):
+        return DynamicsModel(fplus=lambda s, h: 1.0, fminus=lambda s, h: -1.0,
+                             bu=lambda s: 1.0, bl=lambda s: 0.0,
+                             slope_cap=slope_cap, xi=xi)
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_slope_cap_rejected(self, line_model, cap):
+        with pytest.raises(ValueError, match="^slope_cap must"):
+            self.callables(slope_cap=cap)
+        with pytest.raises(ValueError, match="^slope_cap must"):
+            replace(line_model, f_fr=cap / 2.0)
+
+    @pytest.mark.parametrize("xi", [-1.0, -1e-300, math.inf, math.nan])
+    def test_bad_xi_rejected(self, line_model, xi):
+        with pytest.raises(ValueError, match="^xi must"):
+            self.callables(xi=xi)
+        with pytest.raises(ValueError, match="^xi must"):
+            replace(line_model, xi=xi)
+
+    def test_finite_caps_accepted(self, line_model):
+        assert self.callables(slope_cap=1e300, xi=1e300).xi == 1e300
+        assert replace(line_model, xi=0.0) == line_model
 
 
 def test_default_tol_scales_with_slope_cap(line_model):

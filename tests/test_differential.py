@@ -29,8 +29,8 @@ def assert_agree(fast, generic, model):
     rel = abs(fast.traversal_time - generic.traversal_time) \
         / generic.traversal_time
     assert rel <= 1e-9, rel
-    bu_max = float(np.max(model.friction.ceiling(
-        model.friction.kappa(fast.profile.grid.points))))
+    bu_max = float(np.max(model.ceiling(
+        model.kappa(fast.profile.grid.points))))
     for name in ("backward", "forward"):
         gap = getattr(generic, name) - getattr(fast, name)
         assert np.all(gap >= 0.0), (name, float(gap.min()))
@@ -51,7 +51,7 @@ def test_closed_form_sweeps(name):
     # Every backward step satisfies its constraint exactly, evaluated as
     # the generic step evaluates it: the guard's doing, not a tolerance's.
     s, b = grid.points, fast.backward
-    fminus, _ = model.friction.slopes(model.friction.kappa(s[:-1]), b[:-1])
+    fminus, _ = model.slopes(model.kappa(s[:-1]), b[:-1])
     assert np.all(b[:-1] + fminus * np.diff(s) - b[1:] <= 0.0)
     if name in LARGE_GENERIC:
         assert_agree(fast, solve(grid, generic, endpoints=path.endpoints),

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from toppkit import (PathSpec, build_model, capped_arc_instance,
@@ -47,6 +48,13 @@ class TestConvergenceSweep:
     def test_sizes_must_increase(self):
         with pytest.raises(ValueError):
             convergence_sweep(line_instance(), [100, 100], "analytic")
+
+    def test_sizes_must_be_integers(self):
+        # a float size is refused, not truncated to n = 3 and 5
+        with pytest.raises(TypeError):
+            convergence_sweep(line_instance(), [3.7, 5.2], "analytic")
+        rows = convergence_sweep(line_instance(), np.array([3, 5]), "analytic")
+        assert [r.n for r in rows] == [3, 5]
 
     def test_unknown_reference(self):
         with pytest.raises(ValueError):

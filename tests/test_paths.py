@@ -7,6 +7,7 @@ from toppkit import (PathSpec, UnsupportedInstanceError, analytic_optimum,
                      analytic_time, build_model, capped_line_instance,
                      check_admissible, circle_instance, curvature,
                      line_instance, profile_error, solve, traversal_time)
+from toppkit.core import FrictionCircle
 
 
 class TestPathSpec:
@@ -162,6 +163,13 @@ class TestCurvature:
 
 
 class TestBuildModel:
+    def test_is_the_friction_circle_itself(self):
+        path = circle_instance()
+        model = build_model(path)
+        assert type(model) is FrictionCircle
+        assert model == FrictionCircle(path.f_fr, path.v_max ** 2,
+                                       model.kappa)
+
     def test_line_constants(self):
         model = build_model(PathSpec("line", 10.0, 1.0, length=1.0))
         assert model.fplus(0.4, 3.0) == pytest.approx(2.0)

@@ -321,13 +321,13 @@ class TestFrictionFastPath:
 
         for model in (base, relax(base, 0.05), relax(base, 1.0),
                       relax(relax(base, 0.3), 0.7)):
-            fr = model.friction
-            kappa = fr.kappa(s)
-            h = np.linspace(0.0, 1.2, s.size) * fr.ceiling(kappa)
-            fminus, fplus = fr.slopes(kappa, h)
+            kappa = model.kappa(s)
+            h = np.linspace(0.0, 1.2, s.size) * model.ceiling(kappa)
+            fminus, fplus = model.slopes(kappa, h)
             hl = h.tolist()
             assert same(kappa, [curvature(path, x) for x in sl])
-            assert same(fr.ceiling(kappa), [model.bu(x) for x in sl])
+            assert same(model.ceiling(kappa), [model.bu(x) for x in sl])
+            assert same(np.zeros(s.size), [model.bl(x) for x in sl])
             assert same(fminus, [model.fminus(x, y) for x, y in zip(sl, hl)])
             assert same(fplus, [model.fplus(x, y) for x, y in zip(sl, hl)])
 
@@ -345,7 +345,7 @@ class TestFrictionFastPath:
     def test_relaxed_model_solves_relaxed(self, line_path):
         model = build_model(line_path)
         relaxed = relax(model, 0.25)
-        assert relaxed.friction.xi == 0.25
+        assert relaxed.xi == 0.25
         grid = line_path.grid(101)
         base = solve(grid, model, endpoints=line_path.endpoints)
         wide = solve(grid, relaxed, endpoints=line_path.endpoints)
@@ -354,10 +354,8 @@ class TestFrictionFastPath:
         assert np.array_equal(wide.forward, solve(
             grid, plain_model(relaxed), endpoints=line_path.endpoints).forward)
         assert wide.traversal_time < base.traversal_time
-        with pytest.raises(ValueError):
-            replace(model, xi=0.25)
-        with pytest.raises(ValueError):
-            replace(relaxed, xi=0.5)
+        assert replace(model, xi=0.25) == relaxed
+        assert replace(relaxed, xi=0.5) == relax(relaxed, 0.25)
 
 
 def test_default_config_does_no_grid_work(line_path):

@@ -83,7 +83,7 @@ def test_equal_to_scalar_loop(n):
     for path in INSTANCES.values():
         points = path.grid(n).points
         for model in relaxed_models(path):
-            assert_bitwise_equal(points, model.friction,
+            assert_bitwise_equal(points, model,
                                  *(path.endpoints or (None, None)))
 
 
@@ -98,7 +98,7 @@ def test_equal_on_drawn_tables(rows, v_max, f_fr, n, h_start, h_end):
                     table=tuple(zip(s, (k for _, k in rows))))
     points = path.grid(n).points
     for model in relaxed_models(path):
-        assert_bitwise_equal(points, model.friction, h_start, h_end)
+        assert_bitwise_equal(points, model, h_start, h_end)
 
 
 def test_root_equal_to_the_bound_is_copied():
