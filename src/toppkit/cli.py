@@ -1,9 +1,9 @@
 """Batch front door: solve, sweep, oracle and retime commands.
 
 Inputs are path-spec JSON files; outputs are CSV/JSON artifacts written
-into --out. Exit codes: 0 success, 1 usage or input error, 2 infeasible
-instance. TOPPKIT_TOL in the environment overrides the default
-admissibility tolerance used in reports.
+into --out. Exit codes: 0 success, 1 usage or input error (a stalled
+solve among them; a built path is never infeasible). TOPPKIT_TOL in the
+environment overrides the default admissibility tolerance in reports.
 """
 
 import argparse
@@ -13,17 +13,16 @@ import os
 import sys
 from typing import Optional
 
-from .core import (InfeasibleError, SpeedProfile, check_admissible,
-                   default_tol, profile_error, write_json)
+from .core import (SpeedProfile, check_admissible, default_tol, profile_error,
+                   write_json)
 from .harness import convergence_sweep, write_convergence_csv
 from .oracle import agreement_tolerance, dp_optimum
 from .paths import PathSpec, build_model
-from .retime import sample_trajectory, write_trajectory_csv
+from .retime import STALLED, sample_trajectory, write_trajectory_csv
 from .solver import solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_INFEASIBLE = 2
 
 
 def _fail(msg: str) -> int:
@@ -58,19 +57,19 @@ def _admissibility_tol(model) -> float:
 
 
 def _seconds(t: float) -> str:
-    """Six decimals; seven significant digits when 0 < t < 1e-3 s, never 0."""
-    return f"{t:.7g}" if 0.0 < t < 1e-3 else f"{t:.6f}"
+    """Six decimals; seven significant digits below 1e-3 s (never 0) and from 1e9 s."""
+    return f"{t:.7g}" if 0.0 < t < 1e-3 or t >= 1e9 else f"{t:.6f}"
 
 
 def cmd_solve(args) -> int:
     path = _load_path_spec(args.input)
     model = build_model(path)
     tol = _admissibility_tol(model)
-    grid = path.grid(args.n)
+    report = solve(path.grid(args.n), model, endpoints=path.endpoints)
+    if not math.isfinite(report.traversal_time):
+        raise ValueError(STALLED)
     os.makedirs(args.out, exist_ok=True)
-    report = solve(grid, model, endpoints=path.endpoints)
     report.write_json(os.path.join(args.out, "report.json"))
-    report.require_feasible("solve")
     report.profile.to_csv(os.path.join(args.out, "profile.csv"))
     verdict = check_admissible(report.profile, model, tol)
     summary = {
@@ -87,10 +86,12 @@ def cmd_sweep(args) -> int:
     path = _load_path_spec(args.input)
     resolutions = [int(tok) for tok in args.resolutions.split(",") if tok]
     rows = convergence_sweep(path, resolutions, reference=args.reference)
+    if not all(math.isfinite(r.time_s) for r in rows):
+        raise ValueError(STALLED)
     os.makedirs(args.out, exist_ok=True)
     write_convergence_csv(rows, os.path.join(args.out, "sweep.csv"))
     for r in rows:
-        print(f"n={r.n} delta={r.delta:.3e} rho={r.rho:.3e} time={r.time_s:.6f}")
+        print(f"n={r.n} delta={r.delta:.3e} rho={r.rho:.3e} time={_seconds(r.time_s)}")
     return EXIT_OK
 
 
@@ -99,8 +100,7 @@ def cmd_oracle(args) -> int:
     model = build_model(path)
     grid = path.grid(args.n)
     tol = agreement_tolerance(grid, model, args.levels)
-    report = solve(grid, model, endpoints=path.endpoints).require_feasible(
-        "solve")
+    report = solve(grid, model, endpoints=path.endpoints)
     oracle_profile = dp_optimum(grid, model, levels=args.levels,
                                 endpoints=path.endpoints)
     os.makedirs(args.out, exist_ok=True)
@@ -166,13 +166,10 @@ def main(argv: Optional[list] = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
-        # argparse exits with 2 on usage errors; 2 means infeasible here
+        # argparse exits with 2 on usage errors, an input error here
         return EXIT_OK if e.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
-    except InfeasibleError as e:
-        print(f"infeasible: {e}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (OSError, ValueError) as e:
         return _fail(str(e))
 

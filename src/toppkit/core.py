@@ -5,13 +5,11 @@ grid. Feasibility of a profile is a per-point box constraint plus a
 per-segment slope window evaluated at the segment's left endpoint.
 """
 
-import io
 import json
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,37 +44,24 @@ class UnsupportedInstanceError(ValueError):
     """Raised when a closed-form result is requested for an unsupported case."""
 
 
-@contextmanager
-def text_file(f: Union[str, io.TextIOBase], mode: str = "r"
-              ) -> Iterator[io.TextIOBase]:
-    """Open ``f`` as UTF-8 text when it is a filename, closing it after;
-    an already open stream is used as is and left open."""
-    if isinstance(f, str):
-        with open(f, mode, encoding="utf-8") as fh:
-            yield fh
-    else:
-        yield f
-
-
 # Rows formatted per CSV write.
 BLOCK_ROWS = 4096
 
 
-def write_csv(f: Union[str, io.TextIOBase], header: str, fmt: str,
-              *columns) -> None:
+def write_csv(path: str, header: str, fmt: str, *columns) -> None:
     """Write the line ``header``, then the line ``fmt % row`` per row of
-    the columns, BLOCK_ROWS rows a write."""
+    the columns, BLOCK_ROWS rows a write, to the UTF-8 file ``path``."""
     line = fmt + "\n"
-    with text_file(f, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for i in range(0, len(columns[0]), BLOCK_ROWS):
             block = np.column_stack([c[i:i + BLOCK_ROWS] for c in columns])
             fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
-def write_json(data: dict, f: Union[str, io.TextIOBase]) -> None:
+def write_json(data: dict, path: str) -> None:
     """Write ``data`` as JSON indented by 2 plus a newline."""
-    with text_file(f, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(data, indent=2) + "\n")
 
 
@@ -128,13 +113,15 @@ class Discretization:
             np.array_equal(self.points, other.points))
 
 
-def _check_caps(slope_cap: float, xi: float) -> None:
-    """A ValueError naming the field unless 0 < slope_cap < inf and
-    0 <= xi < inf: a tolerance or a bracket made from them is finite."""
+def _check_caps(xi: float, **positive: float) -> None:
+    """A ValueError naming the field unless 0 <= xi < inf and each of
+    ``positive`` (slope_cap first) is in (0, inf): a tolerance or a
+    bracket made from them is finite."""
     if not 0.0 <= xi < math.inf:
         raise ValueError("xi must be finite and non-negative")
-    if not 0.0 < slope_cap < math.inf:
-        raise ValueError("slope_cap must be finite and positive")
+    for name, x in positive.items():
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -151,7 +138,8 @@ class FrictionCircle:
     xi: float = 0.0
 
     def __post_init__(self):
-        _check_caps(self.slope_cap, self.xi)
+        _check_caps(self.xi, slope_cap=self.slope_cap, f_fr=self.f_fr,
+                    vmax2=self.vmax2)
 
     @property
     def slope_cap(self) -> float:
@@ -210,7 +198,7 @@ class DynamicsModel:
     xi: float = 0.0
 
     def __post_init__(self):
-        _check_caps(self.slope_cap, self.xi)
+        _check_caps(self.xi, slope_cap=self.slope_cap)
 
 
 Model = Union[FrictionCircle, DynamicsModel]  # what solve and the checks take
@@ -242,10 +230,10 @@ def _box_bounds(points: np.ndarray, model: Model):
                    for b in (model.bl, model.bu))
 
 
-def _bad_row(fh: io.TextIOBase, start) -> str:
-    """Where and how the first row of the profile CSV that starts (with
-    its header, line 1) at ``start`` is malformed."""
-    fh.seek(start)
+def _bad_row(fh) -> str:
+    """Where and how the first row of the profile CSV open in ``fh`` (its
+    header: line 1) is malformed."""
+    fh.seek(0)
     for no, line in enumerate(fh, 1):
         fields = line.rstrip("\r\n").split(",")
         if no == 1 or fields == [""]:
@@ -275,16 +263,15 @@ class SpeedProfile:
             raise ValueError("profile squared speeds must be finite")
         object.__setattr__(self, "values", vals)
 
-    def to_csv(self, f: Union[str, io.TextIOBase]) -> None:
+    def to_csv(self, path: str) -> None:
         """Write rows "s,h" with 17 significant digits (lossless round trip)."""
-        write_csv(f, "s,h", "%.17g,%.17g", self.grid.points, self.values)
+        write_csv(path, "s,h", "%.17g,%.17g", self.grid.points, self.values)
 
     @classmethod
-    def from_csv(cls, f: Union[str, io.TextIOBase]) -> "SpeedProfile":
+    def from_csv(cls, path: str) -> "SpeedProfile":
         """Read rows "s,h" after that header; empty lines are skipped. A
         malformed row is named by its line in the file (header: line 1)."""
-        with text_file(f) as fh:
-            start = fh.tell() if fh.seekable() else None
+        with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "s,h":
                 raise ValueError(f"expected profile CSV header 's,h', got {header!r}")
@@ -295,7 +282,7 @@ class SpeedProfile:
                 if rows.size and rows.shape[1] != 2:
                     raise ValueError  # the same wrong field count on every row
             except ValueError:
-                where = "has a malformed row" if start is None else _bad_row(fh, start)
+                where = _bad_row(fh) if fh.seekable() else "has a malformed row"
                 raise ValueError(f"profile CSV {where}") from None
         s, h = rows.reshape(-1, 2).T
         return cls(Discretization(s), h)
@@ -408,9 +395,9 @@ class SolveReport:
                 "n": int(self.backward.size),
                 "traversal_time": self.traversal_time}
 
-    def write_json(self, f: Union[str, io.TextIOBase]) -> None:
+    def write_json(self, path: str) -> None:
         """Write :meth:`to_json_dict` (``report.json``)."""
-        write_json(self.to_json_dict(), f)
+        write_json(self.to_json_dict(), path)
 
     def require_feasible(self, what: str) -> "SolveReport":
         """Return the report, or raise :class:`InfeasibleError` carrying

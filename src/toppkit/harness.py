@@ -14,11 +14,10 @@ solves under relaxed slope windows approach the unrelaxed solve as the
 relaxation level drops to zero.
 """
 
-import io
 import operator
 import time
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 
@@ -81,14 +80,12 @@ def convergence_sweep(path: PathSpec, resolutions: Sequence[int],
                     f"reference ({fine_intervals} intervals): interval "
                     f"count {n - 1} must divide it")
         fine_grid = path.grid(fine_intervals + 1)
-        fine_report = solve(fine_grid, model, endpoints=path.endpoints)
-        fine_profile = fine_report.require_feasible("reference solve").profile
+        fine_profile = solve(fine_grid, model, endpoints=path.endpoints).profile
 
     rows: List[ConvergenceRow] = []
     for n in sizes:
         grid = path.grid(n)
         report = solve(grid, model, endpoints=path.endpoints)
-        report.require_feasible(f"solve at grid size n={n}")
         verdict = check_admissible(report.profile, model)
         if not verdict:
             raise RuntimeError(f"solve at n={n} not admissible: {verdict.detail}")
@@ -103,9 +100,8 @@ def convergence_sweep(path: PathSpec, resolutions: Sequence[int],
     return rows
 
 
-def write_convergence_csv(rows: Sequence[ConvergenceRow],
-                          f: Union[str, io.TextIOBase]) -> None:
-    write_csv(f, "n,delta,rho,time_s", "%d,%.17g,%.17g,%.17g", *(
+def write_convergence_csv(rows: Sequence[ConvergenceRow], path: str) -> None:
+    write_csv(path, "n,delta,rho,time_s", "%d,%.17g,%.17g,%.17g", *(
         [getattr(r, k) for r in rows] for k in ("n", "delta", "rho", "time_s")))
 
 
@@ -114,9 +110,10 @@ def xi_sweep(path: PathSpec, grid: Discretization,
     """Gap between relaxed and unrelaxed solves per relaxation level.
 
     Levels must decrease to a final 0. Gaps are asserted non-increasing
-    (within the unrelaxed default tolerance); a relaxed solve coming
-    back infeasible means the solver itself is broken, since relaxation
-    only widens the constraint set. Both conditions raise RuntimeError.
+    (within the unrelaxed default tolerance) and relaxed solves
+    admissible; a failure of either means the solver itself is broken,
+    since relaxation only widens the constraint set, and raises
+    RuntimeError. A built path's solves are never infeasible.
     """
     levels = [float(x) for x in xis]
     if not levels:
@@ -125,12 +122,9 @@ def xi_sweep(path: PathSpec, grid: Discretization,
         raise ValueError("relaxation levels must be strictly decreasing")
     if levels[-1] != 0.0:
         raise ValueError("the last relaxation level must be 0")
-    if levels[0] < 0.0:
-        raise ValueError("relaxation levels must be non-negative")
 
     model = build_model(path)
-    base_report = solve(grid, model, endpoints=path.endpoints)
-    base = base_report.require_feasible("base instance").profile.values
+    base = solve(grid, model, endpoints=path.endpoints).profile.values
 
     rows: List[XiRow] = []
     for xi in levels:
@@ -139,7 +133,6 @@ def xi_sweep(path: PathSpec, grid: Discretization,
             continue
         relaxed = relax(model, xi)
         report = solve(grid, relaxed, endpoints=path.endpoints)
-        report.require_feasible(f"relaxed solve (xi={xi})")
         verdict = check_admissible(report.profile, relaxed)
         if not verdict:
             raise RuntimeError(
@@ -165,8 +158,6 @@ def measure_solve_seconds(path: PathSpec, n: int, repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        report = solve(grid, model, endpoints=path.endpoints)
-        elapsed = time.perf_counter() - t0
-        report.require_feasible(f"solve at n={n}")
-        best = min(best, elapsed)
+        solve(grid, model, endpoints=path.endpoints)
+        best = min(best, time.perf_counter() - t0)
     return best

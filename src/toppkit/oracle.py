@@ -209,8 +209,7 @@ def random_admissible(grid: Discretization, path: PathSpec,
     u_f = float(rng.uniform(0.3, 1.0))
     u_v = float(rng.uniform(0.3, 1.0))
     tight = build_model(tightened_path(path, u_f, u_v))
-    report = solve(grid, tight, endpoints=path.endpoints)
-    profile = report.require_feasible("tightened solve").profile
+    profile = solve(grid, tight, endpoints=path.endpoints).profile
     verdict = check_admissible(profile, build_model(path))
     if not verdict:
         raise RuntimeError(f"tightened solve not admissible for the original "

@@ -13,6 +13,7 @@ turning.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -53,15 +54,20 @@ class PathSpec:
                                lambda v: _finite(v, 0.0), "a positive finite number")
                 object.__setattr__(self, key, value)
         # build_model's speed ceiling v_max**2 and slope cap 2*f_fr are finite
-        _field("v_max", self.v_max, lambda v: _finite(v ** 2), "small enough to square")
+        _field("v_max", self.v_max, lambda v: _finite(v ** 2, 0.0),
+               "a number whose square is positive and finite")
         _field("f_fr", self.f_fr, lambda f: _finite(2.0 * f), "small enough to double")
+        # a subnormal f_fr**2, cancelled by (kappa*h)**2, walks h down a float a step
+        if self.kind != "line" and not self.f_fr * self.f_fr >= sys.float_info.min:
+            raise ValueError("path spec field 'f_fr' must square to a normal "
+                             "float (at least 1.5e-154) on an arc or table")
         if self.kind == "arc":  # the sweeps' squares, bounded as for tables below
             k, span = 1.0 / self.radius, self.radius * self.angle
             big = max(2.0 * (k * span), k * min(self.v_max ** 2, self.f_fr / k))
-            if not big * big < math.inf:
-                raise ValueError("path spec arc out of range: kappa * max(2 * span, "
-                                 "min('v_max'**2, 'f_fr' / kappa)) overflows squared, "
-                                 "kappa = 1 / 'radius', span = 'radius' * 'angle'")
+            if not (big * big < math.inf and span > 0.0):
+                raise ValueError("path spec arc out of range: span = 'radius' * 'angle' "
+                                 "underflows to 0, or kappa * max(2 * span, min('v_max'**2, "
+                                 "'f_fr' / kappa)) overflows squared, kappa = 1 / 'radius'")
         if self.kind == "table":
             tab = _field("table", self.table, lambda t: tuple(
                 (_finite(s), _finite(k)) for s, k in t),
@@ -70,6 +76,9 @@ class PathSpec:
                 raise ValueError("curvature table needs at least two samples")
             if any(b[0] <= a[0] for a, b in zip(tab, tab[1:])):
                 raise ValueError("curvature table positions must be strictly increasing")
+            if not all(abs(b[1] - a[1]) / (b[0] - a[0]) < math.inf
+                       for a, b in zip(tab, tab[1:])):  # np.interp's slopes
+                raise ValueError("path spec 'table' curvature slope overflows")
             if any(k < 0.0 for _, k in tab):
                 raise ValueError("curvature must be non-negative")
             span = tab[-1][0] - tab[0][0]

@@ -10,17 +10,19 @@ endpoint touching zero). A segment with zero squared speed at both ends
 can never be traversed, so its time is infinite.
 """
 
-import io
 import math
-from typing import Union
 
 import numpy as np
 
 from .core import SpeedProfile, write_csv
 
+STALLED = ("profile stalls (h == 0 across a segment) or its time overflows; "
+           "traversal time is not finite")
 
+
+@np.errstate(divide="ignore", over="ignore")
 def _knot_times(profile: SpeedProfile) -> np.ndarray:
-    """Arrival time at each grid point, ``inf`` from a stalled segment on.
+    """Arrival time at each grid point, ``inf`` from a stall or an overflow on.
 
     ``np.cumsum`` adds the segment times left to right, as a loop would.
     """
@@ -34,8 +36,7 @@ def _knot_times(profile: SpeedProfile) -> np.ndarray:
     root = np.sqrt(h)
     seg = np.subtract(s[1:], s[:-1], out=t[1:])
     seg *= 2.0
-    with np.errstate(divide="ignore"):  # h == 0 at both ends: a stall
-        seg /= root[:-1] + root[1:]
+    seg /= root[:-1] + root[1:]
     return np.cumsum(t, out=t)
 
 
@@ -66,8 +67,7 @@ def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
     t_knots = _knot_times(profile)
     total = float(t_knots[-1])
     if math.isinf(total):
-        raise ValueError("profile stalls (h == 0 across a segment); "
-                         "traversal time is not finite")
+        raise ValueError(STALLED)
     if not total / dt < 2.0 ** 53:  # past this, k * dt cannot step k exactly
         raise ValueError(f"dt={dt!r} gives too many samples over {total!r} s")
     s, h = profile.grid.points, profile.values
@@ -96,6 +96,6 @@ def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
     return rows
 
 
-def write_trajectory_csv(rows: np.ndarray, f: Union[str, io.TextIOBase]) -> None:
+def write_trajectory_csv(rows: np.ndarray, path: str) -> None:
     """Write sampled (t, s, v) rows with header "t,s,v"."""
-    write_csv(f, "t,s,v", "%.17g,%.17g,%.17g", *np.asarray(rows).T)
+    write_csv(path, "t,s,v", "%.17g,%.17g,%.17g", *np.asarray(rows).T)

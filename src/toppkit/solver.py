@@ -63,6 +63,7 @@ def _largest_feasible(g, a: float, b: float, fa: float, fb: float) -> float:
             side = 1
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf as in scalar floats; NaN: no run
 def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
                      h_start: Optional[float], h_end: Optional[float]):
     """Both sweeps of a friction-circle model. Relaxation by xi moves the
@@ -85,10 +86,9 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     runs = c0 + fr.slopes(k0, c0)[0] * delta - c1 <= 0.0
     runs &= c0 <= c1 + cap * delta
     t = c1 + xi * delta
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN: no run
-        a = 1.0 + np.square(2.0 * delta * k0)
-        runs &= (c0 <= t) | ((t + 2.0 * delta * np.sqrt(np.maximum(
-            f2 * a - np.square(k0 * t), 0.0))) / a >= c0)
+    a = 1.0 + np.square(2.0 * delta * k0)
+    runs &= (c0 <= t) | ((t + 2.0 * delta * np.sqrt(np.maximum(
+        f2 * a - np.square(k0 * t), 0.0))) / a >= c0)
     del t, a
     k, d, bu = memoryview(kappa), memoryview(delta), memoryview(ceiling)
     n = len(k)

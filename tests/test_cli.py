@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from toppkit import (InfeasibleError, PathSpec, SpeedProfile, build_model,
-                     circle_instance, line_instance, solve)
+from toppkit import (PathSpec, SpeedProfile, build_model, circle_instance,
+                     line_instance, solve)
 from toppkit.cli import _seconds, main
+from toppkit.retime import STALLED
 
 # Rest to rest around an arc of radius 1e-160: about 4.05e-80 s.
 TINY_ARC = PathSpec("arc", 10.0, 1.0, radius=1e-160, angle=3.0,
@@ -36,6 +37,19 @@ def test_positive_time_below_a_millisecond_never_prints_zero(t):
     back = float(_seconds(t))
     assert back > 0.0
     assert abs(back - t) <= 1e-6 * t
+
+
+@pytest.mark.parametrize("t", [1e9, 6.420374e149, 1.7976931348623157e308])
+def test_times_from_1e9_print_with_seven_significant_digits(t):
+    # :.6f printed 6.42e149 s as an integer of 150 digits
+    assert _seconds(t) == f"{t:.7g}"
+    assert len(_seconds(t)) <= 13
+    assert float(_seconds(t)) == pytest.approx(t, rel=1e-6)
+
+
+# A table whose traversal time is about 6.4e149 s at --n 11.
+SLOW_TABLE = ('{"kind": "table", "v_max": 1, "f_fr": 1e-150, '
+              '"table": [[0, 0], [1, 1e150]]}')
 
 
 class TestSolveCommand:
@@ -77,30 +91,45 @@ class TestSolveCommand:
         assert np.array_equal(reread.values, solved.values)
         assert np.array_equal(reread.grid.points, solved.grid.points)
 
-    def test_infeasible_exits_2_and_names_index(self, tmp_path, capsys,
-                                                monkeypatch):
-        # Paths built from the JSON schema have a zero floor and are never
-        # infeasible, so stub the solve to exercise the exit-code mapping.
-        import numpy as np
+    @pytest.mark.parametrize("body, message", [
+        # v_max**2 underflows to 0: PathSpec names v_max
+        ('{"kind": "line", "v_max": 1e-170, "f_fr": 1, "length": 1}',
+         "field 'v_max'"),
+        # f_fr**2 underflows to 0: the profile is 0 everywhere
+        ('{"kind": "line", "v_max": 1, "f_fr": 1e-170, "length": 1, '
+         '"endpoints": {"start_h": 0, "end_h": 0}}', STALLED),
+        # f_fr**2 = 1e-322 > 0, but the reach 2*f_fr*ds underflows at n = 1001
+        ('{"kind": "line", "v_max": 1, "f_fr": 1e-161, "length": 1e-161, '
+         '"endpoints": {"start_h": 0, "end_h": 0}}', STALLED),
+        # 1e300 m at 1e-100 m/s: the time overflows
+        ('{"kind": "line", "v_max": 1e-100, "f_fr": 1, "length": 1e300}',
+         STALLED),
+    ], ids=["v_max_squared_underflows", "f_fr_squared_underflows",
+            "reach_underflows", "time_overflows"])
+    def test_stalled_solve_exits_1(self, tmp_path, capsys, body, message):
+        # such a solve wrote Infinity (not JSON) and printed "inf s", exit 0
+        spec = tmp_path / "stall.json"
+        spec.write_text(body, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["solve", "--input", str(spec), "--n", "1001",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
+        assert not out.exists()
 
-        import toppkit.cli as cli
-        from toppkit.core import SolveReport, SolveStatus
-
-        def fake_solve(grid, model, endpoints=None):
-            return SolveReport(status=SolveStatus(False, 7, "backward"),
-                               backward=np.full(len(grid), np.nan))
-
-        monkeypatch.setattr(cli, "solve", fake_solve)
-        spec = write_spec(tmp_path, line_instance())
-        code = main(["solve", "--input", spec, "--n", "11",
-                     "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "index 7" in err and "backward" in err
-        report = json.loads((tmp_path / "o" / "report.json").read_text())
-        assert report == {"status": {"feasible": False, "index": 7,
-                                     "pass": "backward"},
-                          "n": 11, "traversal_time": None}
+    def test_huge_time_prints_seven_significant_digits(self, tmp_path,
+                                                       capsys):
+        spec = tmp_path / "slow.json"
+        spec.write_text(SLOW_TABLE, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["solve", "--input", str(spec), "--n", "11",
+                     "--out", str(out)]) == 0
+        t = json.loads((out / "summary.json").read_text())["traversal_time"]
+        assert 1e149 < t < 1e150
+        assert capsys.readouterr().out == f"traversal time: {t:.7g} s\n"
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["solve", "--input", str(tmp_path / "nope.json"),
@@ -237,21 +266,33 @@ class TestSweepCommand:
         tol = 2e-9  # default tolerance for slope cap 2
         assert all(float(line.split(",")[2]) <= tol for line in lines[1:])
 
-    def test_infeasible_exits_2_and_names_index(self, tmp_path, capsys,
-                                                monkeypatch):
-        import toppkit.cli as cli
-
-        def fake_sweep(path, resolutions, reference):
-            raise InfeasibleError("reference solve infeasible at index 5",
-                                  index=5, pass_name="forward")
-
-        monkeypatch.setattr(cli, "convergence_sweep", fake_sweep)
-        spec = write_spec(tmp_path, line_instance())
+    def test_huge_time_prints_seven_significant_digits(self, tmp_path,
+                                                       capsys):
+        spec = tmp_path / "slow.json"
+        spec.write_text(SLOW_TABLE, encoding="utf-8")
         out = tmp_path / "o"
-        assert main(["sweep", "--input", spec, "--resolutions", "11,21",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "infeasible: reference solve infeasible at index 5\n")
+        assert main(["sweep", "--input", str(spec), "--resolutions", "11,21",
+                     "--reference", "finest", "--out", str(out)]) == 0
+        times = [float(line.split(",")[3]) for line in
+                 (out / "sweep.csv").read_text().strip().splitlines()[1:]]
+        printed = capsys.readouterr().out.splitlines()
+        assert len(times) == len(printed) == 2
+        for t, line in zip(times, printed):
+            assert 1e149 < t < 1e150
+            assert line.endswith(f" time={t:.7g}")
+
+    def test_stalled_solve_exits_1(self, tmp_path, capsys):
+        # f_fr**2 underflows to 0: every solve stalls; time=inf was printed
+        spec = tmp_path / "stall.json"
+        spec.write_text('{"kind": "line", "v_max": 1, "f_fr": 1e-170, '
+                        '"length": 1, "endpoints": {"start_h": 0, "end_h": 0}}',
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["sweep", "--input", str(spec), "--resolutions", "11,21",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {STALLED}\n"
         assert not out.exists()
 
     def test_non_dividing_finest_exits_1(self, tmp_path, capsys):
@@ -281,23 +322,6 @@ class TestOracleCommand:
                      "--out", str(out)]) == 0
         agreement = json.loads((out / "agreement.json").read_text())
         assert agreement["within"] is True
-
-    def test_infeasible_oracle_exits_2_and_names_index(self, tmp_path,
-                                                       capsys, monkeypatch):
-        import toppkit.cli as cli
-
-        def fake_oracle(grid, model, levels, endpoints):
-            raise InfeasibleError("empty candidate set at index 3",
-                                  index=3, pass_name="backward")
-
-        monkeypatch.setattr(cli, "dp_optimum", fake_oracle)
-        spec = write_spec(tmp_path, line_instance())
-        out = tmp_path / "o"
-        assert main(["oracle", "--input", spec, "--n", "50",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "infeasible: empty candidate set at index 3\n")
-        assert not out.exists()
 
     def test_levels_floor_exits_1(self, tmp_path, monkeypatch):
         import toppkit.cli as cli

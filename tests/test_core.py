@@ -1,5 +1,6 @@
-import io
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -260,6 +261,13 @@ class TestRelax:
         assert check_admissible(profile, relax(model, xi), tol=0.0)
 
 
+def csv_file(tmp_path, text):
+    """The path of a file holding ``text`` as is (no newline translation)."""
+    f = tmp_path / "profile.csv"
+    f.write_text(text, encoding="utf-8", newline="")
+    return str(f)
+
+
 class TestSerialization:
     def test_csv_round_trip_is_bit_exact(self, tmp_path):
         g = Discretization(np.array([0.0, 1 / 3, 0.5, 2 / 3, 1.0]))
@@ -270,23 +278,23 @@ class TestSerialization:
         assert np.array_equal(p.grid.points, q.grid.points)
         assert np.array_equal(p.values, q.values)
 
-    def test_csv_header_checked(self):
+    def test_csv_header_checked(self, tmp_path):
         with pytest.raises(ValueError):
-            SpeedProfile.from_csv(io.StringIO("x,y\n0,0\n"))
+            SpeedProfile.from_csv(csv_file(tmp_path, "x,y\n0,0\n"))
 
     @pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf", "0.5,-inf",
                                      "inf,1"])
-    def test_csv_non_finite_rejected(self, row):
+    def test_csv_non_finite_rejected(self, tmp_path, row):
         # every comparison with nan is false, so a nan profile would pass
         # the admissibility check and retime to a nan time
         with pytest.raises(ValueError, match="finite"):
-            SpeedProfile.from_csv(io.StringIO(f"s,h\n0,1\n{row}\n"))
+            SpeedProfile.from_csv(csv_file(tmp_path, f"s,h\n0,1\n{row}\n"))
 
     @pytest.mark.parametrize("text", ["s,h\n0,1\n\n1,2\n\n",
                                       "s,h\r\n0,1\r\n1,2\r\n"],
                              ids=["blank-line", "crlf"])
-    def test_csv_blank_lines_and_crlf_accepted(self, text):
-        p = SpeedProfile.from_csv(io.StringIO(text))
+    def test_csv_blank_lines_and_crlf_accepted(self, tmp_path, text):
+        p = SpeedProfile.from_csv(csv_file(tmp_path, text))
         assert p.grid.points.tolist() == [0.0, 1.0]
         assert p.values.tolist() == [1.0, 2.0]
 
@@ -305,19 +313,30 @@ class TestSerialization:
     ], ids=["3-fields", "1-field", "x", "h-is-x", "all-3-fields",
             "all-1-field", "blank-lines-count", "crlf-blank-line",
             "spaces-only", "underscore", "empty-field"])
-    def test_csv_malformed_row_rejected(self, rows, match):
+    def test_csv_malformed_row_rejected(self, tmp_path, rows, match):
         # the header is line 1 and blank lines count, as in an editor
         with pytest.raises(ValueError, match=match) as err:
-            SpeedProfile.from_csv(io.StringIO("s,h\n" + rows))
+            SpeedProfile.from_csv(csv_file(tmp_path, "s,h\n" + rows))
         assert "usecols" not in str(err.value)
 
-    def test_csv_malformed_row_of_unseekable_stream(self):
-        class Pipe(io.StringIO):
-            def seekable(self):
-                return False
+    def test_csv_malformed_row_of_unseekable_stream(self, tmp_path):
+        # a pipe cannot be read twice, so no line is named
+        fifo = tmp_path / "profile.csv"
+        os.mkfifo(fifo)
 
-        with pytest.raises(ValueError, match="^profile CSV has a malformed row$"):
-            SpeedProfile.from_csv(Pipe("s,h\n0,1\n0.5,x\n"))
+        def feed():
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write("s,h\n0,1\n0.5,x\n")
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(ValueError,
+                               match="^profile CSV has a malformed row$"):
+                SpeedProfile.from_csv(str(fifo))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
 
 class TestModelCaps:
@@ -343,6 +362,18 @@ class TestModelCaps:
             self.callables(xi=xi)
         with pytest.raises(ValueError, match="^xi must"):
             replace(line_model, xi=xi)
+
+    @pytest.mark.parametrize("f_fr, xi", [(-1.0, 3.0), (0.0, 1.0),
+                                          (-1e-300, 1.0)])
+    def test_non_positive_f_fr_rejected(self, line_model, f_fr, xi):
+        # slope_cap = 2*f_fr + xi is positive, so only this check names it
+        with pytest.raises(ValueError, match="^f_fr must be finite and positive$"):
+            replace(line_model, f_fr=f_fr, xi=xi)
+
+    @pytest.mark.parametrize("vmax2", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_vmax2_rejected(self, line_model, vmax2):
+        with pytest.raises(ValueError, match="^vmax2 must be finite and positive$"):
+            replace(line_model, vmax2=vmax2)
 
     def test_finite_caps_accepted(self, line_model):
         assert self.callables(slope_cap=1e300, xi=1e300).xi == 1e300

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -60,11 +58,11 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError):
             convergence_sweep(line_instance(), [10, 20], "exact")
 
-    def test_csv_schema(self):
+    def test_csv_schema(self, tmp_path):
         rows = convergence_sweep(line_instance(), [10, 100], "analytic")
-        buf = io.StringIO()
-        write_convergence_csv(rows, buf)
-        lines = buf.getvalue().strip().splitlines()
+        f = tmp_path / "sweep.csv"
+        write_convergence_csv(rows, str(f))
+        lines = f.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "n,delta,rho,time_s"
         assert len(lines) == 3
         first = lines[1].split(",")
@@ -105,6 +103,13 @@ class TestXiSweep:
             xi_sweep(path, grid, [0.2, 0.1])  # does not end at zero
         with pytest.raises(ValueError):
             xi_sweep(path, grid, [])
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf")])
+    def test_non_finite_level_rejected_by_relax(self, level):
+        # each passes the decreasing-to-0 checks; relax names it
+        path = line_instance()
+        with pytest.raises(ValueError, match="^relaxation level must be finite"):
+            xi_sweep(path, path.grid(11), [level, 0.0])
 
 
 def test_sweep_solves_are_admissible_under_their_own_model():

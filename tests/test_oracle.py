@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toppkit import (Discretization, InfeasibleError, PathSpec,
@@ -315,3 +315,45 @@ class TestRandomAdmissible:
             tightened_path(line_instance(), 0.0, 1.0)
         with pytest.raises(ValueError):
             tightened_path(line_instance(), 0.5, 1.5)
+
+
+# A positive number between 1e-300 and 1e301.
+WIDE = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+                 st.integers(-300, 300))
+
+
+@st.composite
+def built_paths(draw):
+    """A line, arc or table spec with fields of wide magnitude, each end
+    free, at rest or at a positive squared speed; only specs that
+    PathSpec accepts are kept."""
+    kind = draw(st.sampled_from(("line", "arc", "table")))
+    fields = {key: draw(WIDE) for key in
+              ("v_max", "f_fr", *{"line": ("length",), "arc": ("radius", "angle"),
+                                  "table": ()}[kind])}
+    if kind == "table":
+        rows = draw(st.lists(st.tuples(WIDE, st.one_of(st.just(0.0), WIDE)),
+                             min_size=2, max_size=5))
+        s = np.cumsum([gap for gap, _ in rows]).tolist()
+        fields["table"] = tuple(zip(s, (k for _, k in rows)))
+    ends = st.one_of(st.none(), st.just(0.0), WIDE)
+    endpoints = draw(st.one_of(st.none(), st.tuples(ends, ends)))
+    try:
+        return PathSpec(kind, endpoints=endpoints, **fields)
+    except ValueError:
+        assume(False)
+
+
+@given(path=built_paths(), n=st.integers(2, 12))
+@settings(max_examples=200, deadline=None)
+def test_built_paths_are_never_infeasible(path, n):
+    """A built path's floor is zero and its ceiling is not negative, so
+    neither the solver nor the oracle can find an empty step: the reason
+    the CLI has no infeasible exit."""
+    try:
+        grid = path.grid(n)
+    except ValueError:  # n points do not fit in a span of a few floats
+        assume(False)
+    model = build_model(path)
+    assert solve(grid, model, endpoints=path.endpoints).status.feasible
+    dp_optimum(grid, model, levels=8, endpoints=path.endpoints)

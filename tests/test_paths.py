@@ -70,6 +70,39 @@ class TestPathSpec:
         assert PathSpec("arc", 1.0, 1.0, radius=1e307, angle=10.0).domain[1] \
             == 1e307 * 10.0
 
+    def test_v_max_must_square_to_a_positive_number(self):
+        # 1e-170**2 underflows to 0: a zero ceiling, so every solve stalls
+        with pytest.raises(ValueError, match="field 'v_max'"):
+            PathSpec("line", v_max=1e-170, f_fr=1.0, length=1.0)
+        assert PathSpec("line", 1e-150, 1.0, length=1.0).v_max ** 2 > 0.0
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("arc", dict(radius=4.688751539019205e+38, angle=4.06692835004719e+31)),
+        ("table", dict(table=((0.0, 1.0), (1.0, 2.0))))], ids=["arc", "table"])
+    def test_curved_path_needs_f_fr_squared_normal(self, kind, fields):
+        # f_fr**2 is subnormal, so f_fr**2 - (kappa*h)**2 stays 0 while the
+        # backward sweep steps h down one float at a time: a 12-point solve
+        # of this arc did not finish in 3 s
+        with pytest.raises(ValueError, match="field 'f_fr' must square"):
+            PathSpec(kind, 1.450323692315205e+123, 4.812417074289579e-160,
+                     endpoints=(None, 0.0), **fields)
+        with pytest.raises(ValueError, match="field 'f_fr' must square"):
+            PathSpec(kind, 1.0, 1.49e-154, **fields)
+        assert PathSpec(kind, 1.0, 1.5e-154, **fields).f_fr == 1.5e-154
+        # a line's sweeps cancel nothing: kappa is 0
+        assert PathSpec("line", 1.0, 5e-323, length=1.0).f_fr == 5e-323
+
+    def test_arc_length_must_not_underflow(self):
+        with pytest.raises(ValueError, match="underflows to 0"):
+            PathSpec("arc", 1.0, 1.0, radius=1e-200, angle=1e-200)
+
+    def test_table_curvature_slope_must_be_finite(self):
+        # np.interp's slope 1e150 / 1e-200 overflows: the solve read NaN
+        with pytest.raises(ValueError, match="'table' curvature slope"):
+            PathSpec("table", 1.0, 1.0, table=((0.0, 0.0), (1e-200, 1e150)))
+        path = PathSpec("table", 1.0, 1.0, table=((0.0, 0.0), (1e-150, 1e150)))
+        assert solve(path.grid(11), build_model(path)).profile is not None
+
     def test_table_span_must_be_finite(self):
         # each position is finite, but the span last - first overflows
         with pytest.raises(ValueError, match="'table' position span"):

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -69,6 +68,11 @@ class TestTraversalTime:
         assert traversal_time(profile_on([0.0, 1.0], [0.0, 0.0])) == math.inf
         assert traversal_time(
             profile_on([0.0, 0.5, 0.6, 1.0], [1.0, 0.0, 0.0, 1.0])) == math.inf
+
+    def test_time_past_the_largest_float_is_inf(self):
+        # 2 * 1e300 / (2 * 1e-100) overflows, silently, like a stall
+        assert traversal_time(
+            profile_on([0.0, 1e300], [1e-200, 1e-200])) == math.inf
 
     def test_single_endpoint_zero_is_integrable(self):
         # h = 2s on [0, 1]: time = sqrt(2·1)·... = 2/sqrt(2) = sqrt(2)
@@ -208,11 +212,11 @@ class TestSampleTrajectory:
         with pytest.raises(ValueError):
             sample_trajectory(profile_on([0.0, 1.0], [0.0, 0.0]), 0.1)
 
-    def test_csv_output(self):
+    def test_csv_output(self, tmp_path):
         rows = sample_trajectory(profile_on([0.0, 1.0], [1.0, 1.0]), 0.5)
-        buf = io.StringIO()
-        write_trajectory_csv(rows, buf)
-        lines = buf.getvalue().strip().splitlines()
+        f = tmp_path / "trajectory.csv"
+        write_trajectory_csv(rows, str(f))
+        lines = f.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "t,s,v"
         assert len(lines) == len(rows) + 1
         assert [float(x) for x in lines[1].split(",")] == [0.0, 0.0, 1.0]

@@ -121,6 +121,17 @@ def test_root_equal_to_the_bound_is_copied():
         assert_bitwise_equal(points, fr, None, None)
 
 
+def test_overflowing_reach_equal_without_warning():
+    """cap * ds and the slope times ds overflow to inf in the arrays, as in
+    the scalar floats, and warn nowhere (pytest turns warnings into errors)."""
+    path = PathSpec("arc", 2.5e69, 4.56e126, radius=6.05e132, angle=6.2e79)
+    for n in (2, 12):
+        points = path.grid(n).points
+        assert 2.0 * path.f_fr * float(points[1] - points[0]) == math.inf
+        for model in relaxed_models(path):
+            assert_bitwise_equal(points, model, None, None)
+
+
 @pytest.mark.parametrize("path", [random_table_instance(0),
                                   wave_table_instance()],
                          ids=["table_0", "wave_table"])
