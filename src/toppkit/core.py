@@ -98,7 +98,10 @@ class Discretization:
             raise ValueError("uniform grid needs n >= 2")
         if not b > a:
             raise ValueError("need b > a")
-        return cls(np.linspace(a, b, n))
+        try:
+            return cls(np.linspace(a, b, n))
+        except ValueError as err:  # more points than floats in [a, b]
+            raise ValueError(f"uniform grid of n = {n} points on [{a!r}, {b!r}]: {err}") from None
 
     @property
     def delta(self) -> float:

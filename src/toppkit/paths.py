@@ -57,17 +57,6 @@ class PathSpec:
         _field("v_max", self.v_max, lambda v: _finite(v ** 2, 0.0),
                "a number whose square is positive and finite")
         _field("f_fr", self.f_fr, lambda f: _finite(2.0 * f), "small enough to double")
-        # a subnormal f_fr**2, cancelled by (kappa*h)**2, walks h down a float a step
-        if self.kind != "line" and not self.f_fr * self.f_fr >= sys.float_info.min:
-            raise ValueError("path spec field 'f_fr' must square to a normal "
-                             "float (at least 1.5e-154) on an arc or table")
-        if self.kind == "arc":  # the sweeps' squares, bounded as for tables below
-            k, span = 1.0 / self.radius, self.radius * self.angle
-            big = max(2.0 * (k * span), k * min(self.v_max ** 2, self.f_fr / k))
-            if not (big * big < math.inf and span > 0.0):
-                raise ValueError("path spec arc out of range: span = 'radius' * 'angle' "
-                                 "underflows to 0, or kappa * max(2 * span, min('v_max'**2, "
-                                 "'f_fr' / kappa)) overflows squared, kappa = 1 / 'radius'")
         if self.kind == "table":
             tab = _field("table", self.table, lambda t: tuple(
                 (_finite(s), _finite(k)) for s, k in t),
@@ -81,15 +70,21 @@ class PathSpec:
                 raise ValueError("path spec 'table' curvature slope overflows")
             if any(k < 0.0 for _, k in tab):
                 raise ValueError("curvature must be non-negative")
-            span = tab[-1][0] - tab[0][0]
-            if span == math.inf:
-                raise ValueError("path spec 'table' position span overflows")
-            # the sweeps square 2*ds*kappa and kappa*h, with h <= v_max**2
-            big = max(k for _, k in tab) * max(2.0 * span, self.v_max ** 2)
-            if not big * big < math.inf:
-                raise ValueError("path spec 'table' curvature too large: kappa * "
-                                 "max(2 * span, v_max**2) overflows squared")
             object.__setattr__(self, "table", tab)
+        # the sweeps square 2*ds*kappa (ds <= span) and kappa*h (h <= top, the highest ceiling)
+        ks = [k for _, k in self.table] if self.kind == "table" else [
+            1.0 / self.radius if self.kind == "arc" else 0.0]
+        (a, b), top = self.domain, self.v_max ** 2
+        top = min(top, self.f_fr / min(ks)) if min(ks) > 0.0 else top
+        big = max(ks) * max(2.0 * (b - a), top)
+        if not (0.0 < 2.0 * (b - a) < math.inf and big * big < math.inf):
+            raise ValueError(f"path spec {' * '.join(map(repr, _FIELDS[self.kind]))} out "
+                             f"of range: 2 * span (span = {b - a!r}) must be positive and "
+                             "finite, and so must (kappa * max(2 * span, ceiling))**2")
+        # a subnormal f_fr**2, cancelled by (kappa*h)**2, walks h down a float a step
+        if max(ks) > 0.0 and not self.f_fr * self.f_fr >= sys.float_info.min:
+            raise ValueError("path spec field 'f_fr' must square to a normal "
+                             "float (at least 1.5e-154) on an arc or table")
         if self.endpoints is not None:
             ep = _field("endpoints", self.endpoints, _squared_speeds,
                         "a (start, end) pair of finite squared speeds")
@@ -120,8 +115,8 @@ class PathSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PathSpec":
-        """The spec a JSON object describes; a ValueError names a missing
-        or wrongly typed field."""
+        """The spec a JSON object describes; a ValueError names a missing,
+        wrongly typed or unknown field."""
         if not isinstance(d, dict):
             raise ValueError("path spec must be a JSON object")
         keys = ("kind", "v_max", "f_fr", *_FIELDS.get(str(d.get("kind")), ()))
@@ -132,7 +127,12 @@ class PathSpec:
         if d.get("endpoints") is not None:
             fields["endpoints"] = _field("endpoints", d["endpoints"], lambda ep: (
                 ep.get("start_h"), ep.get("end_h")), "an object of squared speeds")
-        return cls(**fields)  # converts and checks every field
+        spec = cls(**fields)  # converts and checks every field
+        unknown = [k for k in d if k not in (*keys, "endpoints")] + [
+            f"endpoints.{k}" for k in d.get("endpoints") or () if k not in ("start_h", "end_h")]
+        if unknown:
+            raise ValueError(f"path spec has unknown key {unknown[0]!r}")
+        return spec
 
 
 _FIELDS = {"line": ("length",), "arc": ("radius", "angle"), "table": ("table",)}

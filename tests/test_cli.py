@@ -208,6 +208,39 @@ class TestSolveCommand:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, key", [
+        ('{"kind": "line", "v_max": 10, "f_fr": 1, "length": 1, '
+         '"endpoint": {"start_h": 0, "end_h": 0}}', "'endpoint'"),
+        ('{"kind": "line", "v_max": 10, "f_fr": 1, "length": 1, '
+         '"endpoints": {"start": 0, "end": 0}}', "'endpoints.start'"),
+    ], ids=["endpoint", "endpoints_start"])
+    def test_unknown_spec_key_exits_1_naming_it(self, tmp_path, capsys, body, key):
+        # the misspelled rest-to-rest ends used to be dropped: 0.1 s, not 2 s
+        bad = tmp_path / "typo.json"
+        bad.write_text(body, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["solve", "--input", str(bad), "--n", "11",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"unknown key {key}" in err[0]
+        assert not out.exists()
+
+    def test_grid_finer_than_span_floats_names_n(self, tmp_path, capsys):
+        # 12 points do not fit between 0 and 5e-323, ten floats apart
+        spec = tmp_path / "tiny.json"
+        spec.write_text('{"kind": "line", "v_max": 1, "f_fr": 1, '
+                        '"length": 5e-323}', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["solve", "--input", str(spec), "--n", "12",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: uniform grid of n = 12 points on [0.0, 5e-323]: "
+                       "discretization points must be strictly increasing"]
+        assert not out.exists()
+        assert main(["solve", "--input", str(spec), "--n", "11",
+                     "--out", str(out)]) == 0
+
     def test_subnormal_curvature_solves_without_warning(self, tmp_path,
                                                         capsys):
         # f_fr / kappa overflows to inf: only v_max binds

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -317,9 +318,12 @@ class TestRandomAdmissible:
             tightened_path(line_instance(), 0.5, 1.5)
 
 
-# A positive number between 1e-300 and 1e301.
-WIDE = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
-                 st.integers(-300, 300))
+# A positive number between 1e-300 and 1.79e308, near the largest float.
+WIDE = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 1.79),
+                 st.integers(-300, 308))
+# WIDE, or a span-forming field within a factor 18 of the largest float,
+# where 2 * span overflows: the hole a 1e308 line left at n = 2.
+LONG = st.one_of(WIDE, st.floats(1e307, 1.79e308))
 
 
 @st.composite
@@ -328,13 +332,13 @@ def built_paths(draw):
     free, at rest or at a positive squared speed; only specs that
     PathSpec accepts are kept."""
     kind = draw(st.sampled_from(("line", "arc", "table")))
-    fields = {key: draw(WIDE) for key in
+    fields = {key: draw(LONG if key in ("length", "radius") else WIDE) for key in
               ("v_max", "f_fr", *{"line": ("length",), "arc": ("radius", "angle"),
                                   "table": ()}[kind])}
     if kind == "table":
-        rows = draw(st.lists(st.tuples(WIDE, st.one_of(st.just(0.0), WIDE)),
+        rows = draw(st.lists(st.tuples(LONG, st.one_of(st.just(0.0), WIDE)),
                              min_size=2, max_size=5))
-        s = np.cumsum([gap for gap, _ in rows]).tolist()
+        s = itertools.accumulate(gap for gap, _ in rows)  # may overflow to inf
         fields["table"] = tuple(zip(s, (k for _, k in rows)))
     ends = st.one_of(st.none(), st.just(0.0), WIDE)
     endpoints = draw(st.one_of(st.none(), st.tuples(ends, ends)))
@@ -344,16 +348,19 @@ def built_paths(draw):
         assume(False)
 
 
-@given(path=built_paths(), n=st.integers(2, 12))
+@given(path=built_paths(),
+       n=st.one_of(st.integers(2, 12), st.sampled_from((2, 101, 1001))))
 @settings(max_examples=200, deadline=None)
 def test_built_paths_are_never_infeasible(path, n):
     """A built path's floor is zero and its ceiling is not negative, so
     neither the solver nor the oracle can find an empty step: the reason
-    the CLI has no infeasible exit."""
+    the CLI has no infeasible exit. PathSpec's one range rule keeps every
+    float the sweeps form finite, up to the largest fields."""
     try:
         grid = path.grid(n)
-    except ValueError:  # n points do not fit in a span of a few floats
-        assume(False)
+    except ValueError as err:  # n points do not fit in a span of a few floats
+        assert str(err).startswith(f"uniform grid of n = {n} points on ")
+        return
     model = build_model(path)
     assert solve(grid, model, endpoints=path.endpoints).status.feasible
     dp_optimum(grid, model, levels=8, endpoints=path.endpoints)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,13 +64,6 @@ class TestPathSpec:
         with pytest.raises(ValueError, match=f"field '{field}'"):
             PathSpec(**{"v_max": 1.0, "f_fr": 1.0, **kwargs})
 
-    def test_arc_length_must_be_finite(self):
-        # each field is finite, but the arc length radius*angle overflows
-        with pytest.raises(ValueError, match=r"'radius' \* 'angle'"):
-            PathSpec("arc", v_max=1.0, f_fr=1.0, radius=1e308, angle=10.0)
-        assert PathSpec("arc", 1.0, 1.0, radius=1e307, angle=10.0).domain[1] \
-            == 1e307 * 10.0
-
     def test_v_max_must_square_to_a_positive_number(self):
         # 1e-170**2 underflows to 0: a zero ceiling, so every solve stalls
         with pytest.raises(ValueError, match="field 'v_max'"):
@@ -92,10 +86,6 @@ class TestPathSpec:
         # a line's sweeps cancel nothing: kappa is 0
         assert PathSpec("line", 1.0, 5e-323, length=1.0).f_fr == 5e-323
 
-    def test_arc_length_must_not_underflow(self):
-        with pytest.raises(ValueError, match="underflows to 0"):
-            PathSpec("arc", 1.0, 1.0, radius=1e-200, angle=1e-200)
-
     def test_table_curvature_slope_must_be_finite(self):
         # np.interp's slope 1e150 / 1e-200 overflows: the solve read NaN
         with pytest.raises(ValueError, match="'table' curvature slope"):
@@ -103,36 +93,46 @@ class TestPathSpec:
         path = PathSpec("table", 1.0, 1.0, table=((0.0, 0.0), (1e-150, 1e150)))
         assert solve(path.grid(11), build_model(path)).profile is not None
 
-    def test_table_span_must_be_finite(self):
-        # each position is finite, but the span last - first overflows
-        with pytest.raises(ValueError, match="'table' position span"):
-            PathSpec("table", 1.0, 1.0, table=((-1e308, 0.0), (1e308, 1.0)))
-        assert PathSpec("table", 1.0, 1.0, table=(
-            (-1e307, 0.0), (1e307, 0.0))).domain == (-1e307, 1e307)
-
-    @pytest.mark.parametrize("kappa", [1e300, 1e154])
-    def test_table_curvature_must_square(self, kappa):
-        # the sweeps square 2*ds*kappa and kappa*h: here 2*kappa overflows
-        with pytest.raises(ValueError, match="'table' curvature too large"):
-            PathSpec("table", 1.0, 1.0, table=((0.0, kappa), (1.0, kappa)),
-                     endpoints=(0.0, 0.0))
-        path = PathSpec("table", 1.0, 1.0, table=((0.0, 1e153), (1.0, 1e153)),
-                        endpoints=(0.0, 0.0))
+    @pytest.mark.parametrize("kind, fields, endpoints, accepted", [
+        # 2 * span overflows, though each field is finite: at n = 2 the
+        # sweeps' 2 * ds is inf, and inf * 0 made the 1e308 line's h NaN
+        ("line", dict(length=1e308), (0.0, 0.0), False),
+        ("arc", dict(radius=1e308, angle=10.0), None, False),
+        ("arc", dict(radius=1e307, angle=10.0), None, False),
+        ("table", dict(table=((-1e308, 0.0), (1e308, 1.0))), None, False),
+        ("table", dict(table=((-1e307, 0.0), (1e307, 0.0))), None, True),
+        # the span underflows to 0
+        ("arc", dict(radius=1e-200, angle=1e-200), None, False),
+        # kappa * max(2 * span, top) overflows squared
+        ("arc", dict(v_max=1e150, f_fr=1e300, radius=1.0, angle=1.0), (0.0, 0.0), False),
+        ("arc", dict(v_max=1e80, f_fr=1e160, radius=1.0, angle=1.0), (0.0, 0.0), False),
+        ("arc", dict(radius=1e-100, angle=1e200), (0.0, 0.0), False),
+        ("table", dict(table=((0.0, 1e300), (1.0, 1e300))), (0.0, 0.0), False),
+        ("table", dict(table=((0.0, 1e154), (1.0, 1e154))), (0.0, 0.0), False),
+        ("table", dict(table=((0.0, 1e153), (1.0, 1e153))), (0.0, 0.0), True),
+        # top is f_fr / min kappa = 2, not v_max**2 = 1e200
+        ("table", dict(v_max=1e100, table=((0.0, 0.5), (1.0, 2.0))), (0.0, 0.0), True),
+    ], ids=["line_length_doubled_overflows", "arc_length_overflows",
+            "arc_length_doubled_overflows", "table_span_overflows", "table_span_2e307",
+            "arc_length_underflows", "arc_ceiling_squared_overflows",
+            "arc_ceiling_squared_overflows_smaller", "arc_step_squared_overflows",
+            "table_curvature_1e300", "table_curvature_1e154", "table_curvature_1e153",
+            "table_friction_ceiling_binds"])
+    def test_range_rule(self, kind, fields, endpoints, accepted):
+        """One rule for every kind: 2 * span is positive and finite, and
+        kappa * max(2 * span, top) squares to a finite float, top being
+        the highest ceiling on the path."""
+        spec = {"kind": kind, "v_max": 1.0, "f_fr": 1.0, "endpoints": endpoints, **fields}
+        if not accepted:
+            names = {"line": "'length'", "arc": "'radius' * 'angle'", "table": "'table'"}
+            with pytest.raises(ValueError, match=re.escape(f"{names[kind]} out of range")):
+                PathSpec(**spec)
+            return
+        path = PathSpec(**spec)
         model, grid = build_model(path), path.grid(1001)
         report = solve(grid, model, endpoints=path.endpoints)
         assert report.status.feasible
         assert check_admissible(report.profile, model)
-
-    @pytest.mark.parametrize("v_max, f_fr, radius, angle", [
-        (1e150, 1e300, 1.0, 1.0), (1e80, 1e160, 1.0, 1.0),
-        (1.0, 1.0, 1e-100, 1e200),
-    ])
-    def test_arc_squares_must_be_finite(self, v_max, f_fr, radius, angle):
-        # kappa * max(2 * span, ceiling) overflows squared: constructing
-        # the spec raises, so it is never solved
-        with pytest.raises(ValueError, match="arc out of range"):
-            PathSpec("arc", v_max, f_fr, radius=radius, angle=angle,
-                     endpoints=(0.0, 0.0))
 
     @pytest.mark.parametrize("v_max, f_fr, radius, angle", [
         (1.0, 1e300, 1.0, 1.0), (1.0, 1.0, 1e-160, 3.0),
@@ -163,6 +163,17 @@ class TestPathSpec:
         for spec in specs:
             again = PathSpec.from_json_dict(spec.to_json_dict())
             assert again == spec
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"endpoint": {"start_h": 0, "end_h": 0}}, "'endpoint'"),
+        ({"endpoints": {"start": 0, "end": 0}}, "'endpoints.start'"),
+        ({"radius": 1.0}, "'radius'"),
+    ], ids=["endpoint", "endpoints_start", "other_kinds_field"])
+    def test_json_unknown_key_named(self, extra, key):
+        # a misspelled key used to be dropped: a free-end solve of the line
+        with pytest.raises(ValueError, match=f"unknown key {key}"):
+            PathSpec.from_json_dict({"kind": "line", "v_max": 10.0, "f_fr": 1.0,
+                                     "length": 1.0, **extra})
 
     def test_json_missing_fields(self):
         with pytest.raises(ValueError, match="v_max"):
