@@ -27,17 +27,13 @@ def _endpoint_pair(endpoints: Endpoints) -> Tuple[Optional[float], Optional[floa
 
 
 class InfeasibleError(RuntimeError):
-    """Raised when no profile can satisfy the constraints.
+    """Raised when no profile can satisfy the constraints: ``what`` came
+    up empty at grid index ``index`` (position ``s``) in the sweep
+    ``pass_name`` ("backward" or "forward") over ``points``."""
 
-    Carries the first grid index where the constraint system became
-    empty and the sweep ("backward" or "forward") that detected it.
-    """
-
-    def __init__(self, message: str, index: Optional[int] = None,
-                 pass_name: Optional[str] = None):
-        super().__init__(message)
-        self.index = index
-        self.pass_name = pass_name
+    def __init__(self, what: str, points, index: int, pass_name: str):
+        self.index, self.s, self.pass_name = index, float(points[index]), pass_name
+        super().__init__(f"{what} at index {index} at s={self.s!r}")
 
 
 class UnsupportedInstanceError(ValueError):
@@ -361,7 +357,8 @@ def profile_error(candidate: SpeedProfile, reference: SpeedProfile) -> float:
 
 @dataclass(frozen=True)
 class SolveStatus:
-    """Feasible, or the first index/pass where the solve became empty."""
+    """A solve's status: ``solve`` raises :class:`InfeasibleError` rather
+    than return an infeasible one, so a report's status is feasible."""
 
     feasible: bool
     index: Optional[int] = None
@@ -371,26 +368,21 @@ class SolveStatus:
         return {"feasible": self.feasible, "index": self.index,
                 "pass": self.pass_name}
 
-    @property
-    def message(self) -> str:
-        """Where an infeasible solve became empty, for error output."""
-        return f"infeasible at index {self.index} ({self.pass_name} pass)"
-
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solver output: final profile plus both intermediate pass sequences.
-
-    ``backward`` and ``forward`` keep whatever was computed before an
-    infeasibility was detected (NaN past that point). On a feasible
-    solve ``profile.values`` equals ``forward``.
-    """
+    """One complete solve: the backward pass, the profile (the forward
+    pass) and its traversal time."""
 
     status: SolveStatus
     backward: np.ndarray
-    forward: Optional[np.ndarray] = None
-    profile: Optional[SpeedProfile] = None
-    traversal_time: Optional[float] = None
+    profile: SpeedProfile
+    traversal_time: float
+
+    @property
+    def forward(self) -> np.ndarray:
+        """The forward pass: the profile's squared speeds."""
+        return self.profile.values
 
     def to_json_dict(self) -> dict:
         """The solve summary, without the arrays: its size does not grow with n."""
@@ -401,12 +393,3 @@ class SolveReport:
     def write_json(self, path: str) -> None:
         """Write :meth:`to_json_dict` (``report.json``)."""
         write_json(self.to_json_dict(), path)
-
-    def require_feasible(self, what: str) -> "SolveReport":
-        """Return the report, or raise :class:`InfeasibleError` carrying
-        the failing index and pass, with ``what`` naming the solve."""
-        st = self.status
-        if not st.feasible:
-            raise InfeasibleError(f"{what} {st.message}", index=st.index,
-                                  pass_name=st.pass_name)
-        return self

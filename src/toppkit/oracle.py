@@ -73,7 +73,7 @@ def _refine_boundary(g, good: float, bad: float) -> float:
     return good
 
 
-def _friction_ceilings(fr, k, s, bu, ceiling, levels, empty) -> None:
+def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
     """Fill ``ceiling[:-1]`` in the floats of :func:`dp_optimum`'s callable
     search, with its ``g`` (the circle's fminus), :func:`_lattice_down`
     and :func:`_refine_boundary` written out, so that no ``g`` is a call.
@@ -84,7 +84,7 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels, empty) -> None:
         ds, t, ki = s[i + 1] - s[i], ceiling[i + 1], k[i]
         hi = min(bu[i], t + cap * ds)
         if hi < lo:
-            raise empty("empty candidate set", i, "backward")
+            raise InfeasibleError("empty candidate set", s, i, "backward")
         r = f2 - (ki * hi) * (ki * hi)
         if hi + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - t <= 0.0:
             ceiling[i] = hi
@@ -98,7 +98,7 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels, empty) -> None:
                 break
             bad = good
         else:
-            raise empty("empty candidate set", i, "backward")
+            raise InfeasibleError("empty candidate set", s, i, "backward")
         tol = 1e-13 * max(1.0, abs(bad))
         while bad - good > tol:
             mid = 0.5 * (good + bad)
@@ -131,14 +131,10 @@ def dp_optimum(grid: Discretization, model: Model, levels: int = 512,
     kappa, bl, bu = _box_bounds(grid.points, model)
     bl, bu = bl.tolist(), bu.tolist()
 
-    def empty(what, i, pass_name):
-        return InfeasibleError(f"{what} at index {i} at s={s[i]!r}",
-                               index=i, pass_name=pass_name)
-
     ceiling = [0.0] * n
     top = bu[-1] if h_end is None else min(bu[-1], h_end)
     if top < bl[-1]:
-        raise empty("empty candidate set", n - 1, "backward")
+        raise InfeasibleError("empty candidate set", s, n - 1, "backward")
     ceiling[-1] = top
     if kappa is None:
         for i in range(n - 2, -1, -1):
@@ -151,7 +147,7 @@ def dp_optimum(grid: Discretization, model: Model, levels: int = 512,
             lo = bl[i]
             hi = min(bu[i], target + model.slope_cap * ds)
             if hi < lo:
-                raise empty("empty candidate set", i, "backward")
+                raise InfeasibleError("empty candidate set", s, i, "backward")
             if g(hi) <= 0.0:
                 ceiling[i] = hi
                 continue
@@ -162,15 +158,15 @@ def dp_optimum(grid: Discretization, model: Model, levels: int = 512,
                     break
                 prev = c
             else:
-                raise empty("empty candidate set", i, "backward")
+                raise InfeasibleError("empty candidate set", s, i, "backward")
     else:
         k = kappa.tolist()
         f2, xi, sqrt = model.f_fr * model.f_fr, model.xi, math.sqrt
-        _friction_ceilings(model, k, s, bu, ceiling, levels, empty)
+        _friction_ceilings(model, k, s, bu, ceiling, levels)
 
     h = ceiling[0] if h_start is None else min(ceiling[0], h_start)
     if h < bl[0]:
-        raise empty("start value below the floor", 0, "forward")
+        raise InfeasibleError("start value below the floor", s, 0, "forward")
     reach = [h] * n
     for i in range(1, n):
         ds = s[i] - s[i - 1]
@@ -180,7 +176,7 @@ def dp_optimum(grid: Discretization, model: Model, levels: int = 512,
             r = f2 - (k[i - 1] * h) * (k[i - 1] * h)
             h = min(ceiling[i], h + ((2.0 * sqrt(r) if r > 0.0 else 0.0) + xi) * ds)
         if h < bl[i]:
-            raise empty("reachable value below the floor", i, "forward")
+            raise InfeasibleError("reachable value below the floor", s, i, "forward")
         reach[i] = h
 
     return SpeedProfile(grid, reach)

@@ -13,6 +13,7 @@ turning.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -146,6 +147,8 @@ def _field(key: str, value, convert=float, what: str = "a number"):
 
 
 def _finite(x, low: float = -math.inf) -> float:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):  # float() parses "1_0"
+        raise TypeError(x)
     x = float(x)
     if low < x < math.inf:
         return x

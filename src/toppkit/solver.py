@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (Discretization, DynamicsModel, Endpoints, FrictionCircle,
-                   Model, SolveReport, SolveStatus, SpeedProfile, _box_bounds,
-                   _endpoint_pair)
+                   InfeasibleError, Model, SolveReport, SolveStatus,
+                   SpeedProfile, _box_bounds, _endpoint_pair)
 from .retime import traversal_time
 
 
@@ -72,7 +72,8 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     that is larger (every h <= t brakes to h_next), clipped to min(bu,
     h_next + (2 f + xi) ds), then stepped down one float at a time until
     the generic step's constraint holds exactly; a forward step is
-    min(backward, h + fplus(h) ds). The floor is zero, so no pass fails.
+    min(backward, h + fplus(h) ds). The floor is zero, so a step is empty
+    only below a negative or NaN ceiling: InfeasibleError at the last one.
     Arrays first decide which steps only copy a bound: bu[i+1] to bu[i]
     backward, backward[i-1] clipped to backward[i] forward. Every square
     is a product, never ``**`` (libm ``pow``), so the arrays repeat the
@@ -81,6 +82,10 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     the scalar steps' to the bit."""
     kappa, delta = fr.kappa(points), np.diff(points)
     ceiling = fr.ceiling(kappa)
+    ok = ceiling >= 0.0
+    if not ok.all():  # the floor is zero: a negative or NaN ceiling empties a step
+        raise InfeasibleError("empty backward step", points,
+                              int(np.flatnonzero(~ok)[-1]), "backward")
     f2, xi, cap = fr.f_fr * fr.f_fr, fr.xi, fr.slope_cap
     k0, c0, c1 = kappa[:-1], ceiling[:-1], ceiling[1:]
     runs = c0 + fr.slopes(k0, c0)[0] * delta - c1 <= 0.0
@@ -142,37 +147,36 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     return backward, forward
 
 
-def _generic_sweeps(grid: Discretization, model: DynamicsModel,
+def _generic_sweeps(points: np.ndarray, model: DynamicsModel,
                     h_start: Optional[float], h_end: Optional[float]):
-    """Both sweeps through the callables: (status, backward, forward).
+    """Both sweeps through the callables: (backward, forward).
 
     bl and bu are sampled once per point. A backward step is the largest
     h in [bl, bu] with h + fminus(s, h)*ds <= h_next. As fminus is convex,
     those h are one interval, holding h_next - B*ds (B the slope cap) if
     that is above bl; else it may lie inside a bracket whose ends both
     fail, and _convex_dip finds it. A forward step is
-    min(backward, h + fplus(s, h)*ds) and fails below bl."""
-    s = grid.points.tolist()
+    min(backward, h + fplus(s, h)*ds). An empty backward step, or a
+    forward reach below bl, raises InfeasibleError."""
+    s = points.tolist()
     n = len(s)
-    bl, bu = (b.tolist() for b in _box_bounds(grid.points, model)[1:])
-    status = SolveStatus(True)
-    backward, forward = [math.nan] * n, [math.nan] * n
+    bl, bu = (b.tolist() for b in _box_bounds(points, model)[1:])
+    backward, forward = [0.0] * n, [0.0] * n
     h = bu[-1] if h_end is None else min(bu[-1], h_end)
     for i in range(n - 1, -1, -1):
         if i < n - 1:
             h = _backward_step(model, s[i], s[i + 1] - s[i], h, bl[i], bu[i])
         if h is None or h < bl[i]:
-            return SolveStatus(False, i, "backward"), np.array(backward), None
+            raise InfeasibleError("empty backward step", s, i, "backward")
         backward[i] = h
     h = backward[0] if h_start is None else min(backward[0], h_start)
     for i in range(n):
         if i:
             h = min(backward[i], h + model.fplus(s[i - 1], h) * (s[i] - s[i - 1]))
         if h < bl[i]:
-            status = SolveStatus(False, i, "forward")
-            break
+            raise InfeasibleError("forward reach below the floor", s, i, "forward")
         forward[i] = h
-    return status, np.array(backward), np.array(forward)
+    return np.array(backward), np.array(forward)
 
 
 def _backward_step(model: DynamicsModel, s: float, ds: float, h_next: float,
@@ -214,24 +218,21 @@ def _convex_dip(g, a: float, b: float):
 
 def solve(grid: Discretization, model: Model,
           endpoints: Endpoints = None) -> SolveReport:
-    """Run both sweeps and assemble the report.
+    """Run both sweeps and report the whole solve.
 
     The backward seed is bu at the last point, optionally min-capped by
     an end squared speed; the forward seed is the backward value at the
-    first point, optionally min-capped by a start squared speed. On a
-    feasible solve the profile is the forward sequence and passes the
-    admissibility check at the default tolerance. A friction circle
-    takes the closed-form steps and calls none of its scalar bounds; any
-    other model takes the root-finding steps through its callables.
+    first point, optionally min-capped by a start squared speed. The
+    profile is the forward sequence and passes the admissibility check
+    at the default tolerance; an empty step raises
+    :class:`InfeasibleError` naming its index, position and pass. A
+    friction circle takes the closed-form steps and calls none of its
+    scalar bounds; any other model takes the root-finding steps through
+    its callables.
     """
     h_start, h_end = _endpoint_pair(endpoints)
-    if isinstance(model, FrictionCircle):
-        backward, forward = _friction_sweeps(grid.points, model, h_start, h_end)
-    else:
-        status, backward, forward = _generic_sweeps(grid, model, h_start, h_end)
-        if not status.feasible:
-            return SolveReport(status=status, backward=backward, forward=forward)
+    sweeps = _friction_sweeps if isinstance(model, FrictionCircle) else _generic_sweeps
+    backward, forward = sweeps(grid.points, model, h_start, h_end)
     profile = SpeedProfile(grid, forward)
     return SolveReport(status=SolveStatus(True), backward=backward,
-                       forward=forward, profile=profile,
-                       traversal_time=traversal_time(profile))
+                       profile=profile, traversal_time=traversal_time(profile))

@@ -191,12 +191,19 @@ class TestSolveCommand:
         '"angle": 1, "endpoints": {"start_h": 0, "end_h": 0}}',
         '{"kind": "arc", "v_max": 1, "f_fr": 1, "radius": 1e-100, '
         '"angle": 1e200, "endpoints": {"start_h": 0, "end_h": 0}}',
+        # strings and booleans are not numbers, though float() parses them
+        '{"kind": "line", "v_max": "1_0", "f_fr": 1, "length": 1}',
+        '{"kind": "line", "v_max": true, "f_fr": 1, "length": 1}',
+        '{"kind": "table", "v_max": 1, "f_fr": 1, "table": [[0, 0], [1, "0.5"]]}',
+        '{"kind": "line", "v_max": 1, "f_fr": 1, "length": 1, '
+        '"endpoints": {"start_h": false, "end_h": 0}}',
     ], ids=["list", "null_v_max", "int_table", "list_endpoints", "null_row",
             "v_max_squared_overflows", "slope_cap_overflows",
             "arc_length_overflows", "table_span_overflows",
             "table_curvature_squared_overflows", "arc_ceiling_squared_overflows",
             "arc_ceiling_squared_overflows_smaller",
-            "arc_step_squared_overflows"])
+            "arc_step_squared_overflows", "string_v_max", "bool_v_max",
+            "string_in_table", "bool_endpoint"])
     def test_wrongly_typed_spec_exits_1(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.json"
         bad.write_text(body, encoding="utf-8")

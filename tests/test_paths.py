@@ -59,7 +59,9 @@ class TestPathSpec:
         ("table", dict(kind="table", table=5)),
         ("v_max", dict(kind="line", v_max=None, length=1.0)),
         ("table", dict(kind="table", table=((0.0, 0.0), (1, None)))),
-    ], ids=["int_table", "none_v_max", "none_in_row"])
+        ("v_max", dict(kind="line", v_max=True, length=1.0)),
+        ("length", dict(kind="line", length="1")),
+    ], ids=["int_table", "none_v_max", "none_in_row", "bool_v_max", "str_length"])
     def test_wrongly_typed_field_named(self, field, kwargs):
         with pytest.raises(ValueError, match=f"field '{field}'"):
             PathSpec(**{"v_max": 1.0, "f_fr": 1.0, **kwargs})

@@ -14,6 +14,8 @@ from toppkit import (Discretization, DynamicsModel, InfeasibleError,
                      default_config, dp_optimum, line_instance, relax,
                      solve, wave_table_instance)
 
+from toppkit.core import FrictionCircle
+
 from conftest import blind_model, constant_box_model, plain_model
 
 # Car-model scalar subproblem: largest h with h - 0.2*sqrt(1 - h^2) <= 0.5.
@@ -24,7 +26,7 @@ CAR_BACKWARD_ROOT = 0.6516960464868382
 
 def empty_box_model():
     """Upper bound below the floor on 0.4 < s < 0.6: the backward pass
-    fails there and leaves NaN below."""
+    fails there."""
     def bu(s):
         return -1.0 if 0.4 < s < 0.6 else 100.0
 
@@ -84,9 +86,9 @@ class TestBackwardStep:
         model = DynamicsModel(fplus=lambda s, h: 1.0, fminus=lambda s, h: -1.0,
                               bu=lambda s: -1.0 if s < 0.05 else 10.0,
                               bl=lambda s: 0.0, slope_cap=1.0)
-        report = two_point_solve(model, 0.0, 0.1, (None, 1.0))
-        assert (report.status.index, report.status.pass_name) == (0, "backward")
-        assert np.isnan(report.backward[0]) and report.forward is None
+        with pytest.raises(InfeasibleError) as err:
+            two_point_solve(model, 0.0, 0.1, (None, 1.0))
+        assert (err.value.index, err.value.pass_name) == (0, "backward")
 
     @pytest.mark.parametrize("model, s, endpoints, expected", [
         # upper bound below the floor at s = 0
@@ -116,14 +118,16 @@ class TestBackwardStep:
     def test_unreachable_target_is_infeasible(self, model, s, endpoints,
                                               expected):
         # the solver and the oracle name the same, expected index and pass
-        report = two_point_solve(model, *s, endpoints)
-        assert (report.status.index, report.status.pass_name) == expected
+        with pytest.raises(InfeasibleError) as got:
+            two_point_solve(model, *s, endpoints)
+        assert (got.value.index, got.value.pass_name) == expected
         with pytest.raises(InfeasibleError) as err:
             dp_optimum(Discretization(np.array(s)), model, endpoints=endpoints)
         i = err.value.index
-        assert (report.status.index, report.status.pass_name) == (
-            i, err.value.pass_name)
-        assert str(err.value).endswith(f"at s={s[i]!r}")
+        assert (got.value.index, got.value.s, got.value.pass_name) == (
+            i, err.value.s, err.value.pass_name)
+        for e in (got, err):
+            assert str(e.value).endswith(f"at index {i} at s={s[i]!r}")
 
     def test_dip_between_failing_bracket_ends(self):
         # fminus is convex on [bl, bu] = [0, 1] and within the cap, but the
@@ -171,9 +175,9 @@ class TestForwardStep:
                               bu=lambda s: 10.0,
                               bl=lambda s: 5.0 if s > 0.25 else 0.0,
                               slope_cap=1.0)
-        report = two_point_solve(model, 0.2, 0.3, (1.0, None))
-        assert (report.status.index, report.status.pass_name) == (1, "forward")
-        assert report.forward[0] == 1.0 and np.isnan(report.forward[1])
+        with pytest.raises(InfeasibleError) as err:
+            two_point_solve(model, 0.2, 0.3, (1.0, None))
+        assert (err.value.index, err.value.pass_name) == (1, "forward")
 
 
 class TestSolve:
@@ -196,14 +200,29 @@ class TestSolve:
 
     def test_empty_box_reports_failing_index(self, line_path):
         grid = Discretization.uniform(0.0, 1.0, 5)
-        report = solve(grid, empty_box_model())
-        assert not report.status.feasible
-        assert report.status.index == 2
-        assert report.status.pass_name == "backward"
-        assert report.profile is None
-        with pytest.raises(InfeasibleError, match="index 2 .backward pass") as e:
-            report.require_feasible("solve")
-        assert (e.value.index, e.value.pass_name) == (2, "backward")
+        with pytest.raises(InfeasibleError, match="index 2 at s=0.5$") as e:
+            solve(grid, empty_box_model())
+        assert (e.value.index, e.value.s, e.value.pass_name) == (2, 0.5, "backward")
+
+    @pytest.mark.parametrize("kappa, generic, index", [
+        (lambda s: np.full(np.shape(s), -1.0), True, 5),
+        (lambda s: np.where(np.asarray(s) > 0.5, -1.0, 0.0), True, 5),
+        (lambda s: np.where(np.isclose(s, 0.4), math.nan, 0.0), False, 2),
+    ], ids=["negative", "negative-right-half", "nan-at-0.4"])
+    def test_infeasible_circle_raises_where_the_oracle_does(self, kappa,
+                                                             generic, index):
+        # a negative or NaN ceiling: the closed-form sweep, the oracle and,
+        # for a negative one, the callable sweep stop at one index and pass
+        grid = Discretization.uniform(0.0, 1.0, 6)
+        model = FrictionCircle(1.0, 4.0, kappa)
+        calls = [lambda: solve(grid, model), lambda: dp_optimum(grid, model)]
+        if generic:  # the callable sweep treats a NaN ceiling as feasible
+            calls.append(lambda: solve(grid, plain_model(model)))
+        for call in calls:
+            with pytest.raises(InfeasibleError) as err:
+                call()
+            assert (err.value.index, err.value.s, err.value.pass_name) == (
+                index, grid.points[index], "backward")
 
     def test_forward_never_exceeds_backward(self):
         for path in (line_instance(), wave_table_instance()):
@@ -272,17 +291,11 @@ class TestSolve:
         assert size[10001] - size[101] == len("10001") - len("101")
         assert size[10001] < 1024
 
-    @pytest.mark.parametrize("feasible", [True, False])
-    def test_write_json_is_json_dump_of_dict(self, tmp_path, feasible):
-        if feasible:
-            path = capped_arc_instance()
-            report = solve(path.grid(10001), build_model(path),
-                           endpoints=path.endpoints)
-        else:
-            report = solve(Discretization.uniform(0.0, 1.0, 10001),
-                           empty_box_model())
-            assert np.isnan(report.backward[0])
-        assert report.status.feasible is feasible
+    def test_write_json_is_json_dump_of_dict(self, tmp_path):
+        path = capped_arc_instance()
+        report = solve(path.grid(10001), build_model(path),
+                       endpoints=path.endpoints)
+        assert report.status.feasible
         expected = json.dumps(report.to_json_dict(), indent=2) + "\n"
         assert "NaN" not in expected
         f = tmp_path / "report.json"
