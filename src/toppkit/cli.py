@@ -2,8 +2,7 @@
 
 Inputs are path-spec JSON files; outputs are CSV/JSON artifacts written
 into --out. Exit codes: 0 success, 1 usage or input error (a stalled
-solve among them; a built path is never infeasible). TOPPKIT_TOL in the
-environment overrides the default admissibility tolerance in reports.
+solve among them; a built path is never infeasible).
 """
 
 import argparse
@@ -43,19 +42,6 @@ def _load_path_spec(filename: str) -> PathSpec:
         raise ValueError(f"{filename}: {e}") from e
 
 
-def _admissibility_tol(model) -> float:
-    raw = os.environ.get("TOPPKIT_TOL")
-    if raw is None:
-        return default_tol(model)
-    try:
-        tol = float(raw)
-    except ValueError as e:
-        raise ValueError(f"TOPPKIT_TOL={raw!r} is not a number") from e
-    if not 0.0 <= tol < math.inf:
-        raise ValueError("TOPPKIT_TOL must be finite and non-negative")
-    return tol
-
-
 def _seconds(t: float) -> str:
     """Six decimals; seven significant digits below 1e-3 s (never 0) and from 1e9 s."""
     return f"{t:.7g}" if 0.0 < t < 1e-3 or t >= 1e9 else f"{t:.6f}"
@@ -64,18 +50,17 @@ def _seconds(t: float) -> str:
 def cmd_solve(args) -> int:
     path = _load_path_spec(args.input)
     model = build_model(path)
-    tol = _admissibility_tol(model)
     report = solve(path.grid(args.n), model, endpoints=path.endpoints)
     if not math.isfinite(report.traversal_time):
         raise ValueError(STALLED)
     os.makedirs(args.out, exist_ok=True)
     report.write_json(os.path.join(args.out, "report.json"))
     report.profile.to_csv(os.path.join(args.out, "profile.csv"))
-    verdict = check_admissible(report.profile, model, tol)
+    verdict = check_admissible(report.profile, model)
     summary = {
         "traversal_time": report.traversal_time,
         "admissible": bool(verdict),
-        "admissibility_tol": tol,
+        "admissibility_tol": default_tol(model),
     }
     write_json(summary, os.path.join(args.out, "summary.json"))
     print(f"traversal time: {_seconds(report.traversal_time)} s")

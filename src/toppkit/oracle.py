@@ -83,7 +83,7 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
     for i in range(len(s) - 2, -1, -1):
         ds, t, ki = s[i + 1] - s[i], ceiling[i + 1], k[i]
         hi = min(bu[i], t + cap * ds)
-        if hi < lo:
+        if not hi >= lo:
             raise InfeasibleError("empty candidate set", s, i, "backward")
         r = f2 - (ki * hi) * (ki * hi)
         if hi + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - t <= 0.0:
@@ -97,8 +97,6 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
             if good + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - t <= 0.0:
                 break
             bad = good
-        else:
-            raise InfeasibleError("empty candidate set", s, i, "backward")
         tol = 1e-13 * max(1.0, abs(bad))
         while bad - good > tol:
             mid = 0.5 * (good + bad)
@@ -133,7 +131,7 @@ def dp_optimum(grid: Discretization, model: Model, levels: int = 512,
 
     ceiling = [0.0] * n
     top = bu[-1] if h_end is None else min(bu[-1], h_end)
-    if top < bl[-1]:
+    if not top >= bl[-1]:
         raise InfeasibleError("empty candidate set", s, n - 1, "backward")
     ceiling[-1] = top
     if kappa is None:
@@ -146,7 +144,7 @@ def dp_optimum(grid: Discretization, model: Model, levels: int = 512,
 
             lo = bl[i]
             hi = min(bu[i], target + model.slope_cap * ds)
-            if hi < lo:
+            if not hi >= lo:
                 raise InfeasibleError("empty candidate set", s, i, "backward")
             if g(hi) <= 0.0:
                 ceiling[i] = hi

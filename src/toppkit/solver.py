@@ -166,7 +166,7 @@ def _generic_sweeps(points: np.ndarray, model: DynamicsModel,
     for i in range(n - 1, -1, -1):
         if i < n - 1:
             h = _backward_step(model, s[i], s[i + 1] - s[i], h, bl[i], bu[i])
-        if h is None or h < bl[i]:
+        if h is None or not h >= bl[i]:
             raise InfeasibleError("empty backward step", s, i, "backward")
         backward[i] = h
     h = backward[0] if h_start is None else min(backward[0], h_start)
@@ -187,7 +187,7 @@ def _backward_step(model: DynamicsModel, s: float, ds: float, h_next: float,
 
     reach = model.slope_cap * ds
     hi = min(hi, h_next + reach)
-    if hi < lo:
+    if not hi >= lo:
         return None
     g_hi = g(hi)
     if g_hi <= 0.0:

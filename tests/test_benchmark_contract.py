@@ -7,7 +7,10 @@ library that breaks the benchmark fails here: the traced chain
 (``report.status.feasible``, ``report.write_json``, ``default_config``,
 the correctness gate, ``FrictionCircle.fminus``) and the counting pass
 (a callable ``DynamicsModel`` through ``solve``, ``check_admissible``
-and ``dp_optimum``). perfbench/ is only read.
+and ``dp_optimum``). The first smoke operation of each CLI workload
+also runs as the benchmark runs it, through ``toppkit solve`` (and
+``retime``) in child processes, and passes its gate on ``summary.json``.
+perfbench/ is only read.
 """
 
 import os
@@ -31,3 +34,11 @@ def test_benchmark_calls_still_work(tmp_path, workload):
     assert rec["failures"] == []
     counts = bench.count_evals(toppkit, workload, op)
     assert counts["solve"]["fminus"] > 0
+
+
+@pytest.mark.parametrize("workload", ["cli_geometric", "cli_tables"])
+def test_benchmark_cli_operation_still_works(tmp_path, workload):
+    # the CLI workloads read summary.json's traversal_time and admissible
+    op = bench.make_ops(workload, 1, True, str(tmp_path / "in"))[0]
+    _, failures = run.cli_op(workload, op, str(tmp_path), run.child_env())
+    assert failures == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from toppkit import (PathSpec, SpeedProfile, build_model, circle_instance,
-                     line_instance, solve)
+                     default_tol, line_instance, solve)
 from toppkit.cli import _seconds, main
 from toppkit.retime import STALLED
 
@@ -267,22 +267,26 @@ class TestSolveCommand:
         assert main(["solve", "--input", spec, "--n", "1",
                      "--out", str(tmp_path / "o")]) == 1
 
-    def test_tol_env_override_lands_in_summary(self, tmp_path, monkeypatch):
+    def test_environment_changes_no_artifact(self, tmp_path, monkeypatch):
+        # no environment variable, TOPPKIT_TOL among them, changes what
+        # solve writes: summary.json's tolerance is the model's default
         spec = write_spec(tmp_path, line_instance())
-        out = tmp_path / "out"
-        monkeypatch.setenv("TOPPKIT_TOL", "0.125")
-        assert main(["solve", "--input", spec, "--n", "11",
-                     "--out", str(out)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["admissibility_tol"] == 0.125
-        assert summary["admissible"] is True
-
-    def test_bad_tol_env_exits_1(self, tmp_path, monkeypatch, capsys):
-        spec = write_spec(tmp_path, line_instance())
-        for raw in ("not-a-number", "nan", "inf", "-1"):
-            monkeypatch.setenv("TOPPKIT_TOL", raw)
+        files = ("report.json", "summary.json", "profile.csv")
+        outs = []
+        for k, raw in enumerate((None, "0.125", "not-a-number")):
+            if raw is None:
+                monkeypatch.delenv("TOPPKIT_TOL", raising=False)
+            else:
+                monkeypatch.setenv("TOPPKIT_TOL", raw)
+            out = tmp_path / f"o{k}"
             assert main(["solve", "--input", spec, "--n", "11",
-                         "--out", str(tmp_path / "o")]) == 1
+                         "--out", str(out)]) == 0
+            outs.append({f: (out / f).read_bytes() for f in files})
+        assert outs[0] == outs[1] == outs[2]
+        summary = json.loads(outs[0]["summary.json"])
+        assert summary["admissibility_tol"] == default_tol(
+            build_model(line_instance()))
+        assert summary["admissible"] is True
 
 
 class TestSweepCommand:

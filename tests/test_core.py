@@ -385,6 +385,30 @@ def test_default_tol_scales_with_slope_cap(line_model):
     assert default_tol(relax(line_model, 100.0)) == pytest.approx(1.02e-7)
 
 
+@pytest.mark.parametrize("k", [2.0, 0.5])
+def test_default_tol_is_the_edge_of_each_check(line_path, circle_path, k):
+    # each profile misses one constraint by k times the default tolerance:
+    # twice it is rejected, naming the constraint; half of it is accepted.
+    # Line: window +-2, floor 0. Circle: ceiling 1, window [0, 0] there.
+    line, circle = build_model(line_path), build_model(circle_path)
+    on_line, on_circle = line_path.grid(1001), circle_path.grid(1001)
+    s = on_line.points
+    tol = default_tol(line)
+    assert default_tol(circle) == tol
+    cases = [
+        (line, on_line, 3.0 + (2.0 + k * tol) * s, "slope_above_max"),
+        (line, on_line, 3.0 - (2.0 + k * tol) * s, "slope_below_min"),
+        (line, on_line, np.full(s.size, -k * tol), "below_lower_bound"),
+        (circle, on_circle, np.full(s.size, 1.0 + k * tol), "above_upper_bound"),
+    ]
+    for model, grid, values, constraint in cases:
+        verdict = check_admissible(SpeedProfile(grid, values), model)
+        if k > 1.0:
+            assert not verdict and verdict.constraint == constraint
+        else:
+            assert verdict, constraint
+
+
 def test_convex_combinations_stay_admissible():
     # the slope window is concave above / convex below in h, so blends
     # of admissible profiles are admissible, endpoints included

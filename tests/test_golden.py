@@ -185,8 +185,7 @@ def _hashes(out, files, capsys):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_artifacts_match_recorded_hashes(tmp_path, capsys, monkeypatch, name):
-    monkeypatch.delenv("TOPPKIT_TOL", raising=False)
+def test_artifacts_match_recorded_hashes(tmp_path, capsys, name):
     out = tmp_path / "out"
     assert main(["solve", "--input", _write_spec(tmp_path, name),
                  "--n", str(N), "--out", str(out)]) == 0

@@ -204,25 +204,23 @@ class TestSolve:
             solve(grid, empty_box_model())
         assert (e.value.index, e.value.s, e.value.pass_name) == (2, 0.5, "backward")
 
-    @pytest.mark.parametrize("kappa, generic, index", [
-        (lambda s: np.full(np.shape(s), -1.0), True, 5),
-        (lambda s: np.where(np.asarray(s) > 0.5, -1.0, 0.0), True, 5),
-        (lambda s: np.where(np.isclose(s, 0.4), math.nan, 0.0), False, 2),
-    ], ids=["negative", "negative-right-half", "nan-at-0.4"])
-    def test_infeasible_circle_raises_where_the_oracle_does(self, kappa,
-                                                             generic, index):
-        # a negative or NaN ceiling: the closed-form sweep, the oracle and,
-        # for a negative one, the callable sweep stop at one index and pass
+    @pytest.mark.parametrize("kappa, index", [
+        (lambda s: np.full(np.shape(s), -1.0), 5),
+        (lambda s: np.where(np.asarray(s) > 0.5, -1.0, 0.0), 5),
+        (lambda s: np.where(np.isclose(s, 0.4), math.nan, 0.0), 2),
+        (lambda s: np.where(np.isclose(s, 1.0), math.nan, 0.0), 5),
+    ], ids=["negative", "negative-right-half", "nan-at-0.4", "nan-at-1.0"])
+    def test_infeasible_circle_raises_where_the_oracle_does(self, kappa, index):
+        # a negative or NaN ceiling: both sweeps and both oracle searches
+        # stop at one index and pass
         grid = Discretization.uniform(0.0, 1.0, 6)
-        model = FrictionCircle(1.0, 4.0, kappa)
-        calls = [lambda: solve(grid, model), lambda: dp_optimum(grid, model)]
-        if generic:  # the callable sweep treats a NaN ceiling as feasible
-            calls.append(lambda: solve(grid, plain_model(model)))
-        for call in calls:
-            with pytest.raises(InfeasibleError) as err:
-                call()
-            assert (err.value.index, err.value.s, err.value.pass_name) == (
-                index, grid.points[index], "backward")
+        circle = FrictionCircle(1.0, 4.0, kappa)
+        for model in (circle, plain_model(circle)):
+            for call in (solve, dp_optimum):
+                with pytest.raises(InfeasibleError) as err:
+                    call(grid, model)
+                assert (err.value.index, err.value.s, err.value.pass_name) == (
+                    index, grid.points[index], "backward")
 
     def test_forward_never_exceeds_backward(self):
         for path in (line_instance(), wave_table_instance()):
