@@ -8,7 +8,7 @@ a brute-force oracle that runs the same greedy, written independently.
 """
 
 from .core import (AdmissibilityReport, Discretization, DynamicsModel,
-                   InfeasibleError, SolveReport, SolveStatus, SpeedProfile,
+                   InfeasibleError, SolveReport, SpeedProfile,
                    UnsupportedInstanceError, check_admissible, default_tol,
                    profile_error, relax)
 from .harness import (ConvergenceRow, XiRow, convergence_sweep,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityReport", "ConvergenceRow", "Discretization",
     "DynamicsModel", "InfeasibleError", "PathSpec", "SolveReport",
-    "SolveStatus", "SpeedProfile", "UnsupportedInstanceError", "XiRow",
+    "SpeedProfile", "UnsupportedInstanceError", "XiRow",
     "agreement_tolerance", "analytic_optimum", "analytic_time",
     "build_model", "bundled_instances", "capped_arc_instance",
     "capped_line_instance", "check_admissible", "circle_instance",

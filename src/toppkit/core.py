@@ -9,6 +9,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -90,13 +91,9 @@ class Discretization:
     @classmethod
     def uniform(cls, a: float, b: float, n: int) -> "Discretization":
         """Uniform grid with ``n`` points from a to b (endpoints exact)."""
-        if n < 2:
-            raise ValueError("uniform grid needs n >= 2")
-        if not b > a:
-            raise ValueError("need b > a")
         try:
             return cls(np.linspace(a, b, n))
-        except ValueError as err:  # more points than floats in [a, b]
+        except ValueError as err:  # n < 2, b <= a, or more points than floats
             raise ValueError(f"uniform grid of n = {n} points on [{a!r}, {b!r}]: {err}") from None
 
     @property
@@ -356,25 +353,10 @@ def profile_error(candidate: SpeedProfile, reference: SpeedProfile) -> float:
 
 
 @dataclass(frozen=True)
-class SolveStatus:
-    """A solve's status: ``solve`` raises :class:`InfeasibleError` rather
-    than return an infeasible one, so a report's status is feasible."""
-
-    feasible: bool
-    index: Optional[int] = None
-    pass_name: Optional[str] = None
-
-    def to_json_dict(self) -> dict:
-        return {"feasible": self.feasible, "index": self.index,
-                "pass": self.pass_name}
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """One complete solve: the backward pass, the profile (the forward
     pass) and its traversal time."""
 
-    status: SolveStatus
     backward: np.ndarray
     profile: SpeedProfile
     traversal_time: float
@@ -384,9 +366,16 @@ class SolveReport:
         """The forward pass: the profile's squared speeds."""
         return self.profile.values
 
+    @property
+    def status(self) -> SimpleNamespace:
+        """``feasible=True``, always: ``solve`` raises rather than return an
+        infeasible solve. Kept only for the benchmark's read of it
+        (``perfbench/bench.py``); it goes with that benchmark's next change."""
+        return SimpleNamespace(feasible=True)
+
     def to_json_dict(self) -> dict:
         """The solve summary, without the arrays: its size does not grow with n."""
-        return {"status": self.status.to_json_dict(),
+        return {"status": {"feasible": True, "index": None, "pass": None},
                 "n": int(self.backward.size),
                 "traversal_time": self.traversal_time}
 

@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (Discretization, DynamicsModel, Endpoints, FrictionCircle,
-                   InfeasibleError, Model, SolveReport, SolveStatus,
-                   SpeedProfile, _box_bounds, _endpoint_pair)
+                   InfeasibleError, Model, SolveReport, SpeedProfile,
+                   _box_bounds, _endpoint_pair)
 from .retime import traversal_time
 
 
@@ -68,10 +68,11 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
                      h_start: Optional[float], h_end: Optional[float]):
     """Both sweeps of a friction-circle model. Relaxation by xi moves the
     braking target to t = h_next + xi ds. A backward step is the larger
-    root of (1 + 4 ds^2 kappa^2) h^2 - 2 t h + t^2 - 4 ds^2 f^2, or t when
-    that is larger (every h <= t brakes to h_next), clipped to min(bu,
-    h_next + (2 f + xi) ds), then stepped down one float at a time until
-    the generic step's constraint holds exactly; a forward step is
+    root of a h^2 - 2 t h + t^2 - 4 ds^2 f^2, a = 1 + 4 ds^2 kappa^2 (scaled
+    by 1/a first where f^2 a overflows), or t when that is larger (every
+    h <= t brakes to h_next), clipped to min(bu, h_next + (2 f + xi) ds),
+    then stepped down one float at a time until the generic step's
+    constraint holds exactly; a forward step is
     min(backward, h + fplus(h) ds). The floor is zero, so a step is empty
     only below a negative or NaN ceiling: InfeasibleError at the last one.
     Arrays first decide which steps only copy a bound: bu[i+1] to bu[i]
@@ -92,14 +93,19 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     runs &= c0 <= c1 + cap * delta
     t = c1 + xi * delta
     a = 1.0 + np.square(2.0 * delta * k0)
-    runs &= (c0 <= t) | ((t + 2.0 * delta * np.sqrt(np.maximum(
-        f2 * a - np.square(k0 * t), 0.0))) / a >= c0)
-    del t, a
+    fa = f2 * a
+    root = (t + 2.0 * delta * np.sqrt(np.maximum(fa - np.square(k0 * t), 0.0))) / a
+    big = ~(fa < math.inf)
+    if big.any():  # f2 * a overflows: the same root, scaled by 1/a first
+        ab, tb, kt = a[big], t[big], k0[big] * t[big] / a[big]
+        root[big] = tb / ab + 2.0 * delta[big] * np.sqrt(np.maximum(f2 / ab - kt * kt, 0.0))
+    runs &= (c0 <= t) | (root >= c0)
+    del t, a, fa, root
     k, d, bu = memoryview(kappa), memoryview(delta), memoryview(ceiling)
     n = len(k)
     backward, forward = np.empty(n), np.empty(n)
     b, fw = memoryview(backward), memoryview(forward)
-    sqrt = math.sqrt  # a local name: read on every step of both loops
+    sqrt, inf = math.sqrt, math.inf  # local names: read on every step
     on = memoryview(runs)
     stops = memoryview(np.append(-1, np.flatnonzero(~runs)))
     c = bu[n - 1]
@@ -115,8 +121,12 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
         h_next, ds, ki, c = h, d[i], k[i], bu[i]
         t, w = h_next + xi * ds, 2.0 * ds * ki
         kt, a = ki * t, 1.0 + w * w
-        root = sqrt(max(f2 * a - kt * kt, 0.0))
-        h = min(max((t + 2.0 * ds * root) / a, t), c, h_next + cap * ds)
+        fa = f2 * a
+        if fa < inf:
+            h = (t + 2.0 * ds * sqrt(max(fa - kt * kt, 0.0))) / a
+        else:  # f2 * a overflows: the same root, scaled by 1/a first
+            h = t / a + 2.0 * ds * sqrt(max(f2 / a - (kt / a) * (kt / a), 0.0))
+        h = min(max(h, t), c, h_next + cap * ds)
         r = f2 - (ki * h) * (ki * h)
         while h + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds \
                 - h_next > 0.0:
@@ -234,5 +244,5 @@ def solve(grid: Discretization, model: Model,
     sweeps = _friction_sweeps if isinstance(model, FrictionCircle) else _generic_sweeps
     backward, forward = sweeps(grid.points, model, h_start, h_end)
     profile = SpeedProfile(grid, forward)
-    return SolveReport(status=SolveStatus(True), backward=backward,
-                       profile=profile, traversal_time=traversal_time(profile))
+    return SolveReport(backward=backward, profile=profile,
+                       traversal_time=traversal_time(profile))

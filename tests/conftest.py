@@ -3,9 +3,31 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from toppkit import (Discretization, DynamicsModel, build_model,
-                     circle_instance, line_instance)
+from toppkit import (AdmissibilityReport, Discretization, DynamicsModel,
+                     PathSpec, build_model, circle_instance, line_instance)
 from toppkit.core import FrictionCircle
+
+# Specs where f_fr^2 (1 + (2 ds kappa)^2) overflows although f_fr^2 does
+# not, on coarse grids (the first arc at n = 3 and 11, not at 101). An
+# unscaled backward root is inf there, and the step walked down from the
+# ceiling one float at a time (2.7e14 floats on the first arc at n = 3).
+OVERFLOWING_ROOT = {
+    "arc": PathSpec("arc", 1.2e154, 1.3e154, radius=1e150, angle=3.0,
+                    endpoints=(0.0, 0.0)),
+    "tight_arc": PathSpec("arc", 4.157066642480439e100, 8.42783372521783e152,
+                          radius=5.739623577631826e-36,
+                          angle=713.3794335319024, endpoints=(None, 0.0)),
+    "table": PathSpec("table", 2.00499115952519e83, 4.7676174936281655e153,
+                      table=((0.0, 1806673202564373.0),
+                             (1.8441716739144724e-13, 3437359248916668.0)),
+                      endpoints=(0.0, 0.0)),
+}
+
+
+def failed_check(profile, model, tol=None):
+    """A stand-in for check_admissible that rejects every profile, to
+    show that a self-check raises when its check fails."""
+    return AdmissibilityReport(False, 0, "above_upper_bound", "forced")
 
 
 @pytest.fixture

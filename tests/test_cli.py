@@ -1,12 +1,21 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from toppkit import (PathSpec, SpeedProfile, build_model, circle_instance,
-                     default_tol, line_instance, solve)
+from toppkit import (PathSpec, SpeedProfile, agreement_tolerance,
+                     build_model, circle_instance, default_tol, line_instance,
+                     solve)
 from toppkit.cli import _seconds, main
 from toppkit.retime import STALLED
+
+from conftest import OVERFLOWING_ROOT
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 # Rest to rest around an arc of radius 1e-160: about 4.05e-80 s.
 TINY_ARC = PathSpec("arc", 10.0, 1.0, radius=1e-160, angle=3.0,
@@ -50,6 +59,22 @@ def test_times_from_1e9_print_with_seven_significant_digits(t):
 # A table whose traversal time is about 6.4e149 s at --n 11.
 SLOW_TABLE = ('{"kind": "table", "v_max": 1, "f_fr": 1e-150, '
               '"table": [[0, 0], [1, 1e150]]}')
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_ROOT)
+def test_solve_with_overflowing_root_finishes(tmp_path, name):
+    # Each solve hung, walking the backward step down one float at a time.
+    # A child process with a timeout fails instead of stalling the suite.
+    spec = write_spec(tmp_path, OVERFLOWING_ROOT[name])
+    env = dict(os.environ, PYTHONPATH=SRC)  # the checkout's package
+    for n in (3, 11):
+        out = tmp_path / f"out_{n}"
+        done = subprocess.run(
+            [sys.executable, "-m", "toppkit.cli", "solve", "--input", spec,
+             "--n", str(n), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads((out / "summary.json").read_text())["admissible"] is True
 
 
 class TestSolveCommand:
@@ -366,6 +391,28 @@ class TestOracleCommand:
                      "--out", str(out)]) == 0
         agreement = json.loads((out / "agreement.json").read_text())
         assert agreement["within"] is True
+
+    def test_disagreement_exits_1(self, tmp_path, capsys, monkeypatch):
+        import toppkit.cli as cli
+
+        dp_optimum = cli.dp_optimum
+
+        def shifted(grid, model, levels, endpoints):
+            # the oracle's profile, twice the tolerance above the solver's
+            profile = dp_optimum(grid, model, levels=levels, endpoints=endpoints)
+            tol = agreement_tolerance(grid, model, levels)
+            return SpeedProfile(grid, profile.values + 2.0 * tol)
+
+        monkeypatch.setattr(cli, "dp_optimum", shifted)
+        spec = write_spec(tmp_path, line_instance())
+        out = tmp_path / "out"
+        assert main(["oracle", "--input", spec, "--n", "50", "--levels", "64",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: oracle disagrees with the solver beyond tolerance"]
+        agreement = json.loads((out / "agreement.json").read_text())
+        assert agreement["within"] is False
+        assert agreement["error"] > agreement["tolerance"]
 
     def test_levels_floor_exits_1(self, tmp_path, monkeypatch):
         import toppkit.cli as cli

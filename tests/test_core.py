@@ -35,6 +35,13 @@ class TestDiscretization:
         with pytest.raises(ValueError):
             Discretization.uniform(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("a, b, n", [(0, 1, 1), (1, 0, 5), (0, 0, 5)])
+    def test_uniform_names_n_and_the_span(self, a, b, n):
+        # the constructor states each grid rule; uniform prefixes n and [a, b]
+        with pytest.raises(ValueError) as err:
+            Discretization.uniform(a, b, n)
+        assert str(err.value).startswith(f"uniform grid of n = {n} points on [{a}, {b}]: ")
+
     def test_points_are_readonly(self):
         g = Discretization.uniform(0.0, 1.0, 4)
         with pytest.raises(ValueError):

@@ -45,7 +45,6 @@ def test_closed_form_sweeps(name):
 
     grid = path.grid(100_001)
     fast = solve(grid, model, endpoints=path.endpoints)
-    assert fast.status.feasible
     verdict = check_admissible(fast.profile, model)
     assert verdict, verdict.detail
     # Every backward step satisfies its constraint exactly, evaluated as

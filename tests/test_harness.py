@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import toppkit.harness as harness
 from toppkit import (PathSpec, build_model, capped_arc_instance,
                      circle_instance, convergence_sweep, default_tol,
-                     line_instance, measure_solve_seconds,
+                     line_instance, measure_solve_seconds, relax,
                      wave_table_instance, write_convergence_csv, xi_sweep)
+
+from conftest import failed_check
 
 
 class TestConvergenceSweep:
@@ -46,6 +49,11 @@ class TestConvergenceSweep:
     def test_sizes_must_increase(self):
         with pytest.raises(ValueError):
             convergence_sweep(line_instance(), [100, 100], "analytic")
+
+    def test_sizes_must_be_at_least_2(self):
+        # without the check, the finest reference's modulo divides by zero
+        with pytest.raises(ValueError, match="at least 2"):
+            convergence_sweep(line_instance(), [1, 3], "finest")
 
     def test_sizes_must_be_integers(self):
         # a float size is refused, not truncated to n = 3 and 5
@@ -132,3 +140,32 @@ def test_zero_curvature_table_behaves_like_a_line():
 def test_measure_solve_seconds_smoke():
     t = measure_solve_seconds(line_instance(), 501, repeats=2)
     assert 0.0 < t < 5.0
+
+
+def test_measure_solve_seconds_needs_a_repeat():
+    # zero repeats would time nothing and return inf
+    with pytest.raises(ValueError, match="repeats must be at least 1"):
+        measure_solve_seconds(line_instance(), 11, repeats=0)
+
+
+class TestSelfChecks:
+    def test_inadmissible_convergence_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "check_admissible", failed_check)
+        with pytest.raises(RuntimeError,
+                           match="^solve at n=10 not admissible: forced$"):
+            convergence_sweep(line_instance(), [10, 20], "analytic")
+
+    def test_inadmissible_relaxed_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "check_admissible", failed_check)
+        path = line_instance()
+        with pytest.raises(RuntimeError, match=r"^relaxed solve \(xi=0.5\) "
+                                               "not admissible: forced$"):
+            xi_sweep(path, path.grid(11), [0.5, 0.0])
+
+    def test_growing_relaxation_gap_raises(self, monkeypatch):
+        # a relaxation that widens as the level falls: xi = 1, then 2
+        monkeypatch.setattr(harness, "relax", lambda model, xi: relax(model, 1.0 / xi))
+        path = line_instance()
+        with pytest.raises(RuntimeError, match="^relaxation gaps increased "
+                                               "from xi=1.0 .* to xi=0.5"):
+            xi_sweep(path, path.grid(11), [1.0, 0.5, 0.0])

@@ -13,9 +13,10 @@ from toppkit import (Discretization, InfeasibleError, PathSpec,
                      line_instance, profile_error, random_admissible,
                      random_table_instance, relax, solve, tightened_path,
                      wave_table_instance)
+import toppkit.oracle as oracle
 from toppkit.oracle import _lattice_down
 
-from conftest import blind_model, constant_box_model, plain_model
+from conftest import blind_model, constant_box_model, failed_check, plain_model
 
 INSTANCES = {**{f"table_{k}": (random_table_instance(k), 200)
                 for k in range(32)},
@@ -311,6 +312,13 @@ class TestRandomAdmissible:
             y = random_admissible(grid, path, seed)
             assert np.all(optimum.values >= y.values - tol)
 
+    def test_inadmissible_draw_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "check_admissible", failed_check)
+        path = line_instance()
+        with pytest.raises(RuntimeError, match="^tightened solve not admissible "
+                                               "for the original limits: forced$"):
+            random_admissible(path.grid(11), path, 0)
+
     def test_multiplier_validation(self):
         with pytest.raises(ValueError):
             tightened_path(line_instance(), 0.0, 1.0)
@@ -362,5 +370,5 @@ def test_built_paths_are_never_infeasible(path, n):
         assert str(err).startswith(f"uniform grid of n = {n} points on ")
         return
     model = build_model(path)
-    assert solve(grid, model, endpoints=path.endpoints).status.feasible
+    solve(grid, model, endpoints=path.endpoints)
     dp_optimum(grid, model, levels=8, endpoints=path.endpoints)

@@ -88,6 +88,10 @@ class TestPathSpec:
         # a line's sweeps cancel nothing: kappa is 0
         assert PathSpec("line", 1.0, 5e-323, length=1.0).f_fr == 5e-323
 
+    def test_table_needs_two_rows(self):
+        with pytest.raises(ValueError, match="needs at least two samples"):
+            PathSpec("table", 1.0, 1.0, table=((0.0, 1.0),))
+
     def test_table_curvature_slope_must_be_finite(self):
         # np.interp's slope 1e150 / 1e-200 overflows: the solve read NaN
         with pytest.raises(ValueError, match="'table' curvature slope"):
@@ -133,7 +137,6 @@ class TestPathSpec:
         path = PathSpec(**spec)
         model, grid = build_model(path), path.grid(1001)
         report = solve(grid, model, endpoints=path.endpoints)
-        assert report.status.feasible
         assert check_admissible(report.profile, model)
 
     @pytest.mark.parametrize("v_max, f_fr, radius, angle", [
@@ -145,7 +148,6 @@ class TestPathSpec:
                         endpoints=(0.0, 0.0))
         model, grid = build_model(path), path.grid(101)
         report = solve(grid, model, endpoints=path.endpoints)
-        assert report.status.feasible
         assert check_admissible(report.profile, model)
 
     def test_domains(self):

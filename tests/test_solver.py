@@ -16,7 +16,8 @@ from toppkit import (Discretization, DynamicsModel, InfeasibleError,
 
 from toppkit.core import FrictionCircle
 
-from conftest import blind_model, constant_box_model, plain_model
+from conftest import (OVERFLOWING_ROOT, blind_model, constant_box_model,
+                      plain_model)
 
 # Car-model scalar subproblem: largest h with h - 0.2*sqrt(1 - h^2) <= 0.5.
 # Value frozen from a plain-bisection solve of the inequality; it also
@@ -142,7 +143,6 @@ class TestBackwardStep:
                                   bu=lambda s: 1.0, bl=lambda s: 0.0,
                                   slope_cap=cap)
             report = two_point_solve(model, 0.0, 1.0, (None, 0.0))
-            assert report.status.feasible
             h = report.backward[0]
             assert h + model.fminus(0.0, h) <= 0.0
             up = math.nextafter(h, math.inf)
@@ -183,7 +183,6 @@ class TestForwardStep:
 class TestSolve:
     def test_line_three_points(self, line_path, line_model, grid3):
         report = solve(grid3, line_model, endpoints=line_path.endpoints)
-        assert report.status.feasible
         assert report.backward == pytest.approx([2.0, 1.0, 0.0], abs=1e-12)
         assert report.forward == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
         assert report.profile.values == pytest.approx([0.0, 1.0, 0.0],
@@ -195,7 +194,6 @@ class TestSolve:
         for n in (5, 64):
             grid = circle_path.grid(n)
             report = solve(grid, model, endpoints=circle_path.endpoints)
-            assert report.status.feasible
             assert np.max(np.abs(report.forward - 1.0)) == 0.0
 
     def test_empty_box_reports_failing_index(self, line_path):
@@ -227,7 +225,6 @@ class TestSolve:
             model = build_model(path)
             grid = path.grid(301)
             report = solve(grid, model, endpoints=path.endpoints)
-            assert report.status.feasible
             assert np.all(report.forward <= report.backward + 1e-12)
 
     def test_output_is_admissible_at_default_tol(self):
@@ -235,7 +232,6 @@ class TestSolve:
                      wave_table_instance()):
             model = build_model(path)
             report = solve(path.grid(257), model, endpoints=path.endpoints)
-            assert report.status.feasible
             assert check_admissible(report.profile, model)
 
     def test_relaxation_monotonicity(self, line_path):
@@ -293,7 +289,6 @@ class TestSolve:
         path = capped_arc_instance()
         report = solve(path.grid(10001), build_model(path),
                        endpoints=path.endpoints)
-        assert report.status.feasible
         expected = json.dumps(report.to_json_dict(), indent=2) + "\n"
         assert "NaN" not in expected
         f = tmp_path / "report.json"
@@ -338,6 +333,19 @@ class TestFrictionFastPath:
             assert same(fminus, [model.fminus(x, y) for x, y in zip(sl, hl)])
             assert same(fplus, [model.fplus(x, y) for x, y in zip(sl, hl)])
 
+    @pytest.mark.parametrize("path", OVERFLOWING_ROOT.values(),
+                             ids=OVERFLOWING_ROOT.keys())
+    @pytest.mark.parametrize("n", [3, 11, 101])
+    def test_overflowing_root_solves(self, path, n):
+        # an unscaled root was inf, and the step walked down from the ceiling
+        model, grid = build_model(path), path.grid(n)
+        report = solve(grid, model, endpoints=path.endpoints)
+        assert check_admissible(report.profile, model)
+        generic = solve(grid, plain_model(model), endpoints=path.endpoints)
+        bu_max = float(np.max(model.ceiling(model.kappa(grid.points))))
+        assert np.max(np.abs(report.backward - generic.backward)) \
+            <= 1e-12 * max(1.0, bu_max)
+
     def test_step_matches_car_root(self):
         # two points: the backward value at s = 0.3 is the root itself
         model = car_model()
@@ -375,7 +383,7 @@ def test_public_names():
     for name in toppkit.__all__:
         assert getattr(toppkit, name) is not None
     for name in ("StepSolverConfig", "backward_step", "forward_step",
-                 "write_xi_csv"):
+                 "write_xi_csv", "SolveStatus"):
         assert not hasattr(toppkit, name)
         assert not hasattr(toppkit.solver, name)
     # the benchmark's traced pass imports it

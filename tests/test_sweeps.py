@@ -1,8 +1,8 @@
 """The arc-structured friction-circle sweeps against the scalar loop
 they replace: equal bit for bit on the bundled and random instances,
-relaxed or not, on drawn tables with every endpoint choice, and where a
-backward root equals the bound exactly. Plus the traced memory of a
-solve at n = 1e5."""
+relaxed or not, on drawn tables with every endpoint choice, where a
+backward root equals the bound exactly, and where f_fr^2 (1 + (2 ds
+kappa)^2) overflows. Plus the traced memory of a solve at n = 1e5."""
 
 import math
 import tracemalloc
@@ -18,6 +18,8 @@ from toppkit import (PathSpec, build_model, bundled_instances,
                      wave_table_instance)
 from toppkit.core import FrictionCircle
 from toppkit.solver import _friction_sweeps
+
+from conftest import OVERFLOWING_ROOT
 
 INSTANCES = dict(bundled_instances(),
                  **{f"table_{k}": random_table_instance(k) for k in range(32)})
@@ -48,8 +50,12 @@ def scalar_sweeps(points: np.ndarray, fr: FrictionCircle,
         h_next, ds, ki = h, d[i], k[i]
         t, w = h_next + xi * ds, 2.0 * ds * ki
         a = 1.0 + w * w
-        root = sqrt(max(f2 * a - (ki * t) * (ki * t), 0.0))
-        h = min(max((t + 2.0 * ds * root) / a, t), bu[i], h_next + cap * ds)
+        if f2 * a < math.inf:
+            h = (t + 2.0 * ds * sqrt(max(f2 * a - (ki * t) * (ki * t), 0.0))) / a
+        else:  # f2 * a overflows: the same root, scaled by 1/a first
+            kt = ki * t / a
+            h = t / a + 2.0 * ds * sqrt(max(f2 / a - kt * kt, 0.0))
+        h = min(max(h, t), bu[i], h_next + cap * ds)
         r = f2 - (ki * h) * (ki * h)
         while h + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds \
                 - h_next > 0.0:
@@ -130,6 +136,35 @@ def test_overflowing_reach_equal_without_warning():
         assert 2.0 * path.f_fr * float(points[1] - points[0]) == math.inf
         for model in relaxed_models(path):
             assert_bitwise_equal(points, model, None, None)
+
+
+def test_overflowing_root_below_the_bound_is_not_copied():
+    """f2 * a overflows. bu[0] = vmax2 brakes to bu[1], but the root, scaled
+    by 1/a first, is the float below vmax2: the scalar step returns it, so
+    the run decision must take the scaled root too and not copy bu[0]."""
+    f, ds, k0, k1 = 6.455753159714882e153, 3.6363117269686107, \
+        7.723440996633454, 58.10094088679837
+    vmax2 = 8.357653230333442e152
+    a = 1.0 + (2.0 * ds * k0) * (2.0 * ds * k0)
+    assert f * f * a == math.inf
+    points = np.array([0.0, ds])
+    fr = FrictionCircle(f, vmax2, lambda s: np.interp(s, [0.0, ds], [k0, k1]))
+    assert list(fr.ceiling(fr.kappa(points))) == [vmax2, f / k1]
+    assert fr.fminus(0.0, vmax2) * ds + vmax2 <= f / k1
+    assert _friction_sweeps(points, fr, None, None)[0][0] \
+        == math.nextafter(vmax2, 0.0)
+    assert_bitwise_equal(points, fr, None, None)
+
+
+@pytest.mark.parametrize("path", OVERFLOWING_ROOT.values(),
+                         ids=OVERFLOWING_ROOT.keys())
+@pytest.mark.parametrize("n", [3, 11, 101])
+def test_overflowing_root_equal(path, n):
+    """Where f2 * a overflows, the arrays and the scalar loop both take
+    the root scaled by 1/a first."""
+    points = path.grid(n).points
+    for model in relaxed_models(path):
+        assert_bitwise_equal(points, model, *path.endpoints)
 
 
 @pytest.mark.parametrize("path", [random_table_instance(0),
