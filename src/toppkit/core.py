@@ -105,8 +105,7 @@ class Discretization:
         return int(self.points.size)
 
     def same_grid(self, other: "Discretization") -> bool:
-        return self.points.size == other.points.size and bool(
-            np.array_equal(self.points, other.points))
+        return bool(np.array_equal(self.points, other.points))
 
 
 def _check_caps(xi: float, **positive: float) -> None:
@@ -322,7 +321,8 @@ def check_admissible(profile: SpeedProfile, model: Model,
         sl, hl = s.tolist(), h.tolist()
         f_lo, f_hi = (np.array([f(x, y) for x, y in zip(sl[:-1], hl)])
                       for f in (model.fminus, model.fplus))
-    slope = np.diff(h) / np.diff(s)
+    with np.errstate(over="ignore"):  # an infinite chord fails its window
+        slope = np.diff(h) / np.diff(s)
     # One row per check, in reporting order: at each index the bounds
     # come before the slope, and the slope at i before the bounds at i+1.
     fails = np.zeros((4, n), dtype=bool)

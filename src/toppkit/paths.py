@@ -169,15 +169,15 @@ def curvature(path: PathSpec, s: float) -> float:
 
 
 def _curvature(path: PathSpec):
-    # Numpy curvatures at one position or an array of them, s clamped
-    # into the path domain: last-segment float overshoot (s_prev + ds a
-    # few ulps past the end) cannot raise mid-solve.
+    # Numpy curvatures at one position or an array of them, s clamped into
+    # the domain (s_prev + ds a few ulps past the end cannot raise mid-solve)
+    # and a table's at zero (np.interp can undershoot a zero sample).
     if path.kind != "table":
         k = np.float64(0.0 if path.kind == "line" else 1.0 / path.radius)
         return lambda s: k + 0.0 * s
     ss = np.array([p for p, _ in path.table])
     kk = np.array([k for _, k in path.table])
-    return lambda s: np.interp(s, ss, kk)
+    return lambda s: np.maximum(np.interp(s, ss, kk), 0.0)
 
 
 def build_model(path: PathSpec) -> FrictionCircle:

@@ -81,18 +81,24 @@ def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
     i = np.clip(np.searchsorted(t_knots, t, side="right") - 1, 0, s.size - 2)
     tau = np.subtract(t, t_knots[i], out=t)
     s0, h0 = s[i], h[i]
-    m = (h[i + 1] - h0) / (s[i + 1] - s0)
-    root_h0, flat = np.sqrt(h0), m == 0.0
     pos, hh = rows[:-1, 1], rows[:-1, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):  # replaced where flat
+    # replaced where flat; a non-finite slope is rejected after the samples (peak RSS)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m = (h[i + 1] - h0) / (s[i + 1] - s0)
+        root_h0, flat = np.sqrt(h0), m == 0.0
         np.square(root_h0 + 0.5 * m * tau, out=hh)
         np.copyto(hh, h0, where=flat)
         np.divide(hh - h0, m, out=pos)
-    pos += s0
-    np.copyto(pos, s0 + root_h0 * tau, where=flat)
-    np.maximum(pos, s0, out=pos)
-    np.minimum(pos, s[i + 1], out=pos)
-    np.sqrt(hh, out=hh)
+        pos += s0
+        np.copyto(pos, s0 + root_h0 * tau, where=flat)
+        np.maximum(pos, s0, out=pos)
+        np.minimum(pos, s[i + 1], out=pos)
+        np.sqrt(hh, out=hh)
+        finite = np.isfinite(np.diff(h) / np.diff(s))
+    j = int(np.argmin(finite))
+    if not finite[j]:
+        raise ValueError(f"segment {j} from s={float(s[j])!r} to s={float(s[j + 1])!r}: "
+                         "slope (h1 - h0) / (s1 - s0) is not finite")
     return rows
 
 

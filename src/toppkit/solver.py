@@ -25,9 +25,8 @@ from .retime import traversal_time
 
 
 def default_config(grid: Discretization, model: Model) -> None:
-    """No configuration remains: the root search is exact. Kept only for
-    the benchmark's traced pass (``perfbench/run.py``), its one caller;
-    it goes with the next change to that benchmark."""
+    """A no-op, kept only for its one caller, the benchmark's traced pass
+    (``perfbench/run.py``); it goes with the next change to that benchmark."""
 
 
 def _largest_feasible(g, a: float, b: float, fa: float, fb: float) -> float:
@@ -75,12 +74,12 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     constraint holds exactly; a forward step is
     min(backward, h + fplus(h) ds). The floor is zero, so a step is empty
     only below a negative or NaN ceiling: InfeasibleError at the last one.
-    Arrays first decide which steps only copy a bound: bu[i+1] to bu[i]
-    backward, backward[i-1] clipped to backward[i] forward. Every square
-    is a product, never ``**`` (libm ``pow``), so the arrays repeat the
-    scalar step's floats: each loop copies such a run whole once on its
-    bound, takes every other step in scalar floats, and the result is
-    the scalar steps' to the bit."""
+    A backward step from the ceiling bu[i+1] returns bu[i] whenever bu[i]
+    satisfies it (bu[i] + fminus(bu[i]) ds <= bu[i+1], bu[i] <= bu[i+1] +
+    (2 f + xi) ds), as the generic step returns a feasible bound. Arrays
+    decide these runs and the forward steps that copy backward[i-1] clipped
+    to backward[i], squaring by products as the scalar steps do (never libm
+    ``pow``); each loop copies a run whole and steps the rest in scalars."""
     kappa, delta = fr.kappa(points), np.diff(points)
     ceiling = fr.ceiling(kappa)
     ok = ceiling >= 0.0
@@ -89,18 +88,7 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
                               int(np.flatnonzero(~ok)[-1]), "backward")
     f2, xi, cap = fr.f_fr * fr.f_fr, fr.xi, fr.slope_cap
     k0, c0, c1 = kappa[:-1], ceiling[:-1], ceiling[1:]
-    runs = c0 + fr.slopes(k0, c0)[0] * delta - c1 <= 0.0
-    runs &= c0 <= c1 + cap * delta
-    t = c1 + xi * delta
-    a = 1.0 + np.square(2.0 * delta * k0)
-    fa = f2 * a
-    root = (t + 2.0 * delta * np.sqrt(np.maximum(fa - np.square(k0 * t), 0.0))) / a
-    big = ~(fa < math.inf)
-    if big.any():  # f2 * a overflows: the same root, scaled by 1/a first
-        ab, tb, kt = a[big], t[big], k0[big] * t[big] / a[big]
-        root[big] = tb / ab + 2.0 * delta[big] * np.sqrt(np.maximum(f2 / ab - kt * kt, 0.0))
-    runs &= (c0 <= t) | (root >= c0)
-    del t, a, fa, root
+    runs = (c0 + fr.slopes(k0, c0)[0] * delta - c1 <= 0.0) & (c0 <= c1 + cap * delta)
     k, d, bu = memoryview(kappa), memoryview(delta), memoryview(ceiling)
     n = len(k)
     backward, forward = np.empty(n), np.empty(n)

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from toppkit import (AdmissibilityReport, Discretization, DynamicsModel,
                      PathSpec, build_model, circle_instance, line_instance)
@@ -22,6 +23,14 @@ OVERFLOWING_ROOT = {
                              (1.8441716739144724e-13, 3437359248916668.0)),
                       endpoints=(0.0, 0.0)),
 }
+
+
+# A positive number between 1e-300 and 1.79e308, near the largest float.
+WIDE = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 1.79),
+                 st.integers(-300, 308))
+# WIDE, or a span-forming field within a factor 18 of the largest float,
+# where 2 * span overflows: the hole a 1e308 line left at n = 2.
+LONG = st.one_of(WIDE, st.floats(1e307, 1.79e308))
 
 
 def failed_check(profile, model, tol=None):
@@ -102,3 +111,21 @@ def blind_model(model):
         return _BlindCircle(model.f_fr, model.vmax2, model.kappa, model.xi)
     return replace(model, fplus=_forbidden, fminus=_forbidden,
                    bu=_forbidden, bl=_forbidden)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as in the sweeps' arrays
+def assert_ceiling_rule(points, model, *backwards):
+    """A backward step from the ceiling bu[i+1] returns bu[i] whenever
+    bu[i] satisfies it: bu[i] + fminus(bu[i]) ds <= bu[i+1] and
+    bu[i] <= bu[i+1] + slope_cap ds. Checked where every sweep given
+    stands on bu[i+1]."""
+    kappa, ds = model.kappa(points), np.diff(points)
+    bu = model.ceiling(kappa)
+    c0, c1 = bu[:-1], bu[1:]
+    on = (c0 + model.slopes(kappa[:-1], c0)[0] * ds - c1 <= 0.0) \
+        & (c0 <= c1 + model.slope_cap * ds)
+    for b in backwards:
+        on &= b[1:] == c1
+    for b in backwards:
+        assert np.array_equal(b[:-1][on], c0[on]), \
+            np.flatnonzero(on)[b[:-1][on] != c0[on]]

@@ -467,6 +467,17 @@ class TestRetimeCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_slope_exits_1(self, tmp_path, capsys):
+        prof = tmp_path / "profile.csv"
+        prof.write_text("s,h\n0,1\n1e-300,1e9\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["retime", "--profile", str(prof), "--dt", "1e-305",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: segment 0 from s=0.0 to s=1e-300: slope (h1 - h0) / (s1 - s0) "
+            "is not finite\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("rows", ["", "0,1\n", "0,1\n0.5,1,2\n1,1\n",
                                       "0,1\n0.5\n1,1\n", "0,1\nx\n1,1\n"],
                              ids=["header-only", "one-row", "3-fields",

@@ -151,6 +151,20 @@ class TestCheckAdmissibleFrictionModel:
         assert (verdict.index, verdict.constraint) == (1, "slope_below_min")
 
 
+@pytest.mark.parametrize("values,constraint", [([1.0, 1e9], "slope_above_max"),
+                                               ([1e9, 1.0], "slope_below_min")])
+def test_infinite_chord_fails_its_window(values, constraint):
+    # (h1 - h0) / 1e-300 overflows to +-inf below the ceiling 1e10: a
+    # verdict, with no overflow warning (pytest turns warnings into errors)
+    model = build_model(PathSpec("line", v_max=1e5, f_fr=1.0, length=1.0))
+    profile = SpeedProfile(Discretization(np.array([0.0, 1e-300])),
+                           np.array(values))
+    for m in (blind_model(model), plain_model(model)):
+        verdict = check_admissible(profile, m)
+        assert (verdict.ok, verdict.index, verdict.constraint) == (
+            False, 0, constraint)
+
+
 class TestProfileError:
     def test_identical_profiles(self, grid3):
         p = SpeedProfile(grid3, np.array([0.0, 1.0, 0.0]))

@@ -5,11 +5,12 @@ to n = 1e5, unrelaxed and relaxed."""
 import numpy as np
 import pytest
 
-from toppkit import (agreement_tolerance, build_model, bundled_instances,
-                     capped_arc_instance, check_admissible, dp_optimum,
-                     random_table_instance, relax, solve, wave_table_instance)
+from toppkit import (PathSpec, agreement_tolerance, build_model,
+                     bundled_instances, capped_arc_instance, check_admissible,
+                     dp_optimum, random_table_instance, relax, solve,
+                     wave_table_instance)
 
-from conftest import plain_model
+from conftest import assert_ceiling_rule, plain_model
 
 INSTANCES = {f"table_{k}": random_table_instance(k) for k in range(10)}
 INSTANCES["wave_table"] = wave_table_instance()
@@ -25,7 +26,9 @@ RELAXED = (0.05, 1.0)
 def assert_agree(fast, generic, model):
     """The generic search is exact, and the closed-form step only ever
     steps down from its root: pointwise the closed form is never above
-    the generic sweeps, and at most 1e-11 * max(1, bu_max) below."""
+    the generic sweeps, and at most 1e-11 * max(1, bu_max) below. Where
+    both backward sweeps stand on the ceiling bu[i+1] and bu[i] satisfies
+    the step, both return bu[i]."""
     rel = abs(fast.traversal_time - generic.traversal_time) \
         / generic.traversal_time
     assert rel <= 1e-9, rel
@@ -35,6 +38,8 @@ def assert_agree(fast, generic, model):
         gap = getattr(generic, name) - getattr(fast, name)
         assert np.all(gap >= 0.0), (name, float(gap.min()))
         assert float(gap.max()) <= 1e-11 * max(1.0, bu_max), (name, gap.max())
+    assert_ceiling_rule(fast.profile.grid.points, model, fast.backward,
+                        generic.backward)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -84,3 +89,20 @@ def test_coarse_grids(n):
             assert check_admissible(fast.profile, model)
             assert_agree(fast, solve(grid, plain_model(model),
                                      endpoints=path.endpoints), model)
+
+
+def test_ceiling_step_from_the_ceiling_equals_the_generic_step():
+    """On this extreme table the closed-form root rounds below a feasible
+    ceiling at index 820 of 1 001; the step starts on the ceiling, so both
+    sweeps return the ceiling, and the solves agree bit for bit."""
+    path = PathSpec.from_json_dict({
+        "kind": "table", "v_max": 1.0948107962357818e+64,
+        "f_fr": 1.3283786408552344e-50,
+        "table": [[0, 0], [1.3848956563018364e+79, 1.569058253417818e-19]],
+        "endpoints": {"end_h": 0}})
+    model, grid = build_model(path), path.grid(1001)
+    fast = solve(grid, model, endpoints=path.endpoints)
+    generic = solve(grid, plain_model(model), endpoints=path.endpoints)
+    for name in ("backward", "forward"):
+        assert np.array_equal(getattr(fast, name).view(np.int64),
+                              getattr(generic, name).view(np.int64)), name

@@ -16,7 +16,8 @@ from toppkit import (Discretization, InfeasibleError, PathSpec,
 import toppkit.oracle as oracle
 from toppkit.oracle import _lattice_down
 
-from conftest import blind_model, constant_box_model, failed_check, plain_model
+from conftest import (LONG, WIDE, blind_model, constant_box_model, failed_check,
+                      plain_model)
 
 INSTANCES = {**{f"table_{k}": (random_table_instance(k), 200)
                 for k in range(32)},
@@ -79,6 +80,20 @@ class TestDpOptimum:
                                  endpoints=path.endpoints)
             err = profile_error(profile, report.profile)
             assert err <= agreement_tolerance(grid, model, 512)
+
+    @pytest.mark.parametrize("name", sorted(bundled_instances()))
+    def test_agreement_tolerance_is_two_spacings_and_two_reaches(self, name):
+        # 2 max(bu) / (levels - 1) + 2 slope_cap delta, from the scalar
+        # ceiling and the grid's gaps: a looser band would pass more
+        path = bundled_instances()[name]
+        model, grid = build_model(path), path.grid(201)
+        s = grid.points.tolist()
+        bu_max = max(model.bu(x) for x in s)
+        delta = max(b - a for a, b in zip(s, s[1:]))
+        for levels in (8, 512):
+            assert agreement_tolerance(grid, model, levels) == pytest.approx(
+                2.0 * bu_max / (levels - 1) + 2.0 * model.slope_cap * delta,
+                rel=1e-12, abs=0.0)
 
     def test_refining_levels_does_not_regress(self):
         path = wave_table_instance()
@@ -324,14 +339,6 @@ class TestRandomAdmissible:
             tightened_path(line_instance(), 0.0, 1.0)
         with pytest.raises(ValueError):
             tightened_path(line_instance(), 0.5, 1.5)
-
-
-# A positive number between 1e-300 and 1.79e308, near the largest float.
-WIDE = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 1.79),
-                 st.integers(-300, 308))
-# WIDE, or a span-forming field within a factor 18 of the largest float,
-# where 2 * span overflows: the hole a 1e308 line left at n = 2.
-LONG = st.one_of(WIDE, st.floats(1e307, 1.79e308))
 
 
 @st.composite

@@ -202,6 +202,17 @@ class TestCurvature:
         path = PathSpec("table", 1.0, 1.0, table=((0.0, 0.0), (1.0, 1.0)))
         assert curvature(path, 0.25) == pytest.approx(0.25)
 
+    def test_table_never_below_zero(self):
+        # np.interp's slope -1.5e-321 is subnormal and rounded, so its line
+        # undershoots the zero sample (-4.6e-193 at index 999 of 1 001); a
+        # negative curvature made a negative ceiling and an infeasible solve
+        path = PathSpec("table", 1.0, 1.0, table=((1.0, 1.5e-189), (1e132, 0.0)))
+        grid = path.grid(1001)
+        model = build_model(path)
+        assert np.all(model.kappa(grid.points) >= 0.0)
+        assert curvature(path, float(grid.points[999])) == 0.0
+        assert check_admissible(solve(grid, model).profile, model)
+
     def test_outside_domain_rejected(self):
         path = PathSpec("line", 1.0, 1.0, length=1.0)
         with pytest.raises(ValueError):

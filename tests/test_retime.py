@@ -212,6 +212,14 @@ class TestSampleTrajectory:
         with pytest.raises(ValueError):
             sample_trajectory(profile_on([0.0, 1.0], [0.0, 0.0]), 0.1)
 
+    def test_non_finite_slope_rejected(self):
+        # (1e9 - 1) / 1e-300 overflows: the segment is named, with no
+        # overflow warning (pytest turns warnings into errors)
+        profile = profile_on([-1.0, 0.0, 1e-300], [1.0, 1.0, 1e9])
+        with pytest.raises(ValueError, match=r"^segment 1 from s=0\.0 to "
+                           r"s=1e-300: slope \(h1 - h0\) / \(s1 - s0\) is not finite$"):
+            sample_trajectory(profile, 0.25)
+
     def test_csv_output(self, tmp_path):
         rows = sample_trajectory(profile_on([0.0, 1.0], [1.0, 1.0]), 0.5)
         f = tmp_path / "trajectory.csv"

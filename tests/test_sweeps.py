@@ -1,25 +1,27 @@
 """The arc-structured friction-circle sweeps against the scalar loop
 they replace: equal bit for bit on the bundled and random instances,
-relaxed or not, on drawn tables with every endpoint choice, where a
-backward root equals the bound exactly, and where f_fr^2 (1 + (2 ds
-kappa)^2) overflows. Plus the traced memory of a solve at n = 1e5."""
+relaxed or not, on drawn tables with every endpoint choice, on tables
+with fields across the float range, where a backward root equals the
+bound exactly, and where f_fr^2 (1 + (2 ds kappa)^2) overflows. Plus
+the traced memory of a solve at n = 1e5."""
 
 import math
+import sys
 import tracemalloc
 from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toppkit import (PathSpec, build_model, bundled_instances,
                      random_table_instance, relax, solve,
                      wave_table_instance)
-from toppkit.core import FrictionCircle
+from toppkit.core import Discretization, FrictionCircle
 from toppkit.solver import _friction_sweeps
 
-from conftest import OVERFLOWING_ROOT
+from conftest import OVERFLOWING_ROOT, WIDE, assert_ceiling_rule, plain_model
 
 INSTANCES = dict(bundled_instances(),
                  **{f"table_{k}": random_table_instance(k) for k in range(32)})
@@ -34,8 +36,10 @@ KAPPA = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(1e-3, 3.0))
 def scalar_sweeps(points: np.ndarray, fr: FrictionCircle,
                      h_start: Optional[float], h_end: Optional[float]):
     """The scalar loop the friction sweeps replaced, squaring by
-    multiplication: one Python step per point in each pass. The sweeps
-    must equal it bit for bit."""
+    multiplication: one Python step per point in each pass. A backward
+    step from the ceiling returns the ceiling below it whenever that
+    satisfies the step, as the generic step returns a feasible bound.
+    The sweeps must equal it bit for bit."""
     kappa = fr.kappa(points)
     # Lists read fastest; bu and the results stay arrays to keep memory low.
     bu = memoryview(fr.ceiling(kappa))
@@ -48,6 +52,12 @@ def scalar_sweeps(points: np.ndarray, fr: FrictionCircle,
     h = b[n - 1] = bu[n - 1] if h_end is None else min(bu[n - 1], h_end)
     for i in range(n - 2, -1, -1):
         h_next, ds, ki = h, d[i], k[i]
+        c = bu[i]
+        r = f2 - (ki * c) * (ki * c)
+        if h_next == bu[i + 1] and c <= h_next + cap * ds and c + (
+                (-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - h_next <= 0.0:
+            h = b[i] = c  # the ceiling satisfies the step from the ceiling
+            continue
         t, w = h_next + xi * ds, 2.0 * ds * ki
         a = 1.0 + w * w
         if f2 * a < math.inf:
@@ -107,6 +117,42 @@ def test_equal_on_drawn_tables(rows, v_max, f_fr, n, h_start, h_end):
         assert_bitwise_equal(points, model, h_start, h_end)
 
 
+@st.composite
+def extreme_tables(draw):
+    """A table spec with fields from 1e-300 to near the largest float,
+    each end free, at rest or at a positive squared speed; only specs
+    that PathSpec accepts are kept."""
+    s = sorted(draw(st.lists(WIDE, min_size=2, max_size=5, unique=True)))
+    kappa = st.one_of(st.just(0.0), WIDE)
+    ends = st.one_of(st.none(), st.just(0.0), WIDE)
+    try:
+        return PathSpec("table", draw(WIDE.filter(lambda v: v * v < math.inf)),
+                        draw(WIDE.filter(lambda f: 2.0 * f < math.inf
+                                         and f * f >= sys.float_info.min)),
+                        table=tuple((x, draw(kappa)) for x in s),
+                        endpoints=draw(st.tuples(ends, ends)))
+    except ValueError:
+        assume(False)
+
+
+@given(path=extreme_tables(),
+       n=st.one_of(st.integers(2, 12), st.sampled_from((101, 1001))))
+@settings(max_examples=300, deadline=None)
+def test_equal_on_extreme_tables(path, n):
+    """Bit for bit the scalar loop, and the ceiling rule of the generic
+    sweep, where roots and squares round at the ends of the float range."""
+    try:
+        grid = path.grid(n)
+    except ValueError:  # n points do not fit in a span of a few floats
+        assume(False)
+    for model in relaxed_models(path):
+        assert_bitwise_equal(grid.points, model, *path.endpoints)
+        assert_ceiling_rule(
+            grid.points, model,
+            _friction_sweeps(grid.points, model, *path.endpoints)[0],
+            solve(grid, plain_model(model), endpoints=path.endpoints).backward)
+
+
 def test_root_equal_to_the_bound_is_copied():
     """One braking step from bu[1] = 1/k1 whose root is exactly vmax2.
     With bu[0] = vmax2, the array decision and the scalar step square
@@ -138,21 +184,28 @@ def test_overflowing_reach_equal_without_warning():
             assert_bitwise_equal(points, model, None, None)
 
 
-def test_overflowing_root_below_the_bound_is_not_copied():
+def test_overflowing_root_below_the_bound_is_copied():
     """f2 * a overflows. bu[0] = vmax2 brakes to bu[1], but the root, scaled
-    by 1/a first, is the float below vmax2: the scalar step returns it, so
-    the run decision must take the scaled root too and not copy bu[0]."""
+    by 1/a first, is the float below vmax2. The step starts on the ceiling
+    and vmax2 satisfies it, so the sweep returns vmax2, as the generic step
+    returns its feasible bound."""
     f, ds, k0, k1 = 6.455753159714882e153, 3.6363117269686107, \
         7.723440996633454, 58.10094088679837
     vmax2 = 8.357653230333442e152
     a = 1.0 + (2.0 * ds * k0) * (2.0 * ds * k0)
     assert f * f * a == math.inf
+    t = f / k1
+    kt = k0 * t / a
+    assert t / a + 2.0 * ds * math.sqrt(f * f / a - kt * kt) \
+        == math.nextafter(vmax2, 0.0)
     points = np.array([0.0, ds])
     fr = FrictionCircle(f, vmax2, lambda s: np.interp(s, [0.0, ds], [k0, k1]))
-    assert list(fr.ceiling(fr.kappa(points))) == [vmax2, f / k1]
-    assert fr.fminus(0.0, vmax2) * ds + vmax2 <= f / k1
-    assert _friction_sweeps(points, fr, None, None)[0][0] \
-        == math.nextafter(vmax2, 0.0)
+    assert list(fr.ceiling(fr.kappa(points))) == [vmax2, t]
+    assert fr.fminus(0.0, vmax2) * ds + vmax2 <= t
+    backward = _friction_sweeps(points, fr, None, None)[0]
+    assert backward[0] == vmax2
+    generic = solve(Discretization(points), plain_model(fr))
+    assert list(generic.backward) == list(backward)
     assert_bitwise_equal(points, fr, None, None)
 
 
