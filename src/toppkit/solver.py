@@ -6,10 +6,11 @@ without exceeding the braking slope. Forward pass: from the initial
 value, each point gets the accelerating-slope reach, clipped by the
 backward cap. Each step is one scalar maximization, so the whole solve
 is linear in the grid size. A friction-circle model, relaxed or not,
-takes its steps in closed form, and arrays decide its ceiling runs, so
-only braking and accelerating arcs take scalar steps. Any other model
-takes each step by an exact root search over its callables, which stops
-only at adjacent floats and needs the paper's convex class.
+takes its steps in closed form; arrays decide its ceiling runs and check
+blocks of its zero-curvature sums and plateaus, and the other steps are
+scalar. Any other model takes each step by an exact root search over its
+callables, which stops only at adjacent floats and needs the paper's
+convex class.
 """
 
 import math
@@ -62,6 +63,21 @@ def _largest_feasible(g, a: float, b: float, fa: float, fb: float) -> float:
             side = 1
 
 
+_BLOCK, _CAP = 16, 2048  # the first and the largest block of a proposed chain
+
+
+def _chain(step, out, j, h, inc):
+    """Copy to out[j] the longest prefix of the chain h + inc[0], h + inc[0]
+    + inc[1], ... (np.add.accumulate, the scalar loop's order of addition)
+    that step(j, previous points) gives bit for bit, finite; return its length."""
+    chain = np.add.accumulate(np.concatenate(([h], inc)))
+    got = step(j, chain[:-1])
+    bad = (got.view(np.int64) != chain[1:].view(np.int64)) | ~np.isfinite(got)
+    p = int(np.append(bad, True).argmax())
+    out[j[:p]] = got[:p]
+    return p
+
+
 @np.errstate(over="ignore", invalid="ignore")  # inf as in scalar floats; NaN: no run
 def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
                      h_start: Optional[float], h_end: Optional[float]):
@@ -79,7 +95,13 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     (2 f + xi) ds), as the generic step returns a feasible bound. Arrays
     decide these runs and the forward steps that copy backward[i-1] clipped
     to backward[i], squaring by products as the scalar steps do (never libm
-    ``pow``); each loop copies a run whole and steps the rest in scalars."""
+    ``pow``); each loop copies a run whole. A due block of 16 to 2 048 steps
+    proposes sums over zero curvature (backward only unrelaxed: a relaxed
+    step rounds t first), else a plateau, and copies the prefix that an
+    array transcription of the scalar step, to the guard's first nextafter,
+    reproduces. Blocks follow each other until one fails; each failure
+    doubles the wait for the next, up to 2 048 points, and a guard
+    stepping down to h_next (a plateau) makes one due at once."""
     kappa, delta = fr.kappa(points), np.diff(points)
     ceiling = fr.ceiling(kappa)
     ok = ceiling >= 0.0
@@ -94,54 +116,93 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     backward, forward = np.empty(n), np.empty(n)
     b, fw = memoryview(backward), memoryview(forward)
     sqrt, inf = math.sqrt, math.inf  # local names: read on every step
+    flat, m, gap, hold = not k0.all(), _BLOCK, _BLOCK, n  # flat: some kappa is 0
+    sums = xi == 0.0 and flat  # sums of backward steps, proposed unrelaxed
+
+    def back(j, hn):  # backward steps in arrays, NaN where one needs more
+        ds, kj = delta[j], kappa[j]
+        t, w = hn + xi * ds, 2.0 * ds * kj
+        kt, a = kj * t, 1.0 + w * w
+        h = np.where(f2 * a < inf, (t + 2.0 * ds * np.sqrt(np.maximum(
+            f2 * a - kt * kt, 0.0))) / a, np.nan)
+        h = np.minimum(np.minimum(np.maximum(h, t), ceiling[j]), hn + cap * ds)
+        h = np.where(h + fr.slopes(kj, h)[0] * ds - hn > 0.0, np.nextafter(h, -inf), h)
+        return np.where((h + fr.slopes(kj, h)[0] * ds - hn > 0.0)
+                        | (hn == ceiling[j + 1]) & runs[j], np.nan, h)
+
     on = memoryview(runs)
     stops = memoryview(np.append(-1, np.flatnonzero(~runs)))
     c = bu[n - 1]
     h = b[n - 1] = c if h_end is None else min(c, h_end)
-    i = n - 2
+    i, lim = n - 2, n - 2 if sums else -1  # a block is due at i <= lim
     while i >= 0:
-        if h == c and on[i]:  # on a ceiling run: copy it down to its stop
-            j = stops[bisect_left(stops, i) - 1]
-            backward[j + 1:i + 1] = ceiling[j + 1:i + 1]
-            h = c = bu[j + 1]
-            i = j
+        if i <= lim:  # copy the verified prefix of a chain block
+            j = np.arange(i, max(i - m, -1), -1)
+            p = _chain(back, backward, j, h, 2.0 * sqrt(f2) * delta[j] * (
+                (kappa[j] == 0.0) & sums))
+            i, h, c = i - p, b[i - p + 1], bu[i - p + 1]
+            full = p == j.size
+            m, gap = (min(2 * m, _CAP), gap) if full else (_BLOCK, min(2 * gap, _CAP))
+            hold = i if full else i - gap
+            lim = max(hold, -1) if sums or full else -1
             continue
-        h_next, ds, ki, c = h, d[i], k[i], bu[i]
-        t, w = h_next + xi * ds, 2.0 * ds * ki
-        kt, a = ki * t, 1.0 + w * w
-        fa = f2 * a
-        if fa < inf:
-            h = (t + 2.0 * ds * sqrt(max(fa - kt * kt, 0.0))) / a
-        else:  # f2 * a overflows: the same root, scaled by 1/a first
-            h = t / a + 2.0 * ds * sqrt(max(f2 / a - (kt / a) * (kt / a), 0.0))
-        h = min(max(h, t), c, h_next + cap * ds)
-        r = f2 - (ki * h) * (ki * h)
-        while h + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds \
-                - h_next > 0.0:
-            h = math.nextafter(h, -math.inf)
+        while i > lim:
+            if h == c and on[i]:  # on a ceiling run: copy it down to its stop
+                j = stops[bisect_left(stops, i) - 1]
+                backward[j + 1:i + 1] = ceiling[j + 1:i + 1]
+                h = c = bu[j + 1]
+                i = j
+                continue
+            h_next, ds, ki, c = h, d[i], k[i], bu[i]
+            t, w = h_next + xi * ds, 2.0 * ds * ki
+            kt, a = ki * t, 1.0 + w * w
+            fa = f2 * a
+            if fa < inf:
+                h = (t + 2.0 * ds * sqrt(max(fa - kt * kt, 0.0))) / a
+            else:  # f2 * a overflows: the same root, scaled by 1/a first
+                h = t / a + 2.0 * ds * sqrt(max(f2 / a - (kt / a) * (kt / a), 0.0))
+            h = min(max(h, t), c, h_next + cap * ds)
             r = f2 - (ki * h) * (ki * h)
-        b[i] = h
-        i -= 1
+            while h + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds \
+                    - h_next > 0.0:
+                h = math.nextafter(h, -math.inf)
+                r = f2 - (ki * h) * (ki * h)
+                if h == h_next and i <= hold:  # a plateau, past the wait: a block is due
+                    lim = i - 1
+            b[i] = h
+            i -= 1
     b0 = backward[:-1]
     runs = b0 + fr.slopes(k0, b0)[1] * delta >= backward[1:]
     on = memoryview(runs)
     stops = memoryview(np.append(np.flatnonzero(~runs) + 1, n))
     c = b[0]
     h = fw[0] = c if h_start is None else min(c, h_start)
-    i = 1
+    i, m, gap = 1, _BLOCK, _BLOCK
+    lim = 1 if flat else n  # a block is due at i >= lim
     while i < n:
-        if h == c and on[i - 1]:  # on a backward run: copy it up to its stop
-            j = stops[bisect_left(stops, i)]
-            forward[i:j] = backward[i:j]
-            h = c = b[j - 1]
-            i = j
+        if i >= lim:  # copy the verified prefix of a chain block
+            j = np.arange(i, min(i + m, n))
+            p = _chain(lambda j, h: np.minimum(backward[j], h + fr.slopes(
+                kappa[j - 1], h)[1] * delta[j - 1]), forward, j, h,
+                (2.0 * sqrt(f2) + xi) * delta[j - 1] * (kappa[j - 1] == 0.0))
+            i, h, c = i + p, fw[i + p - 1], b[i + p - 1]
+            full = p == j.size
+            m, gap = (min(2 * m, _CAP), gap) if full else (_BLOCK, min(2 * gap, _CAP))
+            lim = i if full else min(i + gap, n)
             continue
-        kh = k[i - 1] * h
-        r = f2 - kh * kh
-        c = b[i]
-        h = fw[i] = min(c, h + (
-            (2.0 * sqrt(r) if r > 0.0 else 0.0) + xi) * d[i - 1])
-        i += 1
+        while i < lim:
+            if h == c and on[i - 1]:  # on a backward run: copy it up to its stop
+                j = stops[bisect_left(stops, i)]
+                forward[i:j] = backward[i:j]
+                h = c = b[j - 1]
+                i = j
+                continue
+            kh = k[i - 1] * h
+            r = f2 - kh * kh
+            c = b[i]
+            h = fw[i] = min(c, h + (
+                (2.0 * sqrt(r) if r > 0.0 else 0.0) + xi) * d[i - 1])
+            i += 1
     return backward, forward
 
 

@@ -2,10 +2,14 @@
 they replace: equal bit for bit on the bundled and random instances,
 relaxed or not, on drawn tables with every endpoint choice, on tables
 with fields across the float range, where a backward root equals the
-bound exactly, and where f_fr^2 (1 + (2 ds kappa)^2) overflows. Plus
-the traced memory of a solve at n = 1e5."""
+bound exactly, and where f_fr^2 (1 + (2 ds kappa)^2) overflows; and
+where chain blocks form: at n = 1e5, on tables with zero-curvature runs,
+on lines and arcs whose f_fr is not sqrt(f_fr^2), and on the
+benchmark's scaled specs. Plus the share of work that failed chain
+blocks take, and the traced memory of a solve at n = 1e5."""
 
 import math
+import os
 import sys
 import tracemalloc
 from typing import Optional
@@ -18,8 +22,9 @@ from hypothesis import strategies as st
 from toppkit import (PathSpec, build_model, bundled_instances,
                      random_table_instance, relax, solve,
                      wave_table_instance)
+from toppkit import solver
 from toppkit.core import Discretization, FrictionCircle
-from toppkit.solver import _friction_sweeps
+from toppkit.solver import _BLOCK, _CAP, _friction_sweeps
 
 from conftest import OVERFLOWING_ROOT, WIDE, assert_ceiling_rule, plain_model
 
@@ -31,6 +36,10 @@ XI = (0.0, 0.05, 1.0)
 ENDS = st.one_of(st.none(), st.just(0.0), st.floats(0.0, 8.0))
 
 KAPPA = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(1e-3, 3.0))
+
+# A rest-to-rest table whose curvature is zero over the middle of the path.
+ZERO_RUN_TABLE = PathSpec("table", 10.0, 1.0, table=(
+    (0.0, 0.8), (0.3, 0.0), (0.7, 0.0), (1.0, 0.8)), endpoints=(0.0, 0.0))
 
 
 def scalar_sweeps(points: np.ndarray, fr: FrictionCircle,
@@ -101,6 +110,67 @@ def test_equal_to_scalar_loop(n):
         for model in relaxed_models(path):
             assert_bitwise_equal(points, model,
                                  *(path.endpoints or (None, None)))
+
+
+@pytest.mark.parametrize("name", ["line", "capped_line", "capped_arc"])
+def test_equal_to_scalar_loop_at_1e5(name):
+    """At full size, where chain blocks reach their largest size."""
+    path = INSTANCES[name]
+    points = path.grid(100_001).points
+    for model in relaxed_models(path):
+        assert_bitwise_equal(points, model, *path.endpoints)
+
+
+def benchmark_specs():
+    """The benchmark's instance specs, each scaled by 4**a as it scales
+    them for an operation."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import bench  # the benchmark's own files, only read
+    ref = bench.load_reference()["instances"]
+    return [PathSpec.from_json_dict(bench.scaled_spec(ref[name]["spec"], a))
+            for name in sorted(ref) for a in (-1, 0, 1)]
+
+
+@st.composite
+def chain_specs(draw):
+    """A table with a zero-curvature run between curved ends, a line or an
+    arc whose f_fr is not sqrt(f_fr**2) (a square that underflows, on a
+    line, or overflows), or a scaled benchmark spec."""
+    kind = draw(st.sampled_from(("zero_run", "line", "arc", "benchmark")))
+    if kind == "benchmark":
+        return draw(st.sampled_from(BENCHMARK_SPECS))
+    v_max = draw(st.floats(0.1, 3.0))
+    huge = st.floats(1.35e154, 8e307)  # f_fr**2 is inf
+    if kind == "line":
+        f_fr = draw(st.one_of(st.floats(1e-162, 1.4e-154), huge).filter(
+            lambda f: math.sqrt(f * f) != f))
+        return PathSpec("line", v_max, f_fr, length=draw(st.floats(0.1, 3.0)))
+    if kind == "arc":
+        return PathSpec("arc", v_max, draw(huge), radius=draw(st.floats(0.2, 5.0)),
+                        angle=draw(st.floats(0.1, 6.0)))
+    f_fr = draw(st.floats(0.1, 3.0))
+    kappa = (draw(st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=3))
+             + [0.0] * draw(st.integers(2, 4))
+             + draw(st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=3)))
+    s = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=len(kappa),
+                                max_size=len(kappa)))).tolist()
+    return PathSpec("table", v_max, f_fr, table=tuple(zip(s, kappa)))
+
+
+BENCHMARK_SPECS = benchmark_specs()
+
+
+@given(path=chain_specs(), n=st.integers(2, 6000), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_equal_where_chains_form(path, n, data):
+    """Bit for bit the scalar loop on the inputs that form chain blocks,
+    with each end free, at rest or drawn, or as the spec gives it."""
+    ends = st.one_of(st.just(path.endpoints or (None, None)),
+                     st.tuples(ENDS, ENDS))
+    points = path.grid(n).points
+    for model in relaxed_models(path):
+        assert_bitwise_equal(points, model, *data.draw(ends))
 
 
 @given(rows=st.lists(st.tuples(st.floats(0.01, 1.0), KAPPA),
@@ -220,9 +290,47 @@ def test_overflowing_root_equal(path, n):
         assert_bitwise_equal(points, model, *path.endpoints)
 
 
+def test_chain_copies_finite_matches_only():
+    """A block's verified prefix stops at its first inf or NaN, even where
+    the step reproduces it."""
+    for bad in (math.inf, math.nan):
+        inc = np.array([1.0, 1.0, bad, 1.0])
+        out, j = np.zeros(4), np.arange(4)
+        assert solver._chain(lambda j, prev: prev + inc, out, j, 0.0, inc) == 2
+        assert list(out) == [1.0, 2.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("path", [INSTANCES["line"], ZERO_RUN_TABLE],
+                         ids=["line", "zero_run_table"])
+def test_failed_blocks_take_a_bounded_share(monkeypatch, path):
+    """Relaxed by 0.05 at n = 1e5. A failed block doubles the wait before
+    the next one, up to _CAP points, so a pass fails at most
+    log2(_CAP / _BLOCK) times plus once per _CAP points, and each failure
+    wastes at most the block it proposed: a bounded share of the scalar
+    steps between failures. (Retrying every 16 scalar steps would fail
+    once per 16 steps of the table's curved ends.)"""
+    blocks = []
+    chain = solver._chain
+
+    def counted(step, out, j, h, inc):
+        p = chain(step, out, j, h, inc)
+        blocks.append((inc.size, p))
+        return p
+
+    monkeypatch.setattr(solver, "_chain", counted)
+    n = 100_001
+    _friction_sweeps(path.grid(n).points, relax(build_model(path), 0.05),
+                     *path.endpoints)
+    failed = [size - p for size, p in blocks if p < size]
+    assert sum(p for _, p in blocks) > n // 10  # the forward sums verify
+    assert len(failed) <= 2 * (math.log2(_CAP / _BLOCK) + 1 + n / _CAP)
+    assert sum(failed) <= n / 16
+
+
 @pytest.mark.parametrize("path", [random_table_instance(0),
-                                  wave_table_instance()],
-                         ids=["table_0", "wave_table"])
+                                  wave_table_instance(),
+                                  INSTANCES["line"], INSTANCES["capped_arc"]],
+                         ids=["table_0", "wave_table", "line", "capped_arc"])
 def test_solve_memory_at_1e5(path):
     # 12 float arrays of n: the traced peak of the scalar loop's solve,
     # which held kappa and ds as lists of Python floats
