@@ -1,8 +1,9 @@
 """Batch front door: solve, sweep, oracle and retime commands.
 
 Inputs are path-spec JSON files; outputs are CSV/JSON artifacts written
-into --out. Exit codes: 0 success, 1 usage or input error (a stalled
-solve among them; a built path is never infeasible).
+into --out; ``oracle`` judges at ``dp_optimum``'s 512 levels. Exit codes:
+0 success, 1 usage or input error (a stalled solve, a failed allocation and
+a spec nested too deeply among them; a built path is never infeasible).
 """
 
 import argparse
@@ -22,6 +23,7 @@ from .solver import solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
+ORACLE_LEVELS = 512  # dp_optimum's default
 
 
 def _fail(msg: str) -> int:
@@ -32,14 +34,14 @@ def _fail(msg: str) -> int:
 def _load_path_spec(filename: str) -> PathSpec:
     try:
         with open(filename, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return PathSpec.from_json_dict(json.load(fh))
     except json.JSONDecodeError as e:
         raise ValueError(
             f"{filename}: line {e.lineno}, column {e.colno}: {e.msg}") from e
-    try:
-        return PathSpec.from_json_dict(data)
     except ValueError as e:
         raise ValueError(f"{filename}: {e}") from e
+    except RecursionError as e:  # nested deeper than the parser recurses
+        raise RecursionError(f"{filename}: {e}") from e
 
 
 def _seconds(t: float) -> str:
@@ -84,15 +86,14 @@ def cmd_oracle(args) -> int:
     path = _load_path_spec(args.input)
     model = build_model(path)
     grid = path.grid(args.n)
-    tol = agreement_tolerance(grid, model, args.levels)
+    tol = agreement_tolerance(grid, model, ORACLE_LEVELS)
     report = solve(grid, model, endpoints=path.endpoints)
-    oracle_profile = dp_optimum(grid, model, levels=args.levels,
-                                endpoints=path.endpoints)
+    oracle_profile = dp_optimum(grid, model, ORACLE_LEVELS, path.endpoints)
     os.makedirs(args.out, exist_ok=True)
     oracle_profile.to_csv(os.path.join(args.out, "oracle.csv"))
     err = profile_error(oracle_profile, report.profile)
     agreement = {"error": err, "tolerance": tol, "within": err <= tol,
-                 "levels": args.levels, "n": args.n}
+                 "levels": ORACLE_LEVELS, "n": args.n}
     write_json(agreement, os.path.join(args.out, "agreement.json"))
     print(f"agreement error: {err:.3e} (tolerance {tol:.3e})")
     if err > tol:
@@ -132,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="compare the solver with the oracle")
     p.add_argument("--input", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--levels", type=int, default=512)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)
 
@@ -155,8 +155,8 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_OK if e.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
+    except (OSError, ValueError, MemoryError, RecursionError) as e:
+        return _fail(str(e) or type(e).__name__)  # a bare MemoryError has no text
 
 
 if __name__ == "__main__":

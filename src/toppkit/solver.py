@@ -97,10 +97,11 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     to backward[i], squaring by products as the scalar steps do (never libm
     ``pow``); each loop copies a run whole. A due block of 16 to 2 048 steps
     proposes sums over zero curvature (backward only unrelaxed: a relaxed
-    step rounds t first), else a plateau, and copies the prefix that an
-    array transcription of the scalar step, to the guard's first nextafter,
-    reproduces. Blocks follow each other until one fails; each failure
-    doubles the wait for the next, up to 2 048 points, and a guard
+    step rounds t first), else a plateau, and copies the prefix that the
+    step reproduces in arrays (backward: to the guard's first nextafter,
+    bu[i] on a run). That suffices: a guard never steps below h_next, and
+    a sum is the unclipped root, which the clip and the guard only lower. A
+    failed block doubles the wait for the next, up to 2 048 points; a guard
     stepping down to h_next (a plateau) makes one due at once."""
     kappa, delta = fr.kappa(points), np.diff(points)
     ceiling = fr.ceiling(kappa)
@@ -119,16 +120,14 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     flat, m, gap, hold = not k0.all(), _BLOCK, _BLOCK, n  # flat: some kappa is 0
     sums = xi == 0.0 and flat  # sums of backward steps, proposed unrelaxed
 
-    def back(j, hn):  # backward steps in arrays, NaN where one needs more
+    def back(j, hn):  # backward steps in arrays, to the guard's first nextafter
         ds, kj = delta[j], kappa[j]
         t, w = hn + xi * ds, 2.0 * ds * kj
         kt, a = kj * t, 1.0 + w * w
-        h = np.where(f2 * a < inf, (t + 2.0 * ds * np.sqrt(np.maximum(
-            f2 * a - kt * kt, 0.0))) / a, np.nan)
+        h = (t + 2.0 * ds * np.sqrt(np.maximum(f2 * a - kt * kt, 0.0))) / a
         h = np.minimum(np.minimum(np.maximum(h, t), ceiling[j]), hn + cap * ds)
         h = np.where(h + fr.slopes(kj, h)[0] * ds - hn > 0.0, np.nextafter(h, -inf), h)
-        return np.where((h + fr.slopes(kj, h)[0] * ds - hn > 0.0)
-                        | (hn == ceiling[j + 1]) & runs[j], np.nan, h)
+        return np.where((hn == ceiling[j + 1]) & runs[j], ceiling[j], h)
 
     on = memoryview(runs)
     stops = memoryview(np.append(-1, np.flatnonzero(~runs)))

@@ -171,6 +171,34 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize("body, cause", [
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff")],
+        ids=["nested_100000_deep", "not_utf8"])
+    def test_unparsable_spec_exits_1_naming_the_file(self, tmp_path, capsys,
+                                                     body, cause):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(body)
+        out = tmp_path / "o"
+        assert main(["solve", "--input", str(bad), "--n", "11",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: {cause}")
+        assert not out.exists()
+
+    def test_memory_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        import toppkit.cli as cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "solve", no_memory)
+        out = tmp_path / "o"
+        assert main(["solve", "--input", write_spec(tmp_path, line_instance()),
+                     "--n", "11", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not out.exists()
+
     def test_missing_field_exits_1_with_field_name(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "line", "f_fr": 1.0, "length": 1.0}',
@@ -376,21 +404,12 @@ class TestOracleCommand:
     def test_line_agreement_within_tolerance(self, tmp_path, capsys):
         spec = write_spec(tmp_path, line_instance())
         out = tmp_path / "out"
-        code = main(["oracle", "--input", spec, "--n", "200",
-                     "--levels", "512", "--out", str(out)])
+        code = main(["oracle", "--input", spec, "--n", "200", "--out", str(out)])
         assert code == 0
         agreement = json.loads((out / "agreement.json").read_text())
         assert agreement["within"] is True
         assert agreement["error"] <= agreement["tolerance"]
         assert (out / "oracle.csv").exists()
-
-    def test_coarse_levels_on_circle(self, tmp_path):
-        spec = write_spec(tmp_path, circle_instance())
-        out = tmp_path / "out"
-        assert main(["oracle", "--input", spec, "--n", "41", "--levels", "8",
-                     "--out", str(out)]) == 0
-        agreement = json.loads((out / "agreement.json").read_text())
-        assert agreement["within"] is True
 
     def test_disagreement_exits_1(self, tmp_path, capsys, monkeypatch):
         import toppkit.cli as cli
@@ -406,7 +425,7 @@ class TestOracleCommand:
         monkeypatch.setattr(cli, "dp_optimum", shifted)
         spec = write_spec(tmp_path, line_instance())
         out = tmp_path / "out"
-        assert main(["oracle", "--input", spec, "--n", "50", "--levels", "64",
+        assert main(["oracle", "--input", spec, "--n", "50",
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: oracle disagrees with the solver beyond tolerance"]
@@ -414,16 +433,12 @@ class TestOracleCommand:
         assert agreement["within"] is False
         assert agreement["error"] > agreement["tolerance"]
 
-    def test_levels_floor_exits_1(self, tmp_path, monkeypatch):
-        import toppkit.cli as cli
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved before checking --levels")
-
-        monkeypatch.setattr(cli, "solve", no_solve)
+    def test_levels_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the command judges at dp_optimum's default, 512 levels
         spec = write_spec(tmp_path, line_instance())
-        assert main(["oracle", "--input", spec, "--n", "50", "--levels", "7",
+        assert main(["oracle", "--input", spec, "--n", "50", "--levels", "512",
                      "--out", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments: --levels 512" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
@@ -500,6 +515,21 @@ class TestRetimeCommand:
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == (
             "error: profile CSV line 4: expected 2 fields (s,h), got 3\n")
+
+    def test_memory_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        import toppkit.cli as cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 TiB")
+
+        monkeypatch.setattr(cli, "sample_trajectory", no_memory)
+        prof = tmp_path / "profile.csv"
+        prof.write_text("s,h\n0,1\n1,1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["retime", "--profile", str(prof), "--dt", "1e-13",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 74.5 TiB\n"
+        assert not out.exists()
 
     def test_dt_too_small_exits_1(self, tmp_path, capsys):
         # 1 / 1e-320 overflows: a sample count no float loop could reach

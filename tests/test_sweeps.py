@@ -5,8 +5,9 @@ with fields across the float range, where a backward root equals the
 bound exactly, and where f_fr^2 (1 + (2 ds kappa)^2) overflows; and
 where chain blocks form: at n = 1e5, on tables with zero-curvature runs,
 on lines and arcs whose f_fr is not sqrt(f_fr^2), and on the
-benchmark's scaled specs. Plus the share of work that failed chain
-blocks take, and the traced memory of a solve at n = 1e5."""
+benchmark's scaled specs. Plus, block by block, each point a backward
+block copies against one scalar step, the share of work that failed
+chain blocks take, and the traced memory of a solve at n = 1e5."""
 
 import math
 import os
@@ -90,6 +91,31 @@ def scalar_sweeps(points: np.ndarray, fr: FrictionCircle,
     return backward, forward
 
 
+def scalar_backward_step(fr, kappa, ceiling, delta, i, h_next):
+    """One step of scalar_sweeps' backward loop: the value at i, from
+    h_next at i + 1 (kappa, ceiling and delta as lists of floats)."""
+    f2, xi, cap = fr.f_fr * fr.f_fr, fr.xi, 2.0 * fr.f_fr + fr.xi
+    sqrt = math.sqrt
+    ds, ki, c = delta[i], kappa[i], ceiling[i]
+    r = f2 - (ki * c) * (ki * c)
+    if h_next == ceiling[i + 1] and c <= h_next + cap * ds and c + (
+            (-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - h_next <= 0.0:
+        return c
+    t, w = h_next + xi * ds, 2.0 * ds * ki
+    a = 1.0 + w * w
+    if f2 * a < math.inf:
+        h = (t + 2.0 * ds * sqrt(max(f2 * a - (ki * t) * (ki * t), 0.0))) / a
+    else:
+        kt = ki * t / a
+        h = t / a + 2.0 * ds * sqrt(max(f2 / a - kt * kt, 0.0))
+    h = min(max(h, t), c, h_next + cap * ds)
+    r = f2 - (ki * h) * (ki * h)
+    while h + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - h_next > 0.0:
+        h = math.nextafter(h, -math.inf)
+        r = f2 - (ki * h) * (ki * h)
+    return h
+
+
 def assert_bitwise_equal(points, fr, h_start, h_end):
     got = _friction_sweeps(points, fr, h_start, h_end)
     want = scalar_sweeps(points, fr, h_start, h_end)
@@ -133,11 +159,11 @@ def benchmark_specs():
 
 
 @st.composite
-def chain_specs(draw):
+def chain_specs(draw, kinds=("zero_run", "line", "arc", "benchmark")):
     """A table with a zero-curvature run between curved ends, a line or an
     arc whose f_fr is not sqrt(f_fr**2) (a square that underflows, on a
     line, or overflows), or a scaled benchmark spec."""
-    kind = draw(st.sampled_from(("zero_run", "line", "arc", "benchmark")))
+    kind = draw(st.sampled_from(kinds))
     if kind == "benchmark":
         return draw(st.sampled_from(BENCHMARK_SPECS))
     v_max = draw(st.floats(0.1, 3.0))
@@ -171,6 +197,59 @@ def test_equal_where_chains_form(path, n, data):
     points = path.grid(n).points
     for model in relaxed_models(path):
         assert_bitwise_equal(points, model, *data.draw(ends))
+
+
+def copied_backward_points(monkeypatch, path, n, ends):
+    """Sweep path at n points between ends, relaxed by each xi, and assert
+    that every point a backward block copies is one scalar backward step
+    from the point after it; return how many points the blocks copied."""
+    points = path.grid(n).points
+    delta = np.diff(points).tolist()
+    copied = 0
+    chain = solver._chain
+
+    def checked(step, out, j, h, inc):
+        nonlocal copied
+        p = chain(step, out, j, h, inc)
+        if step.__name__ == "back":
+            for i in j[:p].tolist():
+                want = scalar_backward_step(model, kappa, ceiling, delta, i,
+                                            float(out[i + 1]))
+                assert out[i].hex() == want.hex(), (i, out[i], want)
+            copied += p
+        return p
+
+    monkeypatch.setattr(solver, "_chain", checked)
+    for model in relaxed_models(path):
+        kappa = model.kappa(points)
+        ceiling = model.ceiling(kappa).tolist()
+        kappa = kappa.tolist()
+        _friction_sweeps(points, model, *ends)
+    return copied
+
+
+@pytest.mark.parametrize("path, n, forms", [
+    (INSTANCES["line"], 100_001, True), (INSTANCES["capped_line"], 100_001, True),
+    (INSTANCES["capped_arc"], 100_001, True), (ZERO_RUN_TABLE, 10_001, True),
+    *((spec, 10_001, k == "arc") for k, spec in OVERFLOWING_ROOT.items())],
+    ids=["line", "capped_line", "capped_arc", "zero_run_table",
+         *(f"overflowing_root_{k}" for k in OVERFLOWING_ROOT)])
+def test_each_copied_backward_point_is_one_scalar_step(monkeypatch, path, n, forms):
+    """Block by block, not only in aggregate: a backward block copies a
+    point only where it equals the scalar step from the point after it.
+    (forms: some backward block copies a point.)"""
+    copied = copied_backward_points(monkeypatch, path, n, path.endpoints)
+    assert (copied > 0) == forms
+
+
+@given(path=chain_specs(("line", "arc")), n=st.integers(2, 6000),
+       ends=st.tuples(ENDS, ENDS))
+@settings(max_examples=100, deadline=None)
+def test_each_copied_backward_point_is_one_scalar_step_where_chains_form(
+        path, n, ends):
+    """The same on the lines and arcs of test_equal_where_chains_form."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        copied_backward_points(monkeypatch, path, n, ends)
 
 
 @given(rows=st.lists(st.tuples(st.floats(0.01, 1.0), KAPPA),
