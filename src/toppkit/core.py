@@ -325,11 +325,12 @@ def check_admissible(profile: SpeedProfile, model: Model,
         slope = np.diff(h) / np.diff(s)
     # One row per check, in reporting order: at each index the bounds
     # come before the slope, and the slope at i before the bounds at i+1.
+    # Each is a negated pass, so a NaN bound fails its own check.
     fails = np.zeros((4, n), dtype=bool)
-    fails[0] = h < lo - tol
-    fails[1] = h > hi + tol
-    fails[2, :-1] = slope < f_lo - tol
-    fails[3, :-1] = slope > f_hi + tol
+    fails[0] = ~(h >= lo - tol)
+    fails[1] = ~(h <= hi + tol)
+    fails[2, :-1] = ~(slope >= f_lo - tol)
+    fails[3, :-1] = ~(slope <= f_hi + tol)
     bad = np.flatnonzero(fails.any(axis=0))
     if bad.size == 0:
         return AdmissibilityReport(True)

@@ -1,9 +1,9 @@
 """Cross-checks of the sweep solver.
 
 Two tools live here. ``dp_optimum`` re-runs the solver's greedy with a
-deliberately plain method: per grid point it scans a quantized set of
-candidate squared speeds for the controllable boundary and refines the
-straddled cell by plain bisection, then replays the reachable chain.
+deliberately plain method: per point one scan tests the ceiling, then a
+lattice below it; bisection to a relative stop refines the straddled
+cell, then the reachable chain is replayed.
 It samples a ``FrictionCircle`` in arrays, as the solver does, but
 shares no step code with it: agreement checks each one's steps, not
 that the greedy is optimal. On a friction circle the search and the
@@ -18,6 +18,7 @@ ones, which makes these profiles dominance-test fodder.
 import math
 import operator
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def _lattice_down(lo: float, hi: float, levels: int):
 
 def _refine_boundary(g, good: float, bad: float) -> float:
     # Plain bisection from a straddling cell; keeps the feasible end.
-    tol = 1e-13 * max(1.0, abs(bad))
+    tol = 1e-13 * abs(bad)
     while bad - good > tol:
         mid = 0.5 * (good + bad)
         if mid <= good or mid >= bad:
@@ -77,27 +78,25 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
     """Fill ``ceiling[:-1]`` in the floats of :func:`dp_optimum`'s callable
     search, with its ``g`` (the circle's fminus), :func:`_lattice_down`
     and :func:`_refine_boundary` written out, so that no ``g`` is a call.
-    ``fr`` is the circle: the floor is zero and the cap ``fr.slope_cap``."""
+    ``fr`` is the circle: the floor is zero (``bad >= 0`` needs no abs)
+    and the cap ``fr.slope_cap``. The scan's last value, 0, meets every
+    step: it ends there untested."""
     f2, xi, sqrt, last = fr.f_fr * fr.f_fr, fr.xi, math.sqrt, levels - 1
-    cap, lo = fr.slope_cap, 0.0
+    cap, lo, down = fr.slope_cap, 0.0, range(last - 1, -1, -1)
     for i in range(len(s) - 2, -1, -1):
         ds, t, ki = s[i + 1] - s[i], ceiling[i + 1], k[i]
         hi = min(bu[i], t + cap * ds)
         if not hi >= lo:
             raise InfeasibleError("empty candidate set", s, i, "backward")
-        r = f2 - (ki * hi) * (ki * hi)
-        if hi + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - t <= 0.0:
-            ceiling[i] = hi
-            continue
-        bad, span = hi, hi - lo
-        step = span / last
-        for j in range(last - 1, -1, -1):
-            good = j * step + lo if step != 0.0 else j / last * span + lo
+        bad = good = hi
+        step = (hi - lo) / last
+        for j in down:
             r = f2 - (ki * good) * (ki * good)
             if good + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - t <= 0.0:
                 break
             bad = good
-        tol = 1e-13 * max(1.0, abs(bad))
+            good = j * step + lo if step != 0.0 else j / last * (hi - lo) + lo
+        tol = 1e-13 * bad
         while bad - good > tol:
             mid = 0.5 * (good + bad)
             if mid <= good or mid >= bad:
@@ -116,11 +115,13 @@ def dp_optimum(grid: Discretization, model: Model, levels: int = 512,
 
     Backward: the controllable ceiling at each point is the largest h
     (bounded by the box) whose braking reach stays under the next
-    ceiling; it is located by scanning ``levels`` quantized candidates
-    and bisecting the straddled cell. Forward: the reachable chain from
-    the first controllable value, clipped by the ceilings. Raises
-    :class:`InfeasibleError`, naming the index and position, when a
-    candidate set comes up empty. The box is sampled once per point.
+    ceiling. One scan tests the top candidate, then ``levels - 1``
+    lattice values below it; bisection to a relative 1e-13 refines the
+    straddled cell, so powers of two scale the result exactly. Forward:
+    the reachable chain from the first controllable value, clipped by
+    the ceilings. Raises :class:`InfeasibleError`, naming the index and
+    position, when a candidate set comes up empty. The box is sampled
+    once per point.
     """
     levels = _lattice_levels(levels)
     h_start, h_end = _endpoint_pair(endpoints)
@@ -146,17 +147,14 @@ def dp_optimum(grid: Discretization, model: Model, levels: int = 512,
             hi = min(bu[i], target + model.slope_cap * ds)
             if not hi >= lo:
                 raise InfeasibleError("empty candidate set", s, i, "backward")
-            if g(hi) <= 0.0:
-                ceiling[i] = hi
-                continue
-            prev = hi
-            for c in _lattice_down(lo, hi, levels):
-                if g(c) <= 0.0:
-                    ceiling[i] = _refine_boundary(g, c, prev)
+            bad = hi
+            for good in chain((hi,), _lattice_down(lo, hi, levels)):
+                if g(good) <= 0.0:
                     break
-                prev = c
+                bad = good
             else:
                 raise InfeasibleError("empty candidate set", s, i, "backward")
+            ceiling[i] = _refine_boundary(g, good, bad)
     else:
         k = kappa.tolist()
         f2, xi, sqrt = model.f_fr * model.f_fr, model.xi, math.sqrt

@@ -54,8 +54,8 @@ class PathSpec:
                 value = _field(key, getattr(self, key),
                                lambda v: _finite(v, 0.0), "a positive finite number")
                 object.__setattr__(self, key, value)
-        # build_model's speed ceiling v_max**2 and slope cap 2*f_fr are finite
-        _field("v_max", self.v_max, lambda v: _finite(v ** 2, 0.0),
+        # build_model's speed ceiling v_max*v_max and slope cap 2*f_fr are finite
+        _field("v_max", self.v_max, lambda v: _finite(v * v, 0.0),
                "a number whose square is positive and finite")
         _field("f_fr", self.f_fr, lambda f: _finite(2.0 * f), "small enough to double")
         if self.kind == "table":
@@ -75,7 +75,7 @@ class PathSpec:
         # the sweeps square 2*ds*kappa (ds <= span) and kappa*h (h <= top, the highest ceiling)
         ks = [k for _, k in self.table] if self.kind == "table" else [
             1.0 / self.radius if self.kind == "arc" else 0.0]
-        (a, b), top = self.domain, self.v_max ** 2
+        (a, b), top = self.domain, self.v_max * self.v_max
         top = min(top, self.f_fr / min(ks)) if min(ks) > 0.0 else top
         big = max(ks) * max(2.0 * (b - a), top)
         if not (0.0 < 2.0 * (b - a) < math.inf and big * big < math.inf):
@@ -190,7 +190,7 @@ def build_model(path: PathSpec) -> FrictionCircle:
     with f_fr/0 treated as infinite. Floor: zero. The global slope cap
     is 2*f_fr. Nothing is sampled here.
     """
-    return FrictionCircle(path.f_fr, path.v_max ** 2, _curvature(path))
+    return FrictionCircle(path.f_fr, path.v_max * path.v_max, _curvature(path))
 
 
 def _closed_form(path: PathSpec):
@@ -202,9 +202,9 @@ def _closed_form(path: PathSpec):
         # speed cap binds, a trapezoid (accelerate to v, cruise, brake)
         t = 2.0 * math.sqrt(S / f) if v * v >= f * S else S / v + v / f
         return lambda s: np.minimum(np.minimum(2.0 * f * s, 2.0 * f * (S - s)),
-                                    v ** 2), t
+                                    v * v), t
     if path.kind != "table" and path.endpoints in (None, (None, None)):
-        cap = v ** 2 if path.kind == "line" else min(v ** 2, f * path.radius)
+        cap = v * v if path.kind == "line" else min(v * v, f * path.radius)
         t = S / v if path.kind == "line" else S / math.sqrt(cap)
         return lambda s: np.full(s.size, cap), t
     raise UnsupportedInstanceError(

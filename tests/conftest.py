@@ -25,9 +25,14 @@ OVERFLOWING_ROOT = {
 }
 
 
+def magnitudes(lo, hi):
+    """A positive number m * 10**e with m in [1, 1.79] and e in [lo, hi]."""
+    return st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 1.79),
+                     st.integers(lo, hi))
+
+
 # A positive number between 1e-300 and 1.79e308, near the largest float.
-WIDE = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 1.79),
-                 st.integers(-300, 308))
+WIDE = magnitudes(-300, 308)
 # WIDE, or a span-forming field within a factor 18 of the largest float,
 # where 2 * span overflows: the hole a 1e308 line left at n = 2.
 LONG = st.one_of(WIDE, st.floats(1e307, 1.79e308))

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toppkit import (Discretization, DynamicsModel, PathSpec, SpeedProfile,
-                     build_model, capped_arc_instance, check_admissible,
-                     default_tol, line_instance, profile_error, relax, solve,
-                     wave_table_instance)
+from toppkit import (Discretization, DynamicsModel, InfeasibleError, PathSpec,
+                     SpeedProfile, build_model, capped_arc_instance,
+                     check_admissible, default_tol, dp_optimum, line_instance,
+                     profile_error, relax, solve, wave_table_instance)
+from toppkit.core import FrictionCircle
 
 from conftest import blind_model, constant_box_model, plain_model
 
@@ -163,6 +164,32 @@ def test_infinite_chord_fails_its_window(values, constraint):
         verdict = check_admissible(profile, m)
         assert (verdict.ok, verdict.index, verdict.constraint) == (
             False, 0, constraint)
+
+
+@pytest.mark.parametrize("bound,constraint", [
+    ("bl", "below_lower_bound"), ("bu", "above_upper_bound"),
+    ("fminus", "slope_below_min"), ("fplus", "slope_above_max")])
+def test_nan_bound_fails_its_check(grid3, bound, constraint):
+    # every comparison with NaN is false, so a check written as "h > bu"
+    # would pass any profile; each check fails unless its bound holds
+    model = replace(constant_box_model(3.0), **{bound: lambda *x: math.nan})
+    verdict = check_admissible(SpeedProfile(grid3, np.full(3, 3.0)), model)
+    assert (verdict.ok, verdict.index, verdict.constraint) == (
+        False, 0, constraint)
+
+
+def test_nan_curvature_fails_the_ceiling():
+    # a NaN curvature makes the ceiling NaN and the slope window [0, 0]:
+    # a flat profile far above vmax2 = 100 fails at the ceiling, as the
+    # solver and the oracle find no candidate there
+    model = FrictionCircle(1.0, 100.0, lambda s: np.full(np.shape(s), np.nan))
+    grid = Discretization.uniform(0.0, 1.0, 5)
+    verdict = check_admissible(SpeedProfile(grid, np.full(5, 1e9)), model)
+    assert (verdict.ok, verdict.index, verdict.constraint) == (
+        False, 0, "above_upper_bound")
+    for plan in (solve, dp_optimum):
+        with pytest.raises(InfeasibleError):
+            plan(grid, model)
 
 
 class TestProfileError:

@@ -228,8 +228,10 @@ class TestSampledBounds:
 
     def test_lattice_step_underflow(self):
         """A subnormal candidate range: the lattice step underflows to
-        zero, the scan takes its other form, and no bisection runs, so
-        the ceiling is the lattice point itself."""
+        zero, and the scan takes its other form. It stops on adjacent
+        floats, so the bisection, whose relative stop underflows to zero
+        too, ends at its first midpoint, which rounds onto an end of the
+        cell; the ceiling is the lattice point itself."""
         path = PathSpec("line", 1.0, 5e-323, length=1.0)
         model = relax(build_model(path), 1e-322)
         grid = path.grid(2)
