@@ -1,7 +1,7 @@
 """Batch front door: solve, sweep, oracle and retime commands.
 
 Inputs are path-spec JSON files; outputs are CSV/JSON artifacts written
-into --out; ``oracle`` judges at ``dp_optimum``'s 512 levels. Exit codes:
+into --out; ``oracle`` judges at ``dp_optimum``'s default levels. Exit codes:
 0 success, 1 usage or input error (a stalled solve, a failed allocation and
 a spec nested too deeply among them; a built path is never infeasible).
 """
@@ -16,14 +16,13 @@ from typing import Optional
 from .core import (SpeedProfile, check_admissible, default_tol, profile_error,
                    write_json)
 from .harness import convergence_sweep, write_convergence_csv
-from .oracle import agreement_tolerance, dp_optimum
+from .oracle import LEVELS, agreement_tolerance, dp_optimum
 from .paths import PathSpec, build_model
 from .retime import STALLED, sample_trajectory, write_trajectory_csv
 from .solver import solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-ORACLE_LEVELS = 512  # dp_optimum's default
 
 
 def _fail(msg: str) -> int:
@@ -86,14 +85,14 @@ def cmd_oracle(args) -> int:
     path = _load_path_spec(args.input)
     model = build_model(path)
     grid = path.grid(args.n)
-    tol = agreement_tolerance(grid, model, ORACLE_LEVELS)
+    tol = agreement_tolerance(grid, model, LEVELS)
     report = solve(grid, model, endpoints=path.endpoints)
-    oracle_profile = dp_optimum(grid, model, ORACLE_LEVELS, path.endpoints)
+    oracle_profile = dp_optimum(grid, model, LEVELS, path.endpoints)
     os.makedirs(args.out, exist_ok=True)
     oracle_profile.to_csv(os.path.join(args.out, "oracle.csv"))
     err = profile_error(oracle_profile, report.profile)
     agreement = {"error": err, "tolerance": tol, "within": err <= tol,
-                 "levels": ORACLE_LEVELS, "n": args.n}
+                 "levels": LEVELS, "n": args.n}
     write_json(agreement, os.path.join(args.out, "agreement.json"))
     print(f"agreement error: {err:.3e} (tolerance {tol:.3e})")
     if err > tol:

@@ -341,9 +341,10 @@ def check_admissible(profile: SpeedProfile, model: Model,
         ("slope_below_min", "slope", slope, "<", "fminus", f_lo),
         ("slope_above_max", "slope", slope, ">", "fplus", f_hi),
     )[int(np.argmax(fails[:, i]))]
+    value, bound, at = float(xs[i]), float(ys[i]), f"at s={float(s[i])!r}"
     return AdmissibilityReport(
-        False, i, name,
-        f"{x}={float(xs[i])!r} {op} {y}={float(ys[i])!r} at s={float(s[i])!r}")
+        False, i, name, f"{x}={value!r} {at}, where {y} is not a number"
+        if math.isnan(bound) else f"{x}={value!r} {op} {y}={bound!r} {at}")
 
 
 def profile_error(candidate: SpeedProfile, reference: SpeedProfile) -> float:

@@ -26,6 +26,8 @@ from .core import (Discretization, Endpoints, InfeasibleError, Model,
                    SpeedProfile, _box_bounds, _endpoint_pair, check_admissible)
 from .paths import PathSpec, build_model
 
+LEVELS = 512  # dp_optimum's default, at which ``toppkit oracle`` judges
+
 
 def _lattice_levels(levels: int) -> int:
     """``levels`` as an int, at least 8; a TypeError for a non-integer."""
@@ -109,7 +111,7 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
         ceiling[i] = good
 
 
-def dp_optimum(grid: Discretization, model: Model, levels: int = 512,
+def dp_optimum(grid: Discretization, model: Model, levels: int = LEVELS,
                endpoints: Endpoints = None) -> SpeedProfile:
     """Brute-force re-run of the solver's greedy, written independently.
 

@@ -163,7 +163,7 @@ def _squared_speeds(ep) -> Endpoints:
 def curvature(path: PathSpec, s: float) -> float:
     """Curvature of the path at position s (1/m); zero for a line."""
     a, b = path.domain
-    if s < a or s > b:
+    if not a <= s <= b:
         raise ValueError(f"position {s!r} outside path domain [{a!r}, {b!r}]")
     return float(_curvature(path)(s))
 
@@ -216,8 +216,12 @@ def analytic_optimum(path: PathSpec, grid: Discretization) -> SpeedProfile:
 
     Supported: a line traversed rest-to-rest or with free endpoints, and
     an arc with free endpoints. Anything else has no closed form here.
+    A grid reaching outside ``path.domain`` is rejected.
     """
-    return SpeedProfile(grid, _closed_form(path)[0](grid.points))
+    (a, b), s = path.domain, grid.points
+    if not a <= s[0] <= s[-1] <= b:
+        raise ValueError(f"grid [{s[0]!r}, {s[-1]!r}] outside path domain [{a!r}, {b!r}]")
+    return SpeedProfile(grid, _closed_form(path)[0](s))
 
 
 def analytic_time(path: PathSpec) -> float:

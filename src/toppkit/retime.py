@@ -1,7 +1,8 @@
 """Traversal-time evaluation and time-parametrized trajectory sampling.
 
 The squared-speed profile is interpreted piecewise linearly between grid
-points. On such a segment the travel time has the closed form
+points. On such a segment the speed sqrt(h) is linear in time, so the
+travel time has the closed form
 
     dt = 2 * ds / (sqrt(h0) + sqrt(h1))
 
@@ -54,13 +55,10 @@ def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
     by more than a few ulps (dt = total / N gives N + 1 rows), plus a last
     row exactly at that total, as an (m, 3) array.
 
-    Positions are recovered by inverting the segment closed form: with
-    h linear on a segment, sqrt(h) grows linearly in time, so
+    At time tau into a segment of slope m = dh/ds the speed is linear in
+    tau, so its trapezoid integral is the exact position:
 
-        sqrt(h(t)) = sqrt(h0) + (m/2) * tau,   s(t) = s0 + (h - h0) / m
-
-    for slope m = dh/ds != 0, and s(t) = s0 + sqrt(h0) * tau when the
-    segment is constant; s(t) is then clamped to the segment.
+        v = |sqrt(h0) + (m/2) * tau|,   s = min(s0 + tau * (sqrt(h0) + v) / 2, s1)
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -80,20 +78,15 @@ def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
     # samples at once, written into rows to keep memory small.
     i = np.clip(np.searchsorted(t_knots, t, side="right") - 1, 0, s.size - 2)
     tau = np.subtract(t, t_knots[i], out=t)
-    s0, h0 = s[i], h[i]
-    pos, hh = rows[:-1, 1], rows[:-1, 2]
-    # replaced where flat; a non-finite slope is rejected after the samples (peak RSS)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        m = (h[i + 1] - h0) / (s[i + 1] - s0)
-        root_h0, flat = np.sqrt(h0), m == 0.0
-        np.square(root_h0 + 0.5 * m * tau, out=hh)
-        np.copyto(hh, h0, where=flat)
-        np.divide(hh - h0, m, out=pos)
-        pos += s0
-        np.copyto(pos, s0 + root_h0 * tau, where=flat)
-        np.maximum(pos, s0, out=pos)
-        np.minimum(pos, s[i + 1], out=pos)
-        np.sqrt(hh, out=hh)
+    pos, v = rows[:-1, 1], rows[:-1, 2]
+    # a non-finite slope is rejected after the samples (peak RSS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (h[i + 1] - h[i]) / (s[i + 1] - s[i])
+        root_h0 = np.sqrt(h[i])
+        np.abs(root_h0 + 0.5 * m * tau, out=v)
+        np.multiply(tau, root_h0 + v, out=pos)
+        pos *= 0.5
+        np.minimum(pos + s[i], s[i + 1], out=pos)
         finite = np.isfinite(np.diff(h) / np.diff(s))
     j = int(np.argmin(finite))
     if not finite[j]:

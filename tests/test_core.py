@@ -176,6 +176,9 @@ def test_nan_bound_fails_its_check(grid3, bound, constraint):
     verdict = check_admissible(SpeedProfile(grid3, np.full(3, 3.0)), model)
     assert (verdict.ok, verdict.index, verdict.constraint) == (
         False, 0, constraint)
+    # the detail names the NaN bound rather than assert "h > bu=nan"
+    value = "h=3.0" if bound in ("bl", "bu") else "slope=0.0"
+    assert verdict.detail == f"{value} at s=0.0, where {bound} is not a number"
 
 
 def test_nan_curvature_fails_the_ceiling():
@@ -187,6 +190,7 @@ def test_nan_curvature_fails_the_ceiling():
     verdict = check_admissible(SpeedProfile(grid, np.full(5, 1e9)), model)
     assert (verdict.ok, verdict.index, verdict.constraint) == (
         False, 0, "above_upper_bound")
+    assert verdict.detail == "h=1000000000.0 at s=0.0, where bu is not a number"
     for plan in (solve, dp_optimum):
         with pytest.raises(InfeasibleError):
             plan(grid, model)

@@ -17,7 +17,13 @@ per-point arrays that ``profile.csv`` already holds. The capped_arc and
 wave_table oracle hashes were re-recorded when the oracle's bisection
 stop became relative (1e-13 |bad| instead of 1e-13 max(1, |bad|)), which
 refines ceilings below 1 further and so moves the last bits of their
-oracle profiles and agreement errors; every other hash was kept.
+oracle profiles and agreement errors; every other hash was kept. The
+line, capped_line, capped_arc and wave_table ``trajectory.csv`` hashes
+were re-recorded when a sample's position became the trapezoid integral
+s0 + tau (sqrt(h0) + v) / 2 of its speed instead of the inversion
+s0 + (h - h0) / m, which cancelled on nearly flat segments (capped_arc's
+positions moved by up to 4.3e-7 m); the speed and time columns kept
+their bytes, and circle's constant profile kept its hash.
 """
 
 import hashlib
@@ -39,7 +45,7 @@ GOLDEN = {
         "summary.json":
             "79ef1d3548469668d3b7999a3b5cd0c45d8c0ef46f465c77944a45fd77414fc1",
         "trajectory.csv":
-            "e206a76a8d68bb615e68b66a5a3fbb5c02534eb166068334a19b6a0fc18859a9",
+            "474a0dbb3fd6cd8a6903c56391ae485ccc5b483d360acdffbd5b741e3a4ff0f3",
         "stdout":
             "353a31bdaf89bcdc2516c21aee1a374f90dcf53ced3c614dc1fc5316f50b8d1a",
     },
@@ -51,7 +57,7 @@ GOLDEN = {
         "summary.json":
             "46bb4c2bf0469f6c6586657ec459c7126562f6a1bd408ddaa5f4c69a741ce065",
         "trajectory.csv":
-            "6b046766f5be64060739a970801e78e7a713365c25aac93056ceee16eea70933",
+            "7fe4aa6f2d0d9e61069fc1641cc07bdac459bc91d841de82a84d1d5cfd4b5904",
         "stdout":
             "5e07ad6f749d53d9ff0b89a823ca531471e8581ede2546dda4eb39ad465c778f",
     },
@@ -75,7 +81,7 @@ GOLDEN = {
         "summary.json":
             "bb07813d4f78a81734b3cab4b851492ed33872c7d32d27efbad4240dc1d06760",
         "trajectory.csv":
-            "8a805dd035dbd3cfa6973bb9c6a8e36fea139b0d5f3e35c6065cf1b77e50cdeb",
+            "d0567cb69e5e6d655d64d0167e5f2bb35ff1701e26732c7386743e4d5bcb75f5",
         "stdout":
             "e49236addff457d70a0866ebc27bd337159a0531ad7cd49c6089e98bb1b56cf4",
     },
@@ -87,7 +93,7 @@ GOLDEN = {
         "summary.json":
             "a037e177a2ccf3cea62da77a93a45bf11afbb65856ecbb1564bfe4d36f978864",
         "trajectory.csv":
-            "391e857a35a00322cce25b9aa24a8ec3332fc05a8cd2f2164b96ff76a5e1002c",
+            "54bd342e2edd98464b4ba36b477c39574e98b1d204fe96e9ec051927072c0038",
         "stdout":
             "b5fda7bf7a8d1263d234dcf558951e3b0506f57b7c2a9deadd0419a77843e39c",
     },

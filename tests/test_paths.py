@@ -4,10 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from toppkit import (PathSpec, UnsupportedInstanceError, analytic_optimum,
-                     analytic_time, build_model, capped_line_instance,
-                     check_admissible, circle_instance, curvature,
-                     line_instance, profile_error, solve, traversal_time)
+from toppkit import (Discretization, PathSpec, UnsupportedInstanceError,
+                     analytic_optimum, analytic_time, build_model,
+                     capped_line_instance, check_admissible, circle_instance,
+                     curvature, line_instance, profile_error, solve,
+                     traversal_time)
 from toppkit.core import FrictionCircle
 
 
@@ -219,6 +220,9 @@ class TestCurvature:
             curvature(path, 1.5)
         with pytest.raises(ValueError):
             curvature(path, -0.1)
+        # every comparison with NaN is false, so NaN fails "a <= s <= b"
+        with pytest.raises(ValueError, match="outside path domain"):
+            curvature(path, math.nan)
 
 
 class TestBuildModel:
@@ -320,6 +324,13 @@ class TestAnalyticOptimum:
         report = solve(grid, build_model(path), endpoints=path.endpoints)
         assert profile_error(report.profile, profile) < 1e-9
         assert traversal_time(profile) == pytest.approx(2.5, abs=1e-6)
+
+    def test_grid_outside_domain_rejected(self):
+        # outside [0, 1] the rest-to-rest line's closed form is negative
+        path = PathSpec("line", 10.0, 1.0, length=1.0, endpoints=(0.0, 0.0))
+        for points in ([-1.0, 0.5, 2.0], [0.0, 0.5, 2.0], [-1e-300, 1.0]):
+            with pytest.raises(ValueError, match="outside path domain"):
+                analytic_optimum(path, Discretization(np.array(points)))
 
     def test_unsupported_combinations_raise(self):
         arc_r2r = PathSpec("arc", 1.0, 1.0, radius=1.0, angle=1.0,

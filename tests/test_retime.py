@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal as D
+from decimal import localcontext
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ def profile_on(points, values):
 
 
 def scalar_sample_trajectory(profile, dt):
-    """The per-sample loop that sample_trajectory replaced, as its reference."""
+    """sample_trajectory's formulas, one sample at a time, as its reference."""
     t_knots = _knot_times(profile)
     total = float(t_knots[-1])
     s, h = profile.grid.points, profile.values
@@ -34,15 +36,9 @@ def scalar_sample_trajectory(profile, dt):
         ds = s[i + 1] - s[i]
         m = (h[i + 1] - h[i]) / ds
         root_h0 = math.sqrt(h[i])
-        if m == 0.0:
-            pos = s[i] + root_h0 * tau
-            hh = h[i]
-        else:
-            root_h = root_h0 + 0.5 * m * tau
-            hh = root_h * root_h
-            pos = s[i] + (hh - h[i]) / m
-        pos = min(max(float(pos), float(s[i])), float(s[i + 1]))
-        return pos, math.sqrt(hh)
+        v = abs(root_h0 + 0.5 * m * tau)
+        pos = s[i] + tau * (root_h0 + v) * 0.5
+        return min(float(pos), float(s[i + 1])), float(v)
 
     rows = []
     k = 0
@@ -207,6 +203,35 @@ class TestSampleTrajectory:
         expected = np.array(scalar_sample_trajectory(report.profile, dt))
         assert rows.shape == expected.shape == (10002, 3)
         assert rows.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("path,n,divisions", [
+        (INSTANCES["capped_arc"], 100001, (10001,)),
+        (INSTANCES["capped_line"], 100001, (100001,)),
+        (INSTANCES["table_1"], 1001, (1001, 3010)),
+        (random_table_instance(12), 1001, (1001, 3010)),
+    ], ids=["capped_arc", "capped_line", "table_1", "table_12"])
+    def test_positions_within_4_ulps_of_exact_motion(self, path, n, divisions):
+        # s0 + sqrt(h0) * tau + m * tau^2 / 4 in 40 digits, with the exact
+        # chord slope m and tau; nearly flat segments are where a position
+        # recovered by inverting h, s0 + (h - h0) / m, would cancel
+        profile = solve(path.grid(n), build_model(path),
+                        endpoints=path.endpoints).profile
+        t_knots = _knot_times(profile)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            s, h, knots = ([D(x) for x in a.tolist()] for a in
+                           (profile.grid.points, profile.values, t_knots))
+            for k in divisions:
+                rows = sample_trajectory(profile, t_knots[-1] / k)[:-1]
+                seg = np.clip(np.searchsorted(t_knots, rows[:, 0], side="right") - 1,
+                              0, n - 2)
+                for t, pos, i in zip(rows[:, 0].tolist(), rows[:, 1].tolist(),
+                                     seg.tolist()):
+                    tau = D(t) - knots[i]
+                    m = (h[i + 1] - h[i]) / (s[i + 1] - s[i])
+                    exact = min(s[i] + h[i].sqrt() * tau + m * tau * tau / 4,
+                                s[i + 1])
+                    assert abs(D(pos) - exact) <= 4 * D(math.ulp(pos)), (t, pos)
 
     def test_stalled_profile_rejected(self):
         with pytest.raises(ValueError):
