@@ -2,8 +2,8 @@
 
 Inputs are path-spec JSON files; outputs are CSV/JSON artifacts written
 into --out; ``oracle`` judges at ``dp_optimum``'s default levels. Exit codes:
-0 success, 1 usage or input error (a stalled solve, a failed allocation and
-a spec nested too deeply among them; a built path is never infeasible).
+0 success, 1 usage or input error (a stalled solve, a failed allocation, a
+spec error named with its file; a built path is never infeasible).
 """
 
 import argparse
@@ -34,13 +34,8 @@ def _load_path_spec(filename: str) -> PathSpec:
     try:
         with open(filename, "r", encoding="utf-8") as fh:
             return PathSpec.from_json_dict(json.load(fh))
-    except json.JSONDecodeError as e:
-        raise ValueError(
-            f"{filename}: line {e.lineno}, column {e.colno}: {e.msg}") from e
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
         raise ValueError(f"{filename}: {e}") from e
-    except RecursionError as e:  # nested deeper than the parser recurses
-        raise RecursionError(f"{filename}: {e}") from e
 
 
 def _seconds(t: float) -> str:
@@ -154,7 +149,7 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_OK if e.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
-    except (OSError, ValueError, MemoryError, RecursionError) as e:
+    except (OSError, ValueError, MemoryError) as e:
         return _fail(str(e) or type(e).__name__)  # a bare MemoryError has no text
 
 

@@ -235,11 +235,11 @@ def _bad_row(fh) -> str:
             continue
         if len(fields) != 2:
             return f"line {no}: expected 2 fields (s,h), got {len(fields)}"
-        for tok in fields:
+        for tok in map(str.strip, fields):
             try:  # np.loadtxt, unlike float(), rejects "1_0" and non-ASCII digits
                 float(tok if tok.isascii() and "_" not in tok else "x")
             except ValueError:
-                return f"line {no}: {tok.strip()!r} is not a number"
+                return f"line {no}: {tok!r} is not a number"
     return "is malformed"
 
 

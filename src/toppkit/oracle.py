@@ -80,24 +80,26 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
     """Fill ``ceiling[:-1]`` in the floats of :func:`dp_optimum`'s callable
     search, with its ``g`` (the circle's fminus), :func:`_lattice_down`
     and :func:`_refine_boundary` written out, so that no ``g`` is a call.
-    ``fr`` is the circle: the floor is zero (``bad >= 0`` needs no abs)
-    and the cap ``fr.slope_cap``. The scan's last value, 0, meets every
-    step: it ends there untested."""
+    ``fr`` is the circle: the floor is zero (``bad >= 0`` needs no abs,
+    the lattice is ``j * step``) and the cap ``fr.slope_cap``. The scan's
+    last value, 0, meets every step: it ends there untested. Where ``step``
+    underflows, each candidate below ``hi`` is 0, but the bisection's stop
+    underflows too, so it ends on the callable search's adjacent floats."""
     f2, xi, sqrt, last = fr.f_fr * fr.f_fr, fr.xi, math.sqrt, levels - 1
-    cap, lo, down = fr.slope_cap, 0.0, range(last - 1, -1, -1)
+    cap, down = fr.slope_cap, range(last - 1, -1, -1)
     for i in range(len(s) - 2, -1, -1):
         ds, t, ki = s[i + 1] - s[i], ceiling[i + 1], k[i]
         hi = min(bu[i], t + cap * ds)
-        if not hi >= lo:
+        if not hi >= 0.0:
             raise InfeasibleError("empty candidate set", s, i, "backward")
         bad = good = hi
-        step = (hi - lo) / last
+        step = hi / last
         for j in down:
             r = f2 - (ki * good) * (ki * good)
             if good + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - t <= 0.0:
                 break
             bad = good
-            good = j * step + lo if step != 0.0 else j / last * (hi - lo) + lo
+            good = j * step
         tol = 1e-13 * bad
         while bad - good > tol:
             mid = 0.5 * (good + bad)

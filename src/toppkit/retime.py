@@ -76,7 +76,7 @@ def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
     rows[-1] = total, s[-1], math.sqrt(h[-1])
     # The scalar formulas above, in the same float operations, for all
     # samples at once, written into rows to keep memory small.
-    i = np.clip(np.searchsorted(t_knots, t, side="right") - 1, 0, s.size - 2)
+    i = np.minimum(np.searchsorted(t_knots, t, side="right") - 1, s.size - 2)
     tau = np.subtract(t, t_knots[i], out=t)
     pos, v = rows[:-1, 1], rows[:-1, 2]
     # a non-finite slope is rejected after the samples (peak RSS)

@@ -96,13 +96,14 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     decide these runs and the forward steps that copy backward[i-1] clipped
     to backward[i], squaring by products as the scalar steps do (never libm
     ``pow``); each loop copies a run whole. A due block of 16 to 2 048 steps
-    proposes sums over zero curvature (backward only unrelaxed: a relaxed
-    step rounds t first), else a plateau, and copies the prefix that the
-    step reproduces in arrays (backward: to the guard's first nextafter,
-    bu[i] on a run). That suffices: a guard never steps below h_next, and
-    a sum is the unclipped root, which the clip and the guard only lower. A
-    failed block doubles the wait for the next, up to 2 048 points; a guard
-    stepping down to h_next (a plateau) makes one due at once."""
+    proposes sums over zero curvature, else a plateau, and copies the prefix
+    that the step reproduces in arrays (backward: to the guard's first
+    nextafter, bu[i] on a run). That suffices: a guard never steps below
+    h_next, and a sum is the unclipped root, which the clip and the guard
+    only lower. Backward blocks fall due for sums only unrelaxed (a relaxed
+    step rounds t first). A failed block doubles the wait for the next, up
+    to 2 048 points; a guard stepping down to h_next (a plateau) makes one
+    due at once."""
     kappa, delta = fr.kappa(points), np.diff(points)
     ceiling = fr.ceiling(kappa)
     ok = ceiling >= 0.0
@@ -137,8 +138,7 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     while i >= 0:
         if i <= lim:  # copy the verified prefix of a chain block
             j = np.arange(i, max(i - m, -1), -1)
-            p = _chain(back, backward, j, h, 2.0 * sqrt(f2) * delta[j] * (
-                (kappa[j] == 0.0) & sums))
+            p = _chain(back, backward, j, h, 2.0 * sqrt(f2) * delta[j] * (kappa[j] == 0.0))
             i, h, c = i - p, b[i - p + 1], bu[i - p + 1]
             full = p == j.size
             m, gap = (min(2 * m, _CAP), gap) if full else (_BLOCK, min(2 * gap, _CAP))
@@ -250,9 +250,9 @@ def _backward_step(model: DynamicsModel, s: float, ds: float, h_next: float,
     g_hi = g(hi)
     if g_hi <= 0.0:
         return hi
-    lo = max(lo, h_next - reach)
+    lo = min(max(lo, h_next - reach), hi)  # above hi only if fminus breaks the cap
     g_lo = g(lo)
-    if g_lo > 0.0 and lo < hi:  # the floor cut the bracket: look between
+    if g_lo > 0.0:  # the floor cut the bracket: look between
         lo, g_lo = _convex_dip(g, lo, hi)
     return None if g_lo > 0.0 else _largest_feasible(g, lo, hi, g_lo, g_hi)
 

@@ -509,12 +509,17 @@ class TestRetimeCommand:
         assert not out.exists()
 
     def test_malformed_row_named_by_file_line(self, tmp_path, capsys):
-        prof = tmp_path / "profile.csv"
-        prof.write_text("s,h\n0,1\n\n0.5,1,2\n1,1\n", encoding="utf-8")
-        assert main(["retime", "--profile", str(prof), "--dt", "0.25",
-                     "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == (
-            "error: profile CSV line 4: expected 2 fields (s,h), got 3\n")
+        # line 3 of the second file ends in a no-break space, which
+        # np.loadtxt strips: the row it rejects is line 4
+        for text, err in (
+                ("s,h\n0,1\n\n0.5,1,2\n1,1\n",
+                 "line 4: expected 2 fields (s,h), got 3"),
+                ("s,h\n0,0\n1,1\u00a0\n2,abc\n", "line 4: 'abc' is not a number")):
+            prof = tmp_path / "profile.csv"
+            prof.write_text(text, encoding="utf-8")
+            assert main(["retime", "--profile", str(prof), "--dt", "0.25",
+                         "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err == f"error: profile CSV {err}\n"
 
     def test_memory_error_exits_1(self, tmp_path, capsys, monkeypatch):
         import toppkit.cli as cli

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import threading
@@ -12,7 +13,7 @@ from toppkit import (Discretization, DynamicsModel, InfeasibleError, PathSpec,
                      SpeedProfile, build_model, capped_arc_instance,
                      check_admissible, default_tol, dp_optimum, line_instance,
                      profile_error, relax, solve, wave_table_instance)
-from toppkit.core import FrictionCircle
+from toppkit.core import FrictionCircle, _bad_row
 
 from conftest import blind_model, constant_box_model, plain_model
 
@@ -370,6 +371,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match=match) as err:
             SpeedProfile.from_csv(csv_file(tmp_path, "s,h\n" + rows))
         assert "usecols" not in str(err.value)
+
+    @given(tok=st.text("0123456789+-.eE_infaINFA \x0b\x0c\x1c\x1d\x1e\x1f"
+                       "\u00a0\u2003\u0661", max_size=8))
+    @settings(max_examples=300)
+    def test_bad_row_blames_a_token_exactly_when_loadtxt_rejects_it(self, tok):
+        # signs, exponents, inf and nan in any case, "_", Unicode spaces
+        # (which both strip) and an Arabic-Indic digit (which float() reads)
+        row = f"0,{tok}\n"
+        try:
+            np.loadtxt(io.StringIO(row), delimiter=",", comments=None, ndmin=2)
+            loaded = True
+        except ValueError:
+            loaded = False
+        blamed = _bad_row(io.StringIO("s,h\n" + row)).endswith("is not a number")
+        assert blamed != loaded
 
     def test_csv_malformed_row_of_unseekable_stream(self, tmp_path):
         # a pipe cannot be read twice, so no line is named

@@ -226,12 +226,26 @@ class TestSampledBounds:
         for model in models_relaxed(path):
             assert_inline_equals_callable(grid, model, (start, end))
 
+    @pytest.mark.parametrize("v_max", [1e-161, 3e-161, 1e-155, 1e-150])
+    def test_equal_on_subnormal_ceilings(self, v_max):
+        """Lines whose ceilings are subnormal. Where the lattice step
+        underflows (a ceiling below 511 * 5e-324), the inline scan's
+        candidates below the ceiling are all 0 and the callable scan's are
+        not, yet both searches end on the same adjacent floats."""
+        for f_fr, xi, n, end in itertools.product(
+                (5e-323, 3e-322, 1e-315, 1e-300), (0.0, 1e-322),
+                (2, 3, 21, 201), (None, 0.0)):
+            path = PathSpec("line", v_max, f_fr, length=1.0)
+            model = relax(build_model(path), xi)
+            assert_inline_equals_callable(path.grid(n), model, (None, end))
+
     def test_lattice_step_underflow(self):
         """A subnormal candidate range: the lattice step underflows to
-        zero, and the scan takes its other form. It stops on adjacent
-        floats, so the bisection, whose relative stop underflows to zero
+        zero. The callable scan takes its other form and stops on adjacent
+        floats, so its bisection, whose relative stop underflows to zero
         too, ends at its first midpoint, which rounds onto an end of the
-        cell; the ceiling is the lattice point itself."""
+        cell; the ceiling is the lattice point itself. The inline scan's
+        candidates are all 0, and its bisection ends on the same float."""
         path = PathSpec("line", 1.0, 5e-323, length=1.0)
         model = relax(build_model(path), 1e-322)
         grid = path.grid(2)

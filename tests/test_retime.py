@@ -185,8 +185,11 @@ class TestSampleTrajectory:
         ([0.0, 1.0], [2.0, 0.0], 0.1),  # zero at the end
         ([0.0, 1.0], [1.0, 1.0], 0.3),  # dt does not divide the total
         ([0.0, 1.0], [1.0, 1.0], 5.0),  # dt above the total
+        # an ulp before the knot time 2.82842712474619 of a stop at s = 1,
+        # where the trapezoid lands an ulp past s = 1: clamped to the knot
+        ([0.0, 1.0, 2.0], [0.5, 0.0, 1.0], 2.8284271247461894),
     ], ids=["constant", "zero-both-ends", "zero-start", "zero-end",
-            "non-dividing-dt", "dt-above-total"])
+            "non-dividing-dt", "dt-above-total", "ulp-before-a-stop"])
     def test_equals_scalar_loop_bit_for_bit(self, points, values, dt):
         profile = profile_on(points, values)
         rows = sample_trajectory(profile, dt)
@@ -234,7 +237,8 @@ class TestSampleTrajectory:
                     assert abs(D(pos) - exact) <= 4 * D(math.ulp(pos)), (t, pos)
 
     def test_stalled_profile_rejected(self):
-        with pytest.raises(ValueError):
+        # named as a stall, not as "too many samples" over an infinite time
+        with pytest.raises(ValueError, match="^profile stalls"):
             sample_trajectory(profile_on([0.0, 1.0], [0.0, 0.0]), 0.1)
 
     def test_non_finite_slope_rejected(self):

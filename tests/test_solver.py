@@ -15,6 +15,7 @@ from toppkit import (Discretization, DynamicsModel, InfeasibleError,
                      solve, wave_table_instance)
 
 from toppkit.core import FrictionCircle
+from toppkit.solver import _largest_feasible
 
 from conftest import (OVERFLOWING_ROOT, blind_model, constant_box_model,
                       plain_model)
@@ -114,8 +115,15 @@ class TestBackwardStep:
                        bu=lambda s: 10.0,
                        bl=lambda s: 5.0 if s > 0.25 else 0.0, slope_cap=1.0),
          (0.2, 0.3), (1.0, None), (1, "forward")),
+        # fminus breaks its cap: 200 below h = 50, so from h_next = 100 the
+        # bracket's low end h_next - cap*ds = 99 lies above hi = bu = 1
+        (DynamicsModel(fplus=lambda s, h: 1.0,
+                       fminus=lambda s, h: 200.0 if h < 50.0 else -200.0,
+                       bu=lambda s: 1.0 if s < 0.5 else 100.0,
+                       bl=lambda s: 0.0, slope_cap=1.0),
+         (0.0, 1.0), (None, 100.0), (0, "backward")),
     ], ids=["empty-box", "unreachable-target", "floor-above-braking-reach",
-            "start-below-floor", "reach-below-floor"])
+            "start-below-floor", "reach-below-floor", "fminus-breaks-its-cap"])
     def test_unreachable_target_is_infeasible(self, model, s, endpoints,
                                               expected):
         # the solver and the oracle name the same, expected index and pass
@@ -150,6 +158,33 @@ class TestBackwardStep:
             oracle = dp_optimum(Discretization(np.array([0.0, 1.0])), model,
                                 endpoints=(None, 0.0))
             assert oracle.values[0] == pytest.approx(h, abs=1e-12)
+
+
+class TestLargestFeasible:
+    """The root search's two guards, by the calls of g they save."""
+
+    @staticmethod
+    def counted(g):
+        calls = []
+
+        def wrapped(h):
+            calls.append(h)
+            return g(h)
+        return wrapped, calls
+
+    def test_exact_zero_steps_to_the_next_float(self):
+        # false position lands on g(0.5) = 0 and would propose 0.5 again;
+        # the float above it ends the search
+        g, calls = self.counted(lambda h: h - 0.5)
+        assert _largest_feasible(g, 0.0, 1.0, -0.5, 0.5) == 0.5
+        assert len(calls) <= 3
+
+    def test_stalled_false_position_bisects(self):
+        # g jumps by 1e300 at h = 0.3, so false position creeps up from the
+        # left end; after 64 iterations each proposal is a midpoint
+        g, calls = self.counted(lambda h: -1.0 if h <= 0.3 else 1e300)
+        assert _largest_feasible(g, 0.0, 1.0, -1.0, 1e300) == 0.3
+        assert len(calls) <= 130
 
 
 class TestForwardStep:

@@ -6,7 +6,7 @@ bound exactly, and where f_fr^2 (1 + (2 ds kappa)^2) overflows; and
 where chain blocks form: at n = 1e5, on tables with zero-curvature runs,
 on lines and arcs whose f_fr is not sqrt(f_fr^2), and on the
 benchmark's scaled specs. Plus, block by block, each point a backward
-block copies against one scalar step, the share of work that failed
+block evaluates against one scalar step, the share of work that failed
 chain blocks take, and the traced memory of a solve at n = 1e5."""
 
 import math
@@ -41,6 +41,12 @@ KAPPA = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(1e-3, 3.0))
 # A rest-to-rest table whose curvature is zero over the middle of the path.
 ZERO_RUN_TABLE = PathSpec("table", 10.0, 1.0, table=(
     (0.0, 0.8), (0.3, 0.0), (0.7, 0.0), (1.0, 0.8)), endpoints=(0.0, 0.0))
+
+# A curvature spike between zero runs. At n = 101, (2 ds kappa)^2 reaches
+# 0.49, and a backward block that proposes a plateau brakes into the spike
+# from h_next above bu[i]: the root is below bu[i] and max(h, t) binds.
+CURVATURE_SPIKE = PathSpec("table", 2.4, 1.9, table=(
+    (0.0, 0.0), (0.5, 35.0), (1.0, 0.0)), endpoints=(0.0, 0.25))
 
 
 def scalar_sweeps(points: np.ndarray, fr: FrictionCircle,
@@ -114,6 +120,14 @@ def scalar_backward_step(fr, kappa, ceiling, delta, i, h_next):
         h = math.nextafter(h, -math.inf)
         r = f2 - (ki * h) * (ki * h)
     return h
+
+
+def braking_excess(fr, kappa, delta, i, h, h_next):
+    """h + fminus(h) ds - h_next, as the scalar backward step writes it:
+    the step from h to h_next holds where this is at most 0."""
+    ki = kappa[i]
+    r = fr.f_fr * fr.f_fr - (ki * h) * (ki * h)
+    return h + ((-2.0 * math.sqrt(r) if r > 0.0 else 0.0) - fr.xi) * delta[i] - h_next
 
 
 def assert_bitwise_equal(points, fr, h_start, h_end):
@@ -202,7 +216,9 @@ def test_equal_where_chains_form(path, n, data):
 def copied_backward_points(monkeypatch, path, n, ends):
     """Sweep path at n points between ends, relaxed by each xi, and assert
     that every point a backward block copies is one scalar backward step
-    from the point after it; return how many points the blocks copied."""
+    from the point after it, and that every value the block's step gives
+    that satisfies its step is that scalar step too, copied or not; return
+    how many points the blocks copied."""
     points = path.grid(n).points
     delta = np.diff(points).tolist()
     copied = 0
@@ -212,6 +228,13 @@ def copied_backward_points(monkeypatch, path, n, ends):
         nonlocal copied
         p = chain(step, out, j, h, inc)
         if step.__name__ == "back":
+            hn = np.add.accumulate(np.concatenate(([h], inc)))[:-1]
+            for i, h_next, got in zip(j.tolist(), hn.tolist(),
+                                      step(j, hn).tolist()):
+                if braking_excess(model, kappa, delta, i, got, h_next) <= 0.0:
+                    want = scalar_backward_step(model, kappa, ceiling, delta,
+                                                i, h_next)
+                    assert got.hex() == want.hex(), (i, got, want)
             for i in j[:p].tolist():
                 want = scalar_backward_step(model, kappa, ceiling, delta, i,
                                             float(out[i + 1]))
@@ -231,12 +254,14 @@ def copied_backward_points(monkeypatch, path, n, ends):
 @pytest.mark.parametrize("path, n, forms", [
     (INSTANCES["line"], 100_001, True), (INSTANCES["capped_line"], 100_001, True),
     (INSTANCES["capped_arc"], 100_001, True), (ZERO_RUN_TABLE, 10_001, True),
+    (CURVATURE_SPIKE, 101, False),
     *((spec, 10_001, k == "arc") for k, spec in OVERFLOWING_ROOT.items())],
-    ids=["line", "capped_line", "capped_arc", "zero_run_table",
+    ids=["line", "capped_line", "capped_arc", "zero_run_table", "curvature_spike",
          *(f"overflowing_root_{k}" for k in OVERFLOWING_ROOT)])
 def test_each_copied_backward_point_is_one_scalar_step(monkeypatch, path, n, forms):
     """Block by block, not only in aggregate: a backward block copies a
-    point only where it equals the scalar step from the point after it.
+    point only where it equals the scalar step from the point after it,
+    and its step equals the scalar step wherever it satisfies the step.
     (forms: some backward block copies a point.)"""
     copied = copied_backward_points(monkeypatch, path, n, path.endpoints)
     assert (copied > 0) == forms
