@@ -41,8 +41,17 @@ class UnsupportedInstanceError(ValueError):
     """Raised when a closed-form result is requested for an unsupported case."""
 
 
-# Rows formatted per CSV write.
+# Rows formatted per CSV write, and points per block of a whole-grid array
+# pass: its temporaries stay a few block-sized arrays, never grid-sized.
 BLOCK_ROWS = 4096
+
+
+def _blockwise(out: np.ndarray, f, *arrays) -> np.ndarray:
+    """``out[:] = f(*arrays)`` for an elementwise ``f`` of arrays as long as
+    ``out``, evaluated BLOCK_ROWS elements at a time; returns ``out``."""
+    for i in range(0, out.size, BLOCK_ROWS):
+        out[i:i + BLOCK_ROWS] = f(*(a[i:i + BLOCK_ROWS] for a in arrays))
+    return out
 
 
 def write_csv(path: str, header: str, fmt: str, *columns) -> None:
@@ -306,44 +315,50 @@ def check_admissible(profile: SpeedProfile, model: Model,
     ``tol`` is omitted the model's default tolerance is used. On failure
     the report names the smallest violating index and the constraint.
     The bounds are sampled once per point (in arrays on a friction
-    circle) and compared elementwise, with the same floats as a scalar loop.
+    circle) and compared in blocks of BLOCK_ROWS points, each with the
+    segment that starts there, with the same floats as a scalar loop; the
+    check stops at the first block with a failure.
     """
     if tol is None:
         tol = default_tol(model)
     if not 0.0 <= tol < math.inf:
         raise ValueError("tolerance must be finite and non-negative")
-    s, h = profile.grid.points, profile.values
-    n = h.size
-    kappa, lo, hi = _box_bounds(s, model)
-    if kappa is not None:
-        f_lo, f_hi = model.slopes(kappa[:-1], h[:-1])
+    for i in range(0, profile.values.size, BLOCK_ROWS):
+        # the block's points and the next one, the end of its last segment
+        s, h = (a[i:i + BLOCK_ROWS + 1] for a in (profile.grid.points, profile.values))
+        with np.errstate(over="ignore"):  # an infinite chord fails its window
+            slope = np.diff(h) / np.diff(s)
+        s, h, m = s[:BLOCK_ROWS], h[:BLOCK_ROWS], slope.size
+        kappa, lo, hi = _box_bounds(s, model)
+        if kappa is not None:
+            f_lo, f_hi = model.slopes(kappa[:m], h[:m])
+        else:
+            sl, hl = s.tolist(), h.tolist()
+            f_lo, f_hi = (np.array([f(x, y) for x, y in zip(sl[:m], hl)])
+                          for f in (model.fminus, model.fplus))
+        # One row per check, in reporting order: at each index the bounds
+        # come before the slope, and the slope at i before the bounds at i+1.
+        # Each is a negated pass, so a NaN bound fails its own check.
+        fails = np.zeros((4, h.size), dtype=bool)
+        fails[0] = ~(h >= lo - tol)
+        fails[1] = ~(h <= hi + tol)
+        fails[2, :m] = ~(slope >= f_lo - tol)
+        fails[3, :m] = ~(slope <= f_hi + tol)
+        bad = np.flatnonzero(fails.any(axis=0))
+        if bad.size:
+            break
     else:
-        sl, hl = s.tolist(), h.tolist()
-        f_lo, f_hi = (np.array([f(x, y) for x, y in zip(sl[:-1], hl)])
-                      for f in (model.fminus, model.fplus))
-    with np.errstate(over="ignore"):  # an infinite chord fails its window
-        slope = np.diff(h) / np.diff(s)
-    # One row per check, in reporting order: at each index the bounds
-    # come before the slope, and the slope at i before the bounds at i+1.
-    # Each is a negated pass, so a NaN bound fails its own check.
-    fails = np.zeros((4, n), dtype=bool)
-    fails[0] = ~(h >= lo - tol)
-    fails[1] = ~(h <= hi + tol)
-    fails[2, :-1] = ~(slope >= f_lo - tol)
-    fails[3, :-1] = ~(slope <= f_hi + tol)
-    bad = np.flatnonzero(fails.any(axis=0))
-    if bad.size == 0:
         return AdmissibilityReport(True)
-    i = int(bad[0])
+    k = int(bad[0])
     name, x, xs, op, y, ys = (
         ("below_lower_bound", "h", h, "<", "bl", lo),
         ("above_upper_bound", "h", h, ">", "bu", hi),
         ("slope_below_min", "slope", slope, "<", "fminus", f_lo),
         ("slope_above_max", "slope", slope, ">", "fplus", f_hi),
-    )[int(np.argmax(fails[:, i]))]
-    value, bound, at = float(xs[i]), float(ys[i]), f"at s={float(s[i])!r}"
+    )[int(np.argmax(fails[:, k]))]
+    value, bound, at = float(xs[k]), float(ys[k]), f"at s={float(s[k])!r}"
     return AdmissibilityReport(
-        False, i, name, f"{x}={value!r} {at}, where {y} is not a number"
+        False, i + k, name, f"{x}={value!r} {at}, where {y} is not a number"
         if math.isnan(bound) else f"{x}={value!r} {op} {y}={bound!r} {at}")
 
 

@@ -12,10 +12,11 @@ can never be traversed, so its time is infinite.
 """
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
-from .core import SpeedProfile, write_csv
+from .core import BLOCK_ROWS, SpeedProfile, _blockwise, write_csv
 
 STALLED = ("profile stalls (h == 0 across a segment) or its time overflows; "
            "traversal time is not finite")
@@ -31,13 +32,13 @@ def _knot_times(profile: SpeedProfile) -> np.ndarray:
     if np.any(h < 0.0):
         raise ValueError("squared speeds must be non-negative")
     s = profile.grid.points
-    # Allocate t before the temporaries so freeing them leaves no heap hole.
     t = np.empty(s.size)
     t[0] = 0.0
-    root = np.sqrt(h)
-    seg = np.subtract(s[1:], s[:-1], out=t[1:])
-    seg *= 2.0
-    seg /= root[:-1] + root[1:]
+    for i in range(0, s.size - 1, BLOCK_ROWS):  # each block's segments, into t
+        e, root = s[i:i + BLOCK_ROWS + 1], np.sqrt(h[i:i + BLOCK_ROWS + 1])
+        seg = np.subtract(e[1:], e[:-1], out=t[i + 1:i + BLOCK_ROWS + 1])
+        seg *= 2.0
+        seg /= root[:-1] + root[1:]
     return np.cumsum(t, out=t)
 
 
@@ -69,25 +70,29 @@ def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
     if not total / dt < 2.0 ** 53:  # past this, k * dt cannot step k exactly
         raise ValueError(f"dt={dt!r} gives too many samples over {total!r} s")
     s, h = profile.grid.points, profile.values
-    t = np.arange(int(total / dt) + 2) * dt  # 2 past total / dt: room to round
-    t = t[:np.searchsorted(t, total - 4.0 * math.ulp(total))]
-    rows = np.empty((t.size + 1, 3))
-    rows[:-1, 0] = t
+    # The rows below total - 4 ulps, as np.searchsorted finds them among
+    # k * dt for k < total / dt + 2 (room to round), without that array.
+    count = bisect_left(range(int(total / dt) + 2), total - 4.0 * math.ulp(total),
+                        key=lambda k: k * dt)
+    rows = np.empty((count + 1, 3))
     rows[-1] = total, s[-1], math.sqrt(h[-1])
-    # The scalar formulas above, in the same float operations, for all
-    # samples at once, written into rows to keep memory small.
-    i = np.minimum(np.searchsorted(t_knots, t, side="right") - 1, s.size - 2)
-    tau = np.subtract(t, t_knots[i], out=t)
-    pos, v = rows[:-1, 1], rows[:-1, 2]
-    # a non-finite slope is rejected after the samples (peak RSS)
+    # The scalar formulas above, in the same float operations, for
+    # BLOCK_ROWS samples at a time, written into rows to keep memory small;
+    # a non-finite slope is rejected after the samples.
     with np.errstate(over="ignore", invalid="ignore"):
-        m = (h[i + 1] - h[i]) / (s[i + 1] - s[i])
-        root_h0 = np.sqrt(h[i])
-        np.abs(root_h0 + 0.5 * m * tau, out=v)
-        np.multiply(tau, root_h0 + v, out=pos)
-        pos *= 0.5
-        np.minimum(pos + s[i], s[i + 1], out=pos)
-        finite = np.isfinite(np.diff(h) / np.diff(s))
+        for k in range(0, count, BLOCK_ROWS):
+            t, pos, v = rows[:-1][k:k + BLOCK_ROWS].T
+            t[:] = np.arange(k, k + t.size) * dt
+            i = np.minimum(np.searchsorted(t_knots, t, side="right") - 1, s.size - 2)
+            tau = t - t_knots[i]
+            m = (h[i + 1] - h[i]) / (s[i + 1] - s[i])
+            root_h0 = np.sqrt(h[i])
+            np.abs(root_h0 + 0.5 * m * tau, out=v)
+            np.multiply(tau, root_h0 + v, out=pos)
+            pos *= 0.5
+            np.minimum(pos + s[i], s[i + 1], out=pos)
+        finite = _blockwise(np.empty(s.size - 1, dtype=bool), lambda s0, s1, h0, h1:
+                            np.isfinite((h1 - h0) / (s1 - s0)), s[:-1], s[1:], h[:-1], h[1:])
     j = int(np.argmin(finite))
     if not finite[j]:
         raise ValueError(f"segment {j} from s={float(s[j])!r} to s={float(s[j + 1])!r}: "

@@ -6,11 +6,11 @@ without exceeding the braking slope. Forward pass: from the initial
 value, each point gets the accelerating-slope reach, clipped by the
 backward cap. Each step is one scalar maximization, so the whole solve
 is linear in the grid size. A friction-circle model, relaxed or not,
-takes its steps in closed form; arrays decide its ceiling runs and check
-blocks of its zero-curvature sums and plateaus, and the other steps are
-scalar. Any other model takes each step by an exact root search over its
-callables, which stops only at adjacent floats and needs the paper's
-convex class.
+takes its steps in closed form; arrays decide its ceiling runs, a block
+of BLOCK_ROWS points at a time, and check blocks of its zero-curvature
+sums and plateaus, and the other steps are scalar. Any other model takes
+each step by an exact root search over its callables, which stops only
+at adjacent floats and needs the paper's convex class.
 """
 
 import math
@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (Discretization, DynamicsModel, Endpoints, FrictionCircle,
                    InfeasibleError, Model, SolveReport, SpeedProfile,
-                   _box_bounds, _endpoint_pair)
+                   _blockwise, _box_bounds, _endpoint_pair)
 from .retime import traversal_time
 
 
@@ -94,14 +94,15 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     satisfies it (bu[i] + fminus(bu[i]) ds <= bu[i+1], bu[i] <= bu[i+1] +
     (2 f + xi) ds), as the generic step returns a feasible bound. Arrays
     decide these runs and the forward steps that copy backward[i-1] clipped
-    to backward[i], squaring by products as the scalar steps do (never libm
-    ``pow``); each loop copies a run whole. A due block of 16 to 2 048 steps
-    proposes sums over zero curvature, else a plateau, and copies the prefix
-    that the step reproduces in arrays (backward: to the guard's first
-    nextafter, bu[i] on a run). That suffices: a guard never steps below
-    h_next, and a sum is the unclipped root, which the clip and the guard
-    only lower. Backward blocks fall due for sums only unrelaxed (a relaxed
-    step rounds t first). A failed block doubles the wait for the next, up
+    to backward[i], BLOCK_ROWS points at a time into one mask, squaring by
+    products as the scalar steps do (never libm ``pow``); each loop copies
+    a run whole. A due block of 16 to 2 048 steps proposes sums over zero
+    curvature, else a plateau, and copies the prefix that the step
+    reproduces in arrays (backward: to the guard's first nextafter, bu[i]
+    on a run). That suffices: a guard never steps below h_next, and a sum
+    is the unclipped root, which the clip and the guard only lower.
+    Backward blocks fall due for sums only unrelaxed (a relaxed step
+    rounds t first). A failed block doubles the wait for the next, up
     to 2 048 points; a guard stepping down to h_next (a plateau) makes one
     due at once."""
     kappa, delta = fr.kappa(points), np.diff(points)
@@ -111,14 +112,15 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
         raise InfeasibleError("empty backward step", points,
                               int(np.flatnonzero(~ok)[-1]), "backward")
     f2, xi, cap = fr.f_fr * fr.f_fr, fr.xi, fr.slope_cap
-    k0, c0, c1 = kappa[:-1], ceiling[:-1], ceiling[1:]
-    runs = (c0 + fr.slopes(k0, c0)[0] * delta - c1 <= 0.0) & (c0 <= c1 + cap * delta)
     k, d, bu = memoryview(kappa), memoryview(delta), memoryview(ceiling)
     n = len(k)
+    runs = _blockwise(np.empty(n - 1, dtype=bool), lambda k0, c0, c1, ds: (
+        c0 + fr.slopes(k0, c0)[0] * ds - c1 <= 0.0) & (c0 <= c1 + cap * ds),
+        kappa[:-1], ceiling[:-1], ceiling[1:], delta)
     backward, forward = np.empty(n), np.empty(n)
     b, fw = memoryview(backward), memoryview(forward)
     sqrt, inf = math.sqrt, math.inf  # local names: read on every step
-    flat, m, gap, hold = not k0.all(), _BLOCK, _BLOCK, n  # flat: some kappa is 0
+    flat, m, gap, hold = not kappa[:-1].all(), _BLOCK, _BLOCK, n  # flat: some kappa is 0
     sums = xi == 0.0 and flat  # sums of backward steps, proposed unrelaxed
 
     def back(j, hn):  # backward steps in arrays, to the guard's first nextafter
@@ -170,9 +172,8 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
                     lim = i - 1
             b[i] = h
             i -= 1
-    b0 = backward[:-1]
-    runs = b0 + fr.slopes(k0, b0)[1] * delta >= backward[1:]
-    on = memoryview(runs)
+    _blockwise(runs, lambda k0, b0, b1, ds: b0 + fr.slopes(k0, b0)[1] * ds >= b1,
+               kappa[:-1], backward[:-1], backward[1:], delta)
     stops = memoryview(np.append(np.flatnonzero(~runs) + 1, n))
     c = b[0]
     h = fw[0] = c if h_start is None else min(c, h_start)

@@ -1,3 +1,4 @@
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,36 @@ from hypothesis import strategies as st
 from toppkit import (AdmissibilityReport, Discretization, DynamicsModel,
                      PathSpec, build_model, circle_instance, line_instance)
 from toppkit.core import FrictionCircle
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test still running at the ini value ``test_time_limit``.
+    Not an Exception, so hypothesis reports it at once instead of
+    shrinking an example that may hang again."""
+
+
+def pytest_addoption(parser):
+    parser.addini("test_time_limit", "seconds after which a running test fails",
+                  default="120")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    """Fail a test that runs past ``test_time_limit`` (a loop whose exit
+    broke), so the session goes on to the next test."""
+    limit = float(item.config.getini("test_time_limit"))
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test still running after {limit:g} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # Specs where f_fr^2 (1 + (2 ds kappa)^2) overflows although f_fr^2 does
 # not, on coarse grids (the first arc at n = 3 and 11, not at 101). An

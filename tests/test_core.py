@@ -2,6 +2,7 @@ import io
 import math
 import os
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ from toppkit import (Discretization, DynamicsModel, InfeasibleError, PathSpec,
                      SpeedProfile, build_model, capped_arc_instance,
                      check_admissible, default_tol, dp_optimum, line_instance,
                      profile_error, relax, solve, wave_table_instance)
-from toppkit.core import FrictionCircle, _bad_row
+from toppkit.core import (BLOCK_ROWS, AdmissibilityReport, FrictionCircle,
+                          _bad_row, _box_bounds)
 
 from conftest import blind_model, constant_box_model, plain_model
 
@@ -195,6 +197,99 @@ def test_nan_curvature_fails_the_ceiling():
     for plan in (solve, dp_optimum):
         with pytest.raises(InfeasibleError):
             plan(grid, model)
+
+
+def unblocked_check_admissible(profile, model, tol=None):
+    """check_admissible as one whole-grid array pass: the reference that
+    its blocks must reproduce."""
+    if tol is None:
+        tol = default_tol(model)
+    s, h = profile.grid.points, profile.values
+    n = h.size
+    kappa, lo, hi = _box_bounds(s, model)
+    if kappa is not None:
+        f_lo, f_hi = model.slopes(kappa[:-1], h[:-1])
+    else:
+        sl, hl = s.tolist(), h.tolist()
+        f_lo, f_hi = (np.array([f(x, y) for x, y in zip(sl[:-1], hl)])
+                      for f in (model.fminus, model.fplus))
+    with np.errstate(over="ignore"):
+        slope = np.diff(h) / np.diff(s)
+    fails = np.zeros((4, n), dtype=bool)
+    fails[0] = ~(h >= lo - tol)
+    fails[1] = ~(h <= hi + tol)
+    fails[2, :-1] = ~(slope >= f_lo - tol)
+    fails[3, :-1] = ~(slope <= f_hi + tol)
+    bad = np.flatnonzero(fails.any(axis=0))
+    if bad.size == 0:
+        return AdmissibilityReport(True)
+    i = int(bad[0])
+    name, x, xs, op, y, ys = (
+        ("below_lower_bound", "h", h, "<", "bl", lo),
+        ("above_upper_bound", "h", h, ">", "bu", hi),
+        ("slope_below_min", "slope", slope, "<", "fminus", f_lo),
+        ("slope_above_max", "slope", slope, ">", "fplus", f_hi),
+    )[int(np.argmax(fails[:, i]))]
+    value, bound, at = float(xs[i]), float(ys[i]), f"at s={float(s[i])!r}"
+    return AdmissibilityReport(
+        False, i, name, f"{x}={value!r} {at}, where {y} is not a number"
+        if math.isnan(bound) else f"{x}={value!r} {op} {y}={bound!r} {at}")
+
+
+# On a flat profile h = 4.5 with ds = 0.03, under the ceiling 9 and the
+# slope window +-200: each entry is what one violation at index i sets,
+# (i, h) pairs, and every other check holds (chords of at most 167).
+VIOLATIONS = {
+    "below_lower_bound": lambda i: [(i, -0.1)],
+    "above_upper_bound": lambda i: [(i, 9.1)],
+    "slope_below_min": lambda i: [(i, 8.5), (i + 1, 0.5)],
+    "slope_above_max": lambda i: [(i, 0.5), (i + 1, 8.5)],
+}
+
+
+@pytest.mark.parametrize("n", [2 * BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 2],
+                         ids=["last-block-one-point", "last-block-two-points"])
+@pytest.mark.parametrize("kind", ["circle", "callables"])
+def test_blocks_report_what_one_pass_reports(n, kind):
+    grid = Discretization.uniform(0.0, 0.03 * (n - 1), n)
+    model = build_model(PathSpec("line", v_max=3.0, f_fr=100.0, length=grid.points[-1]))
+    if kind == "callables":
+        model = DynamicsModel(fplus=lambda s, h: 200.0, fminus=lambda s, h: -200.0,
+                              bu=lambda s: 9.0, bl=lambda s: 0.0, slope_cap=200.0)
+    cases = [(name, min(i, n - 2) if name.startswith("slope") else i, VIOLATIONS[name])
+             for name in VIOLATIONS for i in (BLOCK_ROWS - 1, BLOCK_ROWS,
+                                              BLOCK_ROWS + 1, n - 1)]
+    # the point two blocks share: the slope at B - 1 before the bound at B
+    cases.append(("slope_below_min", BLOCK_ROWS - 1,
+                  lambda i: [(i, 8.5), (i + 1, -0.1)]))
+    for name, i, violate in cases:
+        h = np.full(n, 4.5)
+        for j, x in violate(i):
+            h[j] = x
+        profile = SpeedProfile(grid, h)
+        want = unblocked_check_admissible(profile, model)
+        assert (want.index, want.constraint) == (i, name)
+        got = check_admissible(profile, model)
+        assert (got.ok, got.index, got.constraint, got.detail) == (
+            want.ok, want.index, want.constraint, want.detail), (name, i)
+    flat = SpeedProfile(grid, np.full(n, 4.5))
+    assert check_admissible(flat, model) and unblocked_check_admissible(flat, model)
+
+
+@pytest.mark.parametrize("path", [line_instance(), wave_table_instance()],
+                         ids=["line", "wave_table"])
+def test_check_memory_at_1e5(path):
+    # 16 block-sized float arrays over the profile and the model: no
+    # temporary spans the grid (the whole-grid pass peaked at 8 arrays of n)
+    model = build_model(path)
+    profile = solve(path.grid(100_001), model, endpoints=path.endpoints).profile
+    tracemalloc.start()
+    try:
+        assert check_admissible(profile, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * (BLOCK_ROWS + 1), peak
 
 
 class TestProfileError:

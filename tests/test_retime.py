@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal as D
 from decimal import localcontext
 
@@ -12,6 +13,7 @@ from toppkit import (Discretization, SpeedProfile, build_model,
                      random_table_instance, sample_trajectory, solve,
                      traversal_time, wave_table_instance,
                      write_trajectory_csv)
+from toppkit.core import BLOCK_ROWS
 from toppkit.retime import _knot_times
 
 INSTANCES = {**bundled_instances(),
@@ -248,6 +250,53 @@ class TestSampleTrajectory:
         with pytest.raises(ValueError, match=r"^segment 1 from s=0\.0 to "
                            r"s=1e-300: slope \(h1 - h0\) / \(s1 - s0\) is not finite$"):
             sample_trajectory(profile, 0.25)
+
+    @pytest.mark.parametrize("case", ["knots-on-block-edges", "random"])
+    def test_blocks_equal_scalar_loop_bit_for_bit(self, case):
+        # 3 blocks of samples. Unit speed on integer knots with dt = 1:
+        # 3 * BLOCK_ROWS samples, each on a knot, so one lands on each
+        # block edge and the last block is full. Then a random profile.
+        n = 3 * BLOCK_ROWS + 1
+        if case == "knots-on-block-edges":
+            profile, dt = profile_on(np.arange(n, dtype=float), np.ones(n)), 1.0
+        else:
+            h = np.random.default_rng(29).uniform(0.5, 2.0, n)
+            profile = profile_on(np.linspace(0.0, 7.0, n), h)
+            dt = traversal_time(profile) / (3 * BLOCK_ROWS + 17)
+        rows = sample_trajectory(profile, dt)
+        expected = np.array(scalar_sample_trajectory(profile, dt))
+        assert rows.shape == expected.shape and rows.shape[0] > 3 * BLOCK_ROWS
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_non_finite_slope_in_a_later_block_named_first(self):
+        # segments B + 10 and 2B + 10 rise by 1e300 over one ulp of s: the
+        # first of them is named
+        n = 2 * BLOCK_ROWS + 50
+        s, h = np.arange(n, dtype=float), np.ones(n)
+        for j in (BLOCK_ROWS + 10, 2 * BLOCK_ROWS + 10):
+            s[j + 1], h[j + 1] = np.nextafter(s[j], math.inf), 1e300
+        j = BLOCK_ROWS + 10
+        with pytest.raises(ValueError) as err:
+            sample_trajectory(profile_on(s, h), 1.0)
+        assert str(err.value) == (
+            f"segment {j} from s={float(s[j])!r} to s={float(s[j + 1])!r}: "
+            "slope (h1 - h0) / (s1 - s0) is not finite")
+
+    @pytest.mark.parametrize("path", [capped_arc_instance(), wave_table_instance()],
+                             ids=["capped_arc", "wave_table"])
+    def test_memory_at_1e5(self, path):
+        # the rows, the knot times and a byte a segment for the slope scan,
+        # plus 8 block-sized float arrays: no temporary spans the samples
+        profile = solve(path.grid(100_001), build_model(path),
+                        endpoints=path.endpoints).profile
+        n, dt = 100_001, traversal_time(profile) / 100_000
+        tracemalloc.start()
+        try:
+            rows = sample_trajectory(profile, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rows.nbytes + 8 * n + n + 8 * 8 * BLOCK_ROWS, peak
 
     def test_csv_output(self, tmp_path):
         rows = sample_trajectory(profile_on([0.0, 1.0], [1.0, 1.0]), 0.5)
