@@ -2,8 +2,9 @@
 
 Inputs are path-spec JSON files; outputs are CSV/JSON artifacts written
 into --out; ``oracle`` judges at ``dp_optimum``'s default levels. Exit codes:
-0 success, 1 usage or input error (a stalled solve, a failed allocation, a
-spec error named with its file; a built path is never infeasible).
+0 success, 1 usage or input error (a stalled solve, an oracle tolerance that
+is not finite, a failed allocation, a spec error named with its file; a
+built path is never infeasible).
 """
 
 import argparse

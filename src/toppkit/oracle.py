@@ -47,9 +47,12 @@ def lattice_spacing(grid: Discretization, model: Model,
 
 def agreement_tolerance(grid: Discretization, model: Model,
                         levels: int) -> float:
-    """Acceptance band for solver/oracle disagreement on this instance."""
-    return 2.0 * lattice_spacing(grid, model, levels) \
-        + 2.0 * model.slope_cap * grid.delta
+    """Acceptance band for solver/oracle disagreement; a ValueError where not finite."""
+    spacing, reach = 2.0 * lattice_spacing(grid, model, levels), 2.0 * model.slope_cap * grid.delta
+    if not math.isfinite(spacing + reach):  # an inf band accepts anything, and is not JSON
+        raise ValueError(f"agreement tolerance 2*spacing + 2*slope_cap*delta = {spacing!r} + "
+                         f"{reach!r} is not finite")
+    return spacing + reach
 
 
 def _lattice_down(lo: float, hi: float, levels: int):

@@ -32,13 +32,9 @@ def _knot_times(profile: SpeedProfile) -> np.ndarray:
     if np.any(h < 0.0):
         raise ValueError("squared speeds must be non-negative")
     s = profile.grid.points
-    t = np.empty(s.size)
-    t[0] = 0.0
-    for i in range(0, s.size - 1, BLOCK_ROWS):  # each block's segments, into t
-        e, root = s[i:i + BLOCK_ROWS + 1], np.sqrt(h[i:i + BLOCK_ROWS + 1])
-        seg = np.subtract(e[1:], e[:-1], out=t[i + 1:i + BLOCK_ROWS + 1])
-        seg *= 2.0
-        seg /= root[:-1] + root[1:]
+    t = np.zeros(s.size)
+    _blockwise(t[1:], lambda s0, s1, h0, h1: (s1 - s0) * 2.0 / (np.sqrt(h0) + np.sqrt(h1)),
+               s[:-1], s[1:], h[:-1], h[1:])
     return np.cumsum(t, out=t)
 
 

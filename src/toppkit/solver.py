@@ -95,16 +95,16 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     (2 f + xi) ds), as the generic step returns a feasible bound. Arrays
     decide these runs and the forward steps that copy backward[i-1] clipped
     to backward[i], BLOCK_ROWS points at a time into one mask, squaring by
-    products as the scalar steps do (never libm ``pow``); each loop copies
-    a run whole. A due block of 16 to 2 048 steps proposes sums over zero
-    curvature, else a plateau, and copies the prefix that the step
-    reproduces in arrays (backward: to the guard's first nextafter, bu[i]
-    on a run). That suffices: a guard never steps below h_next, and a sum
-    is the unclipped root, which the clip and the guard only lower.
-    Backward blocks fall due for sums only unrelaxed (a relaxed step
-    rounds t first). A failed block doubles the wait for the next, up
-    to 2 048 points; a guard stepping down to h_next (a plateau) makes one
-    due at once."""
+    products as the scalar steps do (never libm ``pow``). Each pass is one
+    loop over the grid with three cases: a due block, a run copied whole,
+    one scalar step. A due block of 16 to 2 048 steps proposes sums over
+    zero curvature, else a plateau, and copies the prefix that the step
+    reproduces in arrays (backward: to the guard's first nextafter, bu[i] on
+    a run). That suffices: a guard never steps below h_next, and a sum is
+    the unclipped root, which the clip and the guard only lower. Backward
+    blocks fall due for sums only unrelaxed (a relaxed step rounds t first).
+    A failed block doubles the wait for the next, up to 2 048 points; a
+    guard stepping down to h_next (a plateau) makes one due at once."""
     kappa, delta = fr.kappa(points), np.diff(points)
     ceiling = fr.ceiling(kappa)
     ok = ceiling >= 0.0
@@ -145,15 +145,13 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
             full = p == j.size
             m, gap = (min(2 * m, _CAP), gap) if full else (_BLOCK, min(2 * gap, _CAP))
             hold = i if full else i - gap
-            lim = max(hold, -1) if sums or full else -1
-            continue
-        while i > lim:
-            if h == c and on[i]:  # on a ceiling run: copy it down to its stop
-                j = stops[bisect_left(stops, i) - 1]
-                backward[j + 1:i + 1] = ceiling[j + 1:i + 1]
-                h = c = bu[j + 1]
-                i = j
-                continue
+            lim = hold if sums or full else -1
+        elif h == c and on[i]:  # on a ceiling run: copy it down to its stop
+            j = stops[bisect_left(stops, i) - 1]
+            backward[j + 1:i + 1] = ceiling[j + 1:i + 1]
+            h = c = bu[j + 1]
+            i = j
+        else:
             h_next, ds, ki, c = h, d[i], k[i], bu[i]
             t, w = h_next + xi * ds, 2.0 * ds * ki
             kt, a = ki * t, 1.0 + w * w
@@ -188,15 +186,13 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
             i, h, c = i + p, fw[i + p - 1], b[i + p - 1]
             full = p == j.size
             m, gap = (min(2 * m, _CAP), gap) if full else (_BLOCK, min(2 * gap, _CAP))
-            lim = i if full else min(i + gap, n)
-            continue
-        while i < lim:
-            if h == c and on[i - 1]:  # on a backward run: copy it up to its stop
-                j = stops[bisect_left(stops, i)]
-                forward[i:j] = backward[i:j]
-                h = c = b[j - 1]
-                i = j
-                continue
+            lim = i if full else i + gap
+        elif h == c and on[i - 1]:  # on a backward run: copy it up to its stop
+            j = stops[bisect_left(stops, i)]
+            forward[i:j] = backward[i:j]
+            h = c = b[j - 1]
+            i = j
+        else:
             kh = k[i - 1] * h
             r = f2 - kh * kh
             c = b[i]

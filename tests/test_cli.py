@@ -433,6 +433,22 @@ class TestOracleCommand:
         assert agreement["within"] is False
         assert agreement["error"] > agreement["tolerance"]
 
+    def test_tolerance_that_overflows_exits_1(self, tmp_path, capsys):
+        # a valid spec whose 2 * slope_cap * delta overflows: the command
+        # wrote "tolerance": Infinity (not JSON) and "within": true, exit 0
+        spec = tmp_path / "huge.json"
+        spec.write_text('{"kind": "line", "v_max": 1.0, "f_fr": 8e307, '
+                        '"length": 10.0}', encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["oracle", "--input", str(spec), "--n", "3",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: agreement tolerance")
+        assert err[0].endswith(" + inf is not finite")
+        assert not out.exists()
+
     def test_levels_flag_is_a_usage_error(self, tmp_path, capsys):
         # the command judges at dp_optimum's default, 512 levels
         spec = write_spec(tmp_path, line_instance())

@@ -95,6 +95,16 @@ class TestDpOptimum:
                 2.0 * bu_max / (levels - 1) + 2.0 * model.slope_cap * delta,
                 rel=1e-12, abs=0.0)
 
+    def test_agreement_tolerance_that_overflows_raises(self):
+        # 2 * slope_cap * delta = 2 * 1.6e308 * 5: an infinite band would
+        # accept any disagreement
+        path = PathSpec("line", v_max=1.0, f_fr=8e307, length=10.0)
+        grid, model = path.grid(3), build_model(path)
+        for levels in (8, 512):
+            with pytest.raises(ValueError, match=r"^agreement tolerance 2\*spacing "
+                               r"\+ 2\*slope_cap\*delta = [0-9.e-]+ \+ inf is not finite$"):
+                agreement_tolerance(grid, model, levels)
+
     def test_refining_levels_does_not_regress(self):
         path = wave_table_instance()
         model = build_model(path)

@@ -103,6 +103,27 @@ class TestTraversalTime:
                                                     + math.sqrt(h[i + 1]))
             assert traversal_time(report.profile) == total
 
+    @pytest.mark.parametrize("stall", [False, True], ids=["finite", "stall"])
+    @pytest.mark.parametrize("n", [BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2,
+                                   2 * BLOCK_ROWS + 1])
+    def test_knot_times_across_block_edges(self, n, stall):
+        # Bit for bit the whole-array expression. With a stall, h is 0 at
+        # both ends of the segment into point BLOCK_ROWS (the last of the
+        # grid when n = BLOCK_ROWS), the last segment of the first block:
+        # the times are finite up to it and inf from it on.
+        rng = np.random.default_rng(n)
+        s, h = np.cumsum(rng.uniform(0.5, 1.5, n)), rng.uniform(0.1, 4.0, n)
+        edge = min(BLOCK_ROWS, n - 1)
+        if stall:
+            h[edge - 1:edge + 1] = 0.0
+        got = _knot_times(profile_on(s, h))
+        r = np.sqrt(h)
+        with np.errstate(divide="ignore"):
+            want = np.cumsum(np.concatenate(([0.0], 2.0 * np.diff(s) / (r[:-1] + r[1:]))))
+        assert got.tobytes() == want.tobytes()
+        assert np.isfinite(got[:edge]).all()
+        assert np.isinf(got[edge:]).all() if stall else np.isfinite(got).all()
+
     def test_midpoint_refinement_is_consistent(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

@@ -7,7 +7,8 @@ where chain blocks form: at n = 1e5, on tables with zero-curvature runs,
 on lines and arcs whose f_fr is not sqrt(f_fr^2), and on the
 benchmark's scaled specs. Plus, block by block, each point a backward
 block evaluates against one scalar step, the share of work that failed
-chain blocks take, and the traced memory of a solve at n = 1e5."""
+chain blocks take, blocks that fail within their wait of either end of
+the grid, and the traced memory of a solve at n = 1e5."""
 
 import math
 import os
@@ -435,6 +436,39 @@ def test_failed_blocks_take_a_bounded_share(monkeypatch, path):
     assert sum(p for _, p in blocks) > n // 10  # the forward sums verify
     assert len(failed) <= 2 * (math.log2(_CAP / _BLOCK) + 1 + n / _CAP)
     assert sum(failed) <= n / 16
+
+
+# Lines with ceiling v_max^2 = 1.97 at n = 1 001, where a zero-curvature
+# step adds 0.002: braking to rest at the end, the backward sums meet the
+# ceiling at index 15; accelerating from rest, the forward sums at 985.
+NEAR_AN_END = {"backward": PathSpec("line", math.sqrt(1.97), 1.0, length=1.0,
+                                    endpoints=(None, 0.0)),
+               "forward": PathSpec("line", math.sqrt(1.97), 1.0, length=1.0,
+                                   endpoints=(0.0, None))}
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_AN_END))
+def test_block_failing_near_the_end_of_its_pass(monkeypatch, name):
+    """A failed block waits at least 2 * _BLOCK points before the next, so
+    one that fails at index 15 backward, or 985 of 1 001 forward, waits
+    past the end of the grid, and only the pass's own loop bound stops it
+    there. The pass still equals the scalar loop bit for bit."""
+    blocks = []
+    chain = solver._chain
+
+    def counted(step, out, j, h, inc):
+        p = chain(step, out, j, h, inc)
+        blocks.append((out, j, p))
+        return p
+
+    monkeypatch.setattr(solver, "_chain", counted)
+    path, n = NEAR_AN_END[name], 1_001
+    got = dict(zip(("backward", "forward"), _friction_sweeps(
+        path.grid(n).points, build_model(path), *path.endpoints)))
+    failed = [int(j[p]) for out, j, p in blocks if out is got[name] and p < j.size]
+    wait = 2 * _BLOCK  # the least wait after a failed block
+    assert any(i - wait < -1 if name == "backward" else i + wait > n for i in failed)
+    assert_bitwise_equal(path.grid(n).points, build_model(path), *path.endpoints)
 
 
 @pytest.mark.parametrize("path", [random_table_instance(0),
