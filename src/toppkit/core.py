@@ -7,7 +7,11 @@ per-segment slope window evaluated at the segment's left endpoint.
 
 import json
 import math
+import os
+import shutil
+import tempfile
 import warnings
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Optional, Tuple, Union
@@ -55,14 +59,35 @@ def _blockwise(out: np.ndarray, f, *arrays) -> np.ndarray:
 
 
 def write_csv(path: str, header: str, fmt: str, *columns) -> None:
-    """Write the line ``header``, then the line ``fmt % row`` per row of
-    the columns, BLOCK_ROWS rows a write, to the UTF-8 file ``path``."""
-    line = fmt + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for i in range(0, len(columns[0]), BLOCK_ROWS):
+    """Write the line ``header``, then ``fmt % row`` per row of the columns, BLOCK_ROWS rows
+    a write, to the UTF-8 file ``path``, from 8 blocks on half of them in a forked child."""
+    def rows(fh, start, stop=len(columns[0])):  # from a block boundary
+        for i in range(start, stop, BLOCK_ROWS):
             block = np.column_stack([c[i:i + BLOCK_ROWS] for c in columns])
             fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+    line, pid, mid = fmt + "\n", None, len(columns[0]) // (2 * BLOCK_ROWS) * BLOCK_ROWS
+    with open(path, "w", encoding="utf-8") as fh, ExitStack() as stack:
+        fh.write(header + "\n")
+        if mid >= 4 * BLOCK_ROWS and hasattr(os, "fork"):  # 8+ blocks; break-even: ~3
+            with suppress(OSError), warnings.catch_warnings():  # 3.12+: numpy's BLAS threads
+                warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
+                tail = stack.enter_context(tempfile.TemporaryFile(
+                    "w+", encoding="utf-8", dir=os.path.dirname(path) or "."))
+                pid = os.fork()  # stays None where the file or the child cannot be made
+        if pid == 0:  # the child: its half into the unnamed file, then out at once
+            try:
+                rows(tail, mid)
+                tail.seek(0)  # flushes, and rewinds the offset this process shares
+                os._exit(0)
+            finally:
+                os._exit(1)
+        try:
+            rows(fh, 0, mid)
+        finally:
+            failed = pid is None or os.waitpid(pid, 0)[1] != 0
+        if failed:  # formatting it here raises what the child met
+            return rows(fh, mid)
+        shutil.copyfileobj(tail, fh)
 
 
 def write_json(data: dict, path: str) -> None:

@@ -1,3 +1,4 @@
+import os
 import signal
 from dataclasses import replace
 
@@ -37,6 +38,18 @@ def pytest_runtest_call(item):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which this process still has a child, running or
+    not yet reaped: whatever forks or spawns must also wait for it."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind (waitpid: {left})")
 
 
 # Specs where f_fr^2 (1 + (2 ds kappa)^2) overflows although f_fr^2 does

@@ -1,8 +1,10 @@
 import io
 import math
 import os
+import tempfile
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +17,7 @@ from toppkit import (Discretization, DynamicsModel, InfeasibleError, PathSpec,
                      check_admissible, default_tol, dp_optimum, line_instance,
                      profile_error, relax, solve, wave_table_instance)
 from toppkit.core import (BLOCK_ROWS, AdmissibilityReport, FrictionCircle,
-                          _bad_row, _box_bounds)
+                          _bad_row, _box_bounds, write_csv)
 
 from conftest import blind_model, constant_box_model, plain_model
 
@@ -500,6 +502,87 @@ class TestSerialization:
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
+
+
+# The three layouts written: profile.csv, trajectory.csv and sweep.csv.
+CSV_LAYOUTS = [("s,h", "%.17g,%.17g"), ("t,s,v", "%.17g,%.17g,%.17g"),
+               ("n,delta,rho,time_s", "%d,%.17g,%.17g,%.17g")]
+
+
+def row_by_row_csv(header, fmt, *columns):
+    return header + "\n" + "".join(fmt % row + "\n" for row in zip(*columns))
+
+
+@pytest.mark.parametrize("header,fmt", CSV_LAYOUTS, ids=["s,h", "t,s,v", "sweep"])
+@pytest.mark.parametrize("n", [8 * BLOCK_ROWS - 1, 8 * BLOCK_ROWS, 8 * BLOCK_ROWS + 1,
+                               9 * BLOCK_ROWS + 17, 100_001])
+def test_write_csv_matches_a_row_by_row_writer(tmp_path, header, fmt, n):
+    # around the 8 blocks from which the formatting is split at a block
+    # boundary; floats of every magnitude, and integers for a %d column
+    rng = np.random.default_rng(n)
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+               for _ in range(fmt.count("%"))]
+    if fmt.startswith("%d"):
+        columns[0] = rng.integers(-2 ** 52, 2 ** 52, n).astype(float)
+    write_csv(str(tmp_path / "out.csv"), header, fmt, *columns)
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") \
+        == row_by_row_csv(header, fmt, *columns)
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+@pytest.mark.parametrize("n", [8 * BLOCK_ROWS - 1, 8 * BLOCK_ROWS])
+def test_write_csv_forks_from_8_blocks(tmp_path, monkeypatch, n):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    write_csv(str(tmp_path / "out.csv"), "s,h", "%.17g,%.17g", range(n), range(n))
+    assert len(forks) == (n >= 8 * BLOCK_ROWS)
+
+
+def test_write_csv_ignores_the_fork_warning_of_threads(tmp_path, monkeypatch):
+    # Python 3.12+ warns in the parent, once the child exists, when the
+    # process has other threads, as numpy's BLAS pool; here an error
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    column = np.arange(8 * BLOCK_ROWS) / 3.0
+    write_csv(str(tmp_path / "out.csv"), "s,h", "%.17g,%.17g", column, column)
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") \
+        == row_by_row_csv("s,h", "%.17g,%.17g", column, column)
+
+
+@pytest.mark.parametrize("n", [11, 8 * BLOCK_ROWS + 1])
+def test_write_csv_error_in_the_last_row(tmp_path, n):
+    # a NaN in a %d column only in the last row, which a child formats from
+    # 8 blocks on: the same error as one process, and no file or child left
+    ints = np.arange(n, dtype=float)
+    ints[-1] = math.nan
+    header, fmt = CSV_LAYOUTS[2]
+    with pytest.raises(ValueError, match="^cannot convert float NaN to integer$"):
+        write_csv(str(tmp_path / "out.csv"), header, fmt, ints, ints, ints, ints)
+    assert os.listdir(tmp_path) == ["out.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("broken", ["fork", "TemporaryFile"])
+def test_write_csv_without_a_child_writes_every_row(tmp_path, monkeypatch, broken):
+    # no process or no file to spare: this process writes the same bytes
+    def refuse(*args, **kwargs):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(tempfile if broken == "TemporaryFile" else os, broken, refuse)
+    column = np.arange(8 * BLOCK_ROWS) / 3.0
+    write_csv(str(tmp_path / "out.csv"), "s,h", "%.17g,%.17g", column, -column)
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8") \
+        == row_by_row_csv("s,h", "%.17g,%.17g", column, -column)
+    assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestModelCaps:

@@ -24,6 +24,11 @@ s0 + tau (sqrt(h0) + v) / 2 of its speed instead of the inversion
 s0 + (h - h0) / m, which cancelled on nearly flat segments (capped_arc's
 positions moved by up to 4.3e-7 m); the speed and time columns kept
 their bytes, and circle's constant profile kept its hash.
+
+``GOLDEN_1E5`` holds the CSV hashes of capped_arc (solve and retime) and
+wave_table (solve) at n = 100 001: files of more than 8 blocks, whose
+formatting is split between two processes. They were recorded with the
+one-process writer.
 """
 
 import hashlib
@@ -178,6 +183,23 @@ GOLDEN_SWEEP = {
 }
 
 
+# toppkit solve --n 100001, and for capped_arc toppkit retime of its profile
+# at dt = T / 100001.
+N_1E5 = 100_001
+GOLDEN_1E5 = {
+    "capped_arc": {
+        "profile.csv":
+            "f51e8861012874f15440f086927efa30e3a47d70e9a28c3ac08ef95808bb146b",
+        "trajectory.csv":
+            "7f09fdc385e9dca1f36eeb94da8be1f7f869f4f5ec0e58059707edf791def773",
+    },
+    "wave_table": {
+        "profile.csv":
+            "129332de53ec12c771184434c1bf64f210c9d727055e7306828f76110edb57e3",
+    },
+}
+
+
 def _write_spec(tmp_path, name):
     spec = tmp_path / "path.json"
     spec.write_text(json.dumps(bundled_instances()[name].to_json_dict()),
@@ -220,3 +242,17 @@ def test_sweep_matches_recorded_hashes(tmp_path, capsys, name):
                  "--resolutions", "11,21,41", "--reference", "finest",
                  "--out", str(out)]) == 0
     assert _hashes(out, ("sweep.csv",), capsys) == GOLDEN_SWEEP[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_1E5))
+def test_large_csv_artifacts_match_recorded_hashes(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    assert main(["solve", "--input", _write_spec(tmp_path, name),
+                 "--n", str(N_1E5), "--out", str(out)]) == 0
+    if "trajectory.csv" in GOLDEN_1E5[name]:
+        t = json.loads((out / "summary.json").read_text())["traversal_time"]
+        assert main(["retime", "--profile", str(out / "profile.csv"),
+                     "--dt", repr(t / N_1E5), "--out", str(out)]) == 0
+    got = _hashes(out, GOLDEN_1E5[name], capsys)
+    del got["stdout"]
+    assert got == GOLDEN_1E5[name]
