@@ -5,24 +5,13 @@ limits: translate the path into per-position bounds on the squared
 speed and its slope, run the linear-time backward-forward sweep solver,
 re-time profiles into trajectories, and cross-check the sweeps against
 a brute-force oracle that runs the same greedy, written independently.
+
+Each public name loads on first use: ``import toppkit`` imports none of
+the submodules, and ``toppkit.solve`` imports ``toppkit.solver`` (and
+what it needs) the first time it is read.
 """
 
-from .core import (AdmissibilityReport, Discretization, DynamicsModel,
-                   InfeasibleError, SolveReport, SpeedProfile,
-                   UnsupportedInstanceError, check_admissible, default_tol,
-                   profile_error, relax)
-from .harness import (ConvergenceRow, XiRow, convergence_sweep,
-                      measure_solve_seconds, write_convergence_csv,
-                      xi_sweep)
-from .instances import (bundled_instances, capped_arc_instance,
-                        capped_line_instance, circle_instance, line_instance,
-                        random_table_instance, wave_table_instance)
-from .oracle import (agreement_tolerance, dp_optimum, lattice_spacing,
-                     random_admissible, tightened_path)
-from .paths import (PathSpec, analytic_optimum, analytic_time, build_model,
-                    curvature)
-from .retime import sample_trajectory, traversal_time, write_trajectory_csv
-from .solver import default_config, solve
+import importlib
 
 __version__ = "0.1.0"
 
@@ -40,3 +29,36 @@ __all__ = [
     "tightened_path", "traversal_time", "wave_table_instance",
     "write_convergence_csv", "write_trajectory_csv", "xi_sweep",
 ]
+
+# Each public name -> the submodule that defines it.
+_SUBMODULE = {name: module for module, names in {
+    "core": ("AdmissibilityReport", "Discretization", "DynamicsModel",
+             "InfeasibleError", "SolveReport", "SpeedProfile",
+             "UnsupportedInstanceError", "check_admissible", "default_tol",
+             "profile_error", "relax"),
+    "harness": ("ConvergenceRow", "XiRow", "convergence_sweep",
+                "measure_solve_seconds", "write_convergence_csv", "xi_sweep"),
+    "instances": ("bundled_instances", "capped_arc_instance",
+                  "capped_line_instance", "circle_instance", "line_instance",
+                  "random_table_instance", "wave_table_instance"),
+    "oracle": ("agreement_tolerance", "dp_optimum", "lattice_spacing",
+               "random_admissible", "tightened_path"),
+    "paths": ("PathSpec", "analytic_optimum", "analytic_time", "build_model",
+              "curvature"),
+    "retime": ("sample_trajectory", "traversal_time", "write_trajectory_csv"),
+    "solver": ("default_config", "solve"),
+}.items() for name in names}
+
+
+def __getattr__(name):
+    """Import the submodule that defines a public name on its first use
+    (PEP 562), and keep the name here, so later reads skip this call."""
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,19 +8,20 @@ built path is never infeasible).
 """
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .core import (SpeedProfile, check_admissible, default_tol, profile_error,
                    write_json)
-from .harness import convergence_sweep, write_convergence_csv
-from .oracle import LEVELS, agreement_tolerance, dp_optimum
-from .paths import PathSpec, build_model
 from .retime import STALLED, sample_trajectory, write_trajectory_csv
-from .solver import solve
+
+# Each command imports the modules that only it uses, so a process loads
+# what its command runs: retime never imports paths or solver, and only
+# sweep and oracle import harness and oracle.
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -31,7 +32,8 @@ def _fail(msg: str) -> int:
     return EXIT_INPUT
 
 
-def _load_path_spec(filename: str) -> PathSpec:
+def _load_path_spec(filename: str):
+    from .paths import PathSpec
     try:
         with open(filename, "r", encoding="utf-8") as fh:
             return PathSpec.from_json_dict(json.load(fh))
@@ -45,6 +47,8 @@ def _seconds(t: float) -> str:
 
 
 def cmd_solve(args) -> int:
+    from .paths import build_model
+    from .solver import solve
     path = _load_path_spec(args.input)
     model = build_model(path)
     report = solve(path.grid(args.n), model, endpoints=path.endpoints)
@@ -65,6 +69,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .harness import convergence_sweep, write_convergence_csv
     path = _load_path_spec(args.input)
     resolutions = [int(tok) for tok in args.resolutions.split(",") if tok]
     rows = convergence_sweep(path, resolutions, reference=args.reference)
@@ -78,6 +83,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import LEVELS, agreement_tolerance, dp_optimum
+    from .paths import build_model
+    from .solver import solve
     path = _load_path_spec(args.input)
     model = build_model(path)
     grid = path.grid(args.n)
@@ -154,5 +162,19 @@ def main(argv: Optional[list] = None) -> int:
         return _fail(str(e) or type(e).__name__)  # a bare MemoryError has no text
 
 
+def console_main() -> NoReturn:
+    """The ``toppkit`` script and ``python -m toppkit.cli``: run main, then
+    exit without collecting. The freeze moves every object into the
+    permanent generation, which no collection walks, so shutdown does not
+    free the objects held in reference cycles (modules, classes and
+    functions), and the operating system reclaims their memory at exit.
+    Shutdown still runs atexit and flushes stdout and stderr; every
+    artifact is closed before main returns. main itself does not freeze,
+    because callers run it in process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

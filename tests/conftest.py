@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import toppkit
 from toppkit import (AdmissibilityReport, Discretization, DynamicsModel,
                      PathSpec, build_model, circle_instance, line_instance)
 from toppkit.core import FrictionCircle
@@ -15,6 +16,12 @@ class TimeLimitExceeded(BaseException):
     """Raised in a test still running at the ini value ``test_time_limit``.
     Not an Exception, so hypothesis reports it at once instead of
     shrinking an example that may hang again."""
+
+
+def pytest_report_header(config):
+    """Name the toppkit under test: pyproject's ``pythonpath = ["src"]``
+    puts this checkout's ``src`` ahead of any other on ``PYTHONPATH``."""
+    return f"toppkit: {toppkit.__file__}"
 
 
 def pytest_addoption(parser):

@@ -187,12 +187,12 @@ class TestSolveCommand:
         assert not out.exists()
 
     def test_memory_error_exits_1(self, tmp_path, capsys, monkeypatch):
-        import toppkit.cli as cli
+        import toppkit.solver as solver
 
         def no_memory(*args, **kwargs):
             raise MemoryError()
 
-        monkeypatch.setattr(cli, "solve", no_memory)
+        monkeypatch.setattr(solver, "solve", no_memory)
         out = tmp_path / "o"
         assert main(["solve", "--input", write_spec(tmp_path, line_instance()),
                      "--n", "11", "--out", str(out)]) == 1
@@ -412,9 +412,9 @@ class TestOracleCommand:
         assert (out / "oracle.csv").exists()
 
     def test_disagreement_exits_1(self, tmp_path, capsys, monkeypatch):
-        import toppkit.cli as cli
+        import toppkit.oracle as oracle
 
-        dp_optimum = cli.dp_optimum
+        dp_optimum = oracle.dp_optimum
 
         def shifted(grid, model, levels, endpoints):
             # the oracle's profile, twice the tolerance above the solver's
@@ -422,7 +422,7 @@ class TestOracleCommand:
             tol = agreement_tolerance(grid, model, levels)
             return SpeedProfile(grid, profile.values + 2.0 * tol)
 
-        monkeypatch.setattr(cli, "dp_optimum", shifted)
+        monkeypatch.setattr(oracle, "dp_optimum", shifted)
         spec = write_spec(tmp_path, line_instance())
         out = tmp_path / "out"
         assert main(["oracle", "--input", spec, "--n", "50",
