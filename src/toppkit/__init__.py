@@ -23,10 +23,9 @@ __all__ = [
     "build_model", "bundled_instances", "capped_arc_instance",
     "capped_line_instance", "check_admissible", "circle_instance",
     "convergence_sweep", "curvature", "default_config", "default_tol",
-    "dp_optimum", "lattice_spacing", "line_instance",
-    "measure_solve_seconds", "profile_error", "random_admissible",
+    "dp_optimum", "lattice_spacing", "line_instance", "profile_error",
     "random_table_instance", "relax", "sample_trajectory", "solve",
-    "tightened_path", "traversal_time", "wave_table_instance",
+    "traversal_time", "wave_table_instance",
     "write_convergence_csv", "write_trajectory_csv", "xi_sweep",
 ]
 
@@ -37,12 +36,11 @@ _SUBMODULE = {name: module for module, names in {
              "UnsupportedInstanceError", "check_admissible", "default_tol",
              "profile_error", "relax"),
     "harness": ("ConvergenceRow", "XiRow", "convergence_sweep",
-                "measure_solve_seconds", "write_convergence_csv", "xi_sweep"),
+                "write_convergence_csv", "xi_sweep"),
     "instances": ("bundled_instances", "capped_arc_instance",
                   "capped_line_instance", "circle_instance", "line_instance",
                   "random_table_instance", "wave_table_instance"),
-    "oracle": ("agreement_tolerance", "dp_optimum", "lattice_spacing",
-               "random_admissible", "tightened_path"),
+    "oracle": ("agreement_tolerance", "dp_optimum", "lattice_spacing"),
     "paths": ("PathSpec", "analytic_optimum", "analytic_time", "build_model",
               "curvature"),
     "retime": ("sample_trajectory", "traversal_time", "write_trajectory_csv"),

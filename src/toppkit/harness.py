@@ -15,7 +15,6 @@ relaxation level drops to zero.
 """
 
 import operator
-import time
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -147,17 +146,3 @@ def xi_sweep(path: PathSpec, grid: Discretization,
                 f"relaxation gaps increased from xi={r1.xi} ({r1.gap}) "
                 f"to xi={r2.xi} ({r2.gap})")
     return rows
-
-
-def measure_solve_seconds(path: PathSpec, n: int, repeats: int = 3) -> float:
-    """Best wall-clock time of a solve on a uniform grid of ``n`` points."""
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    model = build_model(path)
-    grid = path.grid(n)
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        solve(grid, model, endpoints=path.endpoints)
-        best = min(best, time.perf_counter() - t0)
-    return best

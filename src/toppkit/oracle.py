@@ -1,30 +1,23 @@
 """Cross-checks of the sweep solver.
 
-Two tools live here. ``dp_optimum`` re-runs the solver's greedy with a
-deliberately plain method: per point one scan tests the ceiling, then a
-lattice below it; bisection to a relative stop refines the straddled
-cell, then the reachable chain is replayed.
-It samples a ``FrictionCircle`` in arrays, as the solver does, but
-shares no step code with it: agreement checks each one's steps, not
-that the greedy is optimal. On a friction circle the search and the
-chain write the circle's slope out in scalar floats, so no evaluation
-is a function call; the search through the model's scalar bounds is
-their bitwise reference. ``random_admissible`` makes
-profiles by solving under uniformly tightened actuation limits; any
-profile feasible for the tightened limits is feasible for the original
-ones, which makes these profiles dominance-test fodder.
+``dp_optimum`` re-runs the solver's greedy with a deliberately plain
+method: per point one scan tests the ceiling, then a lattice below it;
+bisection to a relative stop refines the straddled cell, then the
+reachable chain is replayed. It samples a ``FrictionCircle`` in arrays,
+as the solver does, but shares no step code with it: agreement checks
+each one's steps, not that the greedy is optimal. On a friction circle
+the search and the chain write the circle's slope out in scalar floats,
+and each min as the comparison it makes, so no evaluation is a function
+call; the search through the model's scalar bounds is their bitwise
+reference.
 """
 
 import math
 import operator
-from dataclasses import replace
 from itertools import chain
 
-import numpy as np
-
 from .core import (Discretization, Endpoints, InfeasibleError, Model,
-                   SpeedProfile, _box_bounds, _endpoint_pair, check_admissible)
-from .paths import PathSpec, build_model
+                   SpeedProfile, _box_bounds, _endpoint_pair)
 
 LEVELS = 512  # dp_optimum's default, at which ``toppkit oracle`` judges
 
@@ -92,14 +85,19 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
     cap, down = fr.slope_cap, range(last - 1, -1, -1)
     for i in range(len(s) - 2, -1, -1):
         ds, t, ki = s[i + 1] - s[i], ceiling[i + 1], k[i]
-        hi = min(bu[i], t + cap * ds)
+        hi, top = bu[i], t + cap * ds
+        if top < hi:  # min(bu[i], top)
+            hi = top
         if not hi >= 0.0:
             raise InfeasibleError("empty candidate set", s, i, "backward")
         bad = good = hi
         step = hi / last
+        # g(h) <= 0 as x <= t, not x - t <= 0.0: the two differ only where
+        # x and t are the same infinity, and t, a ceiling, is at most vmax2
         for j in down:
-            r = f2 - (ki * good) * (ki * good)
-            if good + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - t <= 0.0:
+            kh = ki * good
+            r = f2 - kh * kh
+            if good + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds <= t:
                 break
             bad = good
             good = j * step
@@ -108,8 +106,9 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
             mid = 0.5 * (good + bad)
             if mid <= good or mid >= bad:
                 break
-            r = f2 - (ki * mid) * (ki * mid)
-            if mid + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds - t <= 0.0:
+            kh = ki * mid
+            r = f2 - kh * kh
+            if mid + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds <= t:
                 good = mid
             else:
                 bad = mid
@@ -176,41 +175,13 @@ def dp_optimum(grid: Discretization, model: Model, levels: int = LEVELS,
         if kappa is None:
             h = min(ceiling[i], h + model.fplus(s[i - 1], h) * ds)
         else:  # the circle's fplus, written out
-            r = f2 - (k[i - 1] * h) * (k[i - 1] * h)
-            h = min(ceiling[i], h + ((2.0 * sqrt(r) if r > 0.0 else 0.0) + xi) * ds)
+            kh = k[i - 1] * h
+            r = f2 - kh * kh
+            h += ((2.0 * sqrt(r) if r > 0.0 else 0.0) + xi) * ds
+            c = ceiling[i]
+            h = h if h < c else c  # min(ceiling[i], h)
         if h < bl[i]:
             raise InfeasibleError("reachable value below the floor", s, i, "forward")
         reach[i] = h
 
     return SpeedProfile(grid, reach)
-
-
-def tightened_path(path: PathSpec, u_f: float, u_v: float) -> PathSpec:
-    """Path with actuation limits scaled down by multipliers in (0, 1]."""
-    if not (0.0 < u_f <= 1.0 and 0.0 < u_v <= 1.0):
-        raise ValueError("multipliers must lie in (0, 1]")
-    return replace(path, f_fr=u_f * path.f_fr, v_max=u_v * path.v_max)
-
-
-def random_admissible(grid: Discretization, path: PathSpec,
-                      seed: int) -> SpeedProfile:
-    """Admissible profile drawn by solving under tightened limits.
-
-    Multipliers u_f, u_v for the acceleration and speed caps are drawn
-    uniformly from (0.3, 1); tightening shrinks both the slope window
-    and the ceiling pointwise, so the tightened solve is admissible for
-    the original limits (asserted before returning). A path's floor is
-    zero, so the tightened solve is always feasible.
-    """
-    from .solver import solve  # local import: solver depends on core only
-
-    rng = np.random.default_rng(seed)
-    u_f = float(rng.uniform(0.3, 1.0))
-    u_v = float(rng.uniform(0.3, 1.0))
-    tight = build_model(tightened_path(path, u_f, u_v))
-    profile = solve(grid, tight, endpoints=path.endpoints).profile
-    verdict = check_admissible(profile, build_model(path))
-    if not verdict:
-        raise RuntimeError(f"tightened solve not admissible for the original "
-                           f"limits: {verdict.detail}")
-    return profile

@@ -78,6 +78,18 @@ def _chain(step, out, j, h, inc):
     return p
 
 
+def _stops(runs: np.ndarray, shift: int) -> memoryview:
+    """A pass's stops in one int64 array, n = runs.size + 1: for shift -1,
+    -1, each i with runs[i] False, then n - 1; for shift 0, 0, each such
+    i + 1, then n. The backward search never returns the last one, the
+    forward search never the first."""
+    ends = np.ones(runs.size + 2, dtype=bool)
+    np.logical_not(runs, out=ends[1:-1])
+    stops = np.flatnonzero(ends)
+    stops += shift
+    return memoryview(stops)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # inf as in scalar floats; NaN: no run
 def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
                      h_start: Optional[float], h_end: Optional[float]):
@@ -119,7 +131,7 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
         kappa[:-1], ceiling[:-1], ceiling[1:], delta)
     backward, forward = np.empty(n), np.empty(n)
     b, fw = memoryview(backward), memoryview(forward)
-    sqrt, inf = math.sqrt, math.inf  # local names: read on every step
+    sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf  # read on every step
     flat, m, gap, hold = not kappa[:-1].all(), _BLOCK, _BLOCK, n  # flat: some kappa is 0
     sums = xi == 0.0 and flat  # sums of backward steps, proposed unrelaxed
 
@@ -132,8 +144,7 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
         h = np.where(h + fr.slopes(kj, h)[0] * ds - hn > 0.0, np.nextafter(h, -inf), h)
         return np.where((hn == ceiling[j + 1]) & runs[j], ceiling[j], h)
 
-    on = memoryview(runs)
-    stops = memoryview(np.append(-1, np.flatnonzero(~runs)))
+    on, stops = memoryview(runs), _stops(runs, -1)
     c = bu[n - 1]
     h = b[n - 1] = c if h_end is None else min(c, h_end)
     i, lim = n - 2, n - 2 if sums else -1  # a block is due at i <= lim
@@ -151,28 +162,42 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
             backward[j + 1:i + 1] = ceiling[j + 1:i + 1]
             h = c = bu[j + 1]
             i = j
-        else:
+        else:  # one scalar step; each min or max is the comparison it makes
             h_next, ds, ki, c = h, d[i], k[i], bu[i]
             t, w = h_next + xi * ds, 2.0 * ds * ki
             kt, a = ki * t, 1.0 + w * w
             fa = f2 * a
             if fa < inf:
-                h = (t + 2.0 * ds * sqrt(max(fa - kt * kt, 0.0))) / a
+                r = fa - kt * kt
+                h = (t + 2.0 * ds * sqrt(0.0 if r < 0.0 else r)) / a
             else:  # f2 * a overflows: the same root, scaled by 1/a first
-                h = t / a + 2.0 * ds * sqrt(max(f2 / a - (kt / a) * (kt / a), 0.0))
-            h = min(max(h, t), c, h_next + cap * ds)
-            r = f2 - (ki * h) * (ki * h)
-            while h + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds \
-                    - h_next > 0.0:
-                h = math.nextafter(h, -math.inf)
-                r = f2 - (ki * h) * (ki * h)
+                kt /= a
+                r = f2 / a - kt * kt
+                h = t / a + 2.0 * ds * sqrt(0.0 if r < 0.0 else r)
+            if t > h:
+                h = t
+            if c < h:
+                h = c
+            top = h_next + cap * ds
+            if top < h:
+                h = top
+            kh = ki * h
+            r = f2 - kh * kh
+            # x > h_next is x - h_next > 0.0: a difference keeps the sign of
+            # its floats' order, and where it is NaN (equal infinities) both
+            # are false; h_next, a backward value, is finite in any case
+            while h + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds > h_next:
+                h = nextafter(h, -inf)
+                kh = ki * h
+                r = f2 - kh * kh
                 if h == h_next and i <= hold:  # a plateau, past the wait: a block is due
                     lim = i - 1
             b[i] = h
             i -= 1
     _blockwise(runs, lambda k0, b0, b1, ds: b0 + fr.slopes(k0, b0)[1] * ds >= b1,
                kappa[:-1], backward[:-1], backward[1:], delta)
-    stops = memoryview(np.append(np.flatnonzero(~runs) + 1, n))
+    stops = None  # free the backward stops before the forward ones are built
+    stops = _stops(runs, 0)
     c = b[0]
     h = fw[0] = c if h_start is None else min(c, h_start)
     i, m, gap = 1, _BLOCK, _BLOCK
@@ -196,8 +221,8 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
             kh = k[i - 1] * h
             r = f2 - kh * kh
             c = b[i]
-            h = fw[i] = min(c, h + (
-                (2.0 * sqrt(r) if r > 0.0 else 0.0) + xi) * d[i - 1])
+            h += ((2.0 * sqrt(r) if r > 0.0 else 0.0) + xi) * d[i - 1]
+            h = fw[i] = h if h < c else c  # min(c, h): c on a tie or a NaN
             i += 1
     return backward, forward
 

@@ -1,5 +1,6 @@
 import os
 import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 import toppkit
 from toppkit import (AdmissibilityReport, Discretization, DynamicsModel,
-                     PathSpec, build_model, circle_instance, line_instance)
+                     PathSpec, SpeedProfile, build_model, check_admissible,
+                     circle_instance, line_instance, solve)
 from toppkit.core import FrictionCircle
 
 
@@ -87,6 +89,50 @@ WIDE = magnitudes(-300, 308)
 # WIDE, or a span-forming field within a factor 18 of the largest float,
 # where 2 * span overflows: the hole a 1e308 line left at n = 2.
 LONG = st.one_of(WIDE, st.floats(1e307, 1.79e308))
+
+
+def tightened_path(path: PathSpec, u_f: float, u_v: float) -> PathSpec:
+    """Path with actuation limits scaled down by multipliers in (0, 1]."""
+    if not (0.0 < u_f <= 1.0 and 0.0 < u_v <= 1.0):
+        raise ValueError("multipliers must lie in (0, 1]")
+    return replace(path, f_fr=u_f * path.f_fr, v_max=u_v * path.v_max)
+
+
+def random_admissible(grid: Discretization, path: PathSpec,
+                      seed: int) -> SpeedProfile:
+    """Admissible profile drawn by solving under tightened limits, for
+    dominance and convexity tests.
+
+    Multipliers u_f, u_v for the acceleration and speed caps are drawn
+    uniformly from (0.3, 1); tightening shrinks both the slope window
+    and the ceiling pointwise, so the tightened solve is admissible for
+    the original limits (asserted before returning). A path's floor is
+    zero, so the tightened solve is always feasible.
+    """
+    rng = np.random.default_rng(seed)
+    u_f = float(rng.uniform(0.3, 1.0))
+    u_v = float(rng.uniform(0.3, 1.0))
+    tight = build_model(tightened_path(path, u_f, u_v))
+    profile = solve(grid, tight, endpoints=path.endpoints).profile
+    verdict = check_admissible(profile, build_model(path))
+    if not verdict:
+        raise RuntimeError(f"tightened solve not admissible for the original "
+                           f"limits: {verdict.detail}")
+    return profile
+
+
+def measure_solve_seconds(path: PathSpec, n: int, repeats: int = 3) -> float:
+    """Best wall-clock time of a solve on a uniform grid of ``n`` points."""
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    model = build_model(path)
+    grid = path.grid(n)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        solve(grid, model, endpoints=path.endpoints)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def failed_check(profile, model, tol=None):

@@ -12,9 +12,11 @@ from toppkit import (SpeedProfile, agreement_tolerance, analytic_optimum,
                      analytic_time, build_model, bundled_instances,
                      check_admissible, convergence_sweep, default_tol,
                      dp_optimum, line_instance, circle_instance,
-                     capped_arc_instance, measure_solve_seconds,
-                     profile_error, random_admissible, random_table_instance,
-                     solve, wave_table_instance, xi_sweep)
+                     capped_arc_instance, profile_error,
+                     random_table_instance, solve, wave_table_instance,
+                     xi_sweep)
+
+from conftest import measure_solve_seconds, random_admissible
 
 INSTANCES = bundled_instances()
 

@@ -19,7 +19,7 @@ from toppkit import (Discretization, DynamicsModel, InfeasibleError, PathSpec,
 from toppkit.core import (BLOCK_ROWS, AdmissibilityReport, FrictionCircle,
                           _bad_row, _box_bounds, write_csv)
 
-from conftest import blind_model, constant_box_model, plain_model
+from conftest import blind_model, constant_box_model, plain_model, random_admissible
 
 
 class TestDiscretization:
@@ -658,7 +658,7 @@ def test_default_tol_is_the_edge_of_each_check(line_path, circle_path, k):
 def test_convex_combinations_stay_admissible():
     # the slope window is concave above / convex below in h, so blends
     # of admissible profiles are admissible, endpoints included
-    from toppkit import build_model, capped_arc_instance, random_admissible
+    from toppkit import build_model, capped_arc_instance
 
     path = capped_arc_instance()
     model = build_model(path)

@@ -4,10 +4,10 @@ import pytest
 import toppkit.harness as harness
 from toppkit import (PathSpec, build_model, capped_arc_instance,
                      circle_instance, convergence_sweep, default_tol,
-                     line_instance, measure_solve_seconds, relax,
-                     wave_table_instance, write_convergence_csv, xi_sweep)
+                     line_instance, relax, wave_table_instance,
+                     write_convergence_csv, xi_sweep)
 
-from conftest import failed_check
+from conftest import failed_check, measure_solve_seconds
 
 
 class TestConvergenceSweep:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import sys
 
@@ -10,14 +11,14 @@ from toppkit import (Discretization, InfeasibleError, PathSpec,
                      agreement_tolerance, analytic_optimum, build_model,
                      bundled_instances, capped_arc_instance, check_admissible,
                      circle_instance, default_tol, dp_optimum, lattice_spacing,
-                     line_instance, profile_error, random_admissible,
-                     random_table_instance, relax, solve, tightened_path,
-                     wave_table_instance)
-import toppkit.oracle as oracle
+                     line_instance, profile_error, random_table_instance,
+                     relax, solve, wave_table_instance)
+from toppkit.core import FrictionCircle
 from toppkit.oracle import _lattice_down
 
+import conftest
 from conftest import (LONG, WIDE, blind_model, constant_box_model, failed_check,
-                      plain_model)
+                      plain_model, random_admissible, tightened_path)
 
 INSTANCES = {**{f"table_{k}": (random_table_instance(k), 200)
                 for k in range(32)},
@@ -284,6 +285,39 @@ class TestSampledBounds:
             sys.setprofile(None)
         assert calls <= 4 * n
 
+    @pytest.mark.parametrize("path", [wave_table_instance(),
+                                      random_table_instance(1)],
+                             ids=["wave_table", "table_1"])
+    def test_no_min_or_max_call_per_point(self, path):
+        """A structural guard, free of timing: the scalar steps of the
+        friction sweeps and of this search compare floats instead of
+        calling the builtin min or max. The calls left are the two
+        endpoint caps (these instances form no chain block, whose bounds
+        call min and max once a block)."""
+        n = 1_001
+        grid, model = path.grid(n), build_model(path)
+        for run in (solve, dp_optimum):
+            sites = collections.Counter()
+
+            def count(frame, event, arg):
+                if event == "c_call" and (arg is min or arg is max):
+                    sites[frame.f_code.co_name, frame.f_lineno] += 1
+
+            sys.setprofile(count)
+            try:
+                run(grid, model, endpoints=path.endpoints)
+            finally:
+                sys.setprofile(None)
+            assert sum(sites.values()) <= 2, (run.__name__, sites)
+
+    def test_hi_tie_equals_the_callable_path(self):
+        """A point where t + slope_cap ds equals bu[i]: min(bu[i], that)
+        as a comparison keeps the callable search's float."""
+        fr = FrictionCircle(1.0, 6.0, lambda s: np.full(np.shape(s), 1e-200))
+        grid, ends = Discretization(np.array([0.0, 1.0])), (None, 4.0)
+        assert 4.0 + fr.slope_cap * 1.0 == fr.ceiling(1e-200) == 6.0
+        assert_inline_equals_callable(grid, fr, ends)
+
     def test_calls_no_callable(self):
         path = wave_table_instance()
         grid = path.grid(201)
@@ -354,7 +388,7 @@ class TestRandomAdmissible:
             assert np.all(optimum.values >= y.values - tol)
 
     def test_inadmissible_draw_raises(self, monkeypatch):
-        monkeypatch.setattr(oracle, "check_admissible", failed_check)
+        monkeypatch.setattr(conftest, "check_admissible", failed_check)
         path = line_instance()
         with pytest.raises(RuntimeError, match="^tightened solve not admissible "
                                                "for the original limits: forced$"):

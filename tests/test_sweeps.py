@@ -354,6 +354,52 @@ def test_root_equal_to_the_bound_is_copied():
         assert_bitwise_equal(points, fr, None, None)
 
 
+# Two-point steps whose min or max meets a tie: (f_fr, vmax2, kappa at
+# both points, ds, h_start, h_end). Each curvature is nonzero and h_end
+# is below bu[1], so both passes take their one scalar step.
+TIES = {
+    # kappa t rounds to 1 and a to 1: the root is t itself, below bu[0]
+    "root-on-t": (1.0, 1e12, (1e-9, 1e-9), 1.0, None,
+                  math.nextafter(1.0 / 1e-9, 0.0)),
+    # test_root_equal_to_the_bound_is_copied's step from h_next = 1/k1,
+    # here an end cap below bu[1]: the root is bu[0] = vmax2
+    "root-on-bu": (1.0, 0.8141371728816146, (0.8566282100258467, 1e-300),
+                   0.3246814003821313, None, 1.0 / 2.867312758432948),
+    # kappa t is 0 to the floats and sqrt(f2) is f: the root is
+    # h_next + slope_cap ds
+    "root-on-reach": (1.0, 10.0, (1e-200, 1e-200), 1.0, None, 1.0),
+    # the forward reach from rest, 2 f ds, is backward[1] = h_end
+    "reach-on-backward": (1.0, 10.0, (1e-200, 1e-200), 1.0, 0.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIES))
+def test_ties_equal_the_scalar_loop(name):
+    """The sweeps compare where the scalar loop calls min and max: on a
+    tie both keep the same float."""
+    f, vmax2, kappa, ds, h_start, h_end = TIES[name]
+    fr = FrictionCircle(f, vmax2, lambda s: np.interp(s, [0.0, ds], kappa))
+    points = np.array([0.0, ds])
+    bu0, bu1 = fr.ceiling(fr.kappa(points))
+    assert h_end < bu1
+    # the backward step's terms in scalar_sweeps' floats, before the clip
+    t, w = h_end + fr.xi * ds, 2.0 * ds * kappa[0]
+    a, kt = 1.0 + w * w, kappa[0] * t
+    root = (t + 2.0 * ds * math.sqrt(max(f * f * a - kt * kt, 0.0))) / a
+    reach = h_end + fr.slope_cap * ds
+    backward, forward = _friction_sweeps(points, fr, h_start, h_end)
+    if name == "root-on-t":
+        assert root == t < bu0 and backward[0] == t
+    elif name == "root-on-bu":
+        assert t < root == bu0 == vmax2 < reach
+    elif name == "root-on-reach":
+        assert root == reach < bu0 and backward[0] == reach
+    else:
+        assert h_start + 2.0 * f * ds == forward[1] == backward[1] == h_end
+        assert h_end < backward[0]
+    assert_bitwise_equal(points, fr, h_start, h_end)
+
+
 def test_overflowing_reach_equal_without_warning():
     """cap * ds and the slope times ds overflow to inf in the arrays, as in
     the scalar floats, and warn nowhere (pytest turns warnings into errors)."""
@@ -476,10 +522,11 @@ def test_block_failing_near_the_end_of_its_pass(monkeypatch, name):
                                   INSTANCES["line"], INSTANCES["capped_arc"]],
                          ids=["table_0", "wave_table", "line", "capped_arc"])
 def test_solve_memory_at_1e5(path):
-    # 7 float arrays of n. The traced peak is 5.5 to 6.2 of them: kappa,
+    # 6 float arrays of n. The traced peak is 5.5 to 5.8 of them: kappa,
     # ds, the ceiling and both passes, plus block-sized temporaries and
     # (most on wave_table) the runs' stops. Whole-grid temporaries in the
-    # run masks and the knot times took it to 10.7.
+    # run masks and the knot times took it to 10.7, and stops built two or
+    # three times over to 6.2.
     n = 100_001
     model, grid = build_model(path), path.grid(n)
     tracemalloc.start()
@@ -488,4 +535,4 @@ def test_solve_memory_at_1e5(path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7 * 8 * n, peak
+    assert peak <= 6 * 8 * n, peak
