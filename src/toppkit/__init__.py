@@ -15,21 +15,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityReport", "ConvergenceRow", "Discretization",
-    "DynamicsModel", "InfeasibleError", "PathSpec", "SolveReport",
-    "SpeedProfile", "UnsupportedInstanceError", "XiRow",
-    "agreement_tolerance", "analytic_optimum", "analytic_time",
-    "build_model", "bundled_instances", "capped_arc_instance",
-    "capped_line_instance", "check_admissible", "circle_instance",
-    "convergence_sweep", "curvature", "default_config", "default_tol",
-    "dp_optimum", "lattice_spacing", "line_instance", "profile_error",
-    "random_table_instance", "relax", "sample_trajectory", "solve",
-    "traversal_time", "wave_table_instance",
-    "write_convergence_csv", "write_trajectory_csv", "xi_sweep",
-]
-
-# Each public name -> the submodule that defines it.
+# The one table of public names: each name -> the submodule that defines it.
 _SUBMODULE = {name: module for module, names in {
     "core": ("AdmissibilityReport", "Discretization", "DynamicsModel",
              "InfeasibleError", "SolveReport", "SpeedProfile",
@@ -46,6 +32,8 @@ _SUBMODULE = {name: module for module, names in {
     "retime": ("sample_trajectory", "traversal_time", "write_trajectory_csv"),
     "solver": ("default_config", "solve"),
 }.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
 
 
 def __getattr__(name):

@@ -55,7 +55,6 @@ def cmd_solve(args) -> int:
     if not math.isfinite(report.traversal_time):
         raise ValueError(STALLED)
     os.makedirs(args.out, exist_ok=True)
-    report.write_json(os.path.join(args.out, "report.json"))
     report.profile.to_csv(os.path.join(args.out, "profile.csv"))
     verdict = check_admissible(report.profile, model)
     summary = {

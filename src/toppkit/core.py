@@ -416,11 +416,13 @@ class SolveReport:
         return SimpleNamespace(feasible=True)
 
     def to_json_dict(self) -> dict:
-        """The solve summary, without the arrays: its size does not grow with n."""
+        """The solve summary, without the arrays. No command writes it; kept
+        only for the benchmark's chain (``perfbench/bench.py``), and it goes
+        with that benchmark's next change."""
         return {"status": {"feasible": True, "index": None, "pass": None},
                 "n": int(self.backward.size),
                 "traversal_time": self.traversal_time}
 
     def write_json(self, path: str) -> None:
-        """Write :meth:`to_json_dict` (``report.json``)."""
+        """Write :meth:`to_json_dict` to ``path``; benchmark-only, like it."""
         write_json(self.to_json_dict(), path)

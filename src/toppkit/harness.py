@@ -18,8 +18,6 @@ import operator
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 from .core import (Discretization, SpeedProfile, check_admissible, default_tol,
                    profile_error, relax, write_csv)
 from .paths import PathSpec, analytic_optimum, build_model
@@ -123,7 +121,7 @@ def xi_sweep(path: PathSpec, grid: Discretization,
         raise ValueError("the last relaxation level must be 0")
 
     model = build_model(path)
-    base = solve(grid, model, endpoints=path.endpoints).profile.values
+    base = solve(grid, model, endpoints=path.endpoints).profile
 
     rows: List[XiRow] = []
     for xi in levels:
@@ -136,8 +134,7 @@ def xi_sweep(path: PathSpec, grid: Discretization,
         if not verdict:
             raise RuntimeError(
                 f"relaxed solve (xi={xi}) not admissible: {verdict.detail}")
-        gap = float(np.max(np.abs(report.profile.values - base)))
-        rows.append(XiRow(xi=xi, gap=gap))
+        rows.append(XiRow(xi=xi, gap=profile_error(report.profile, base)))
 
     tol = default_tol(model)
     for r1, r2 in zip(rows, rows[1:]):

@@ -119,10 +119,9 @@ def _friction_sweeps(points: np.ndarray, fr: FrictionCircle,
     guard stepping down to h_next (a plateau) makes one due at once."""
     kappa, delta = fr.kappa(points), np.diff(points)
     ceiling = fr.ceiling(kappa)
-    ok = ceiling >= 0.0
-    if not ok.all():  # the floor is zero: a negative or NaN ceiling empties a step
-        raise InfeasibleError("empty backward step", points,
-                              int(np.flatnonzero(~ok)[-1]), "backward")
+    bad = np.flatnonzero(~(ceiling >= 0.0))
+    if bad.size:  # the floor is zero: a negative or NaN ceiling empties a step
+        raise InfeasibleError("empty backward step", points, int(bad[-1]), "backward")
     f2, xi, cap = fr.f_fr * fr.f_fr, fr.xi, fr.slope_cap
     k, d, bu = memoryview(kappa), memoryview(delta), memoryview(ceiling)
     n = len(k)

@@ -11,14 +11,11 @@ replaced, on x86-64 Linux with numpy 2.4. They pin the floats of the
 platform's libm and numpy build too, so a platform whose last bits
 differ has to record its own.
 
-The ``report.json`` hashes were re-recorded when the file became a
-summary of ``status``, ``n`` and ``traversal_time``, without the four
-per-point arrays that ``profile.csv`` already holds. The capped_arc and
-wave_table oracle hashes were re-recorded when the oracle's bisection
-stop became relative (1e-13 |bad| instead of 1e-13 max(1, |bad|)), which
-refines ceilings below 1 further and so moves the last bits of their
-oracle profiles and agreement errors; every other hash was kept. The
-line, capped_line, capped_arc and wave_table ``trajectory.csv`` hashes
+The capped_arc and wave_table oracle hashes were re-recorded when the
+oracle's bisection stop became relative (1e-13 |bad| instead of 1e-13
+max(1, |bad|)), which refines ceilings below 1 further and so moves the
+last bits of their oracle profiles and agreement errors; every other
+hash was kept. The line, capped_line, capped_arc and wave_table ``trajectory.csv`` hashes
 were re-recorded when a sample's position became the trapezoid integral
 s0 + tau (sqrt(h0) + v) / 2 of its speed instead of the inversion
 s0 + (h - h0) / m, which cancelled on nearly flat segments (capped_arc's
@@ -40,13 +37,11 @@ from toppkit import bundled_instances
 from toppkit.cli import main
 
 N = 1001
-FILES = ("profile.csv", "report.json", "summary.json", "trajectory.csv")
+FILES = ("profile.csv", "summary.json", "trajectory.csv")
 GOLDEN = {
     "capped_arc": {
         "profile.csv":
             "3fb5627d0ce21031346fb999040a679767f77d2401df3ba0c419dc022a99acf0",
-        "report.json":
-            "646eec0140e3cebe7a8debb6efc3c4fb223ca9f8996262d62979f99cc9af92aa",
         "summary.json":
             "79ef1d3548469668d3b7999a3b5cd0c45d8c0ef46f465c77944a45fd77414fc1",
         "trajectory.csv":
@@ -57,8 +52,6 @@ GOLDEN = {
     "capped_line": {
         "profile.csv":
             "5b26ddead9f42023a8a2fd10063aa25d45dde171361c0f5a8382e80a9ae4e5bc",
-        "report.json":
-            "3b24506d425b825a7d818dd613d344d117130141b39283f279c08fb3d91e2689",
         "summary.json":
             "46bb4c2bf0469f6c6586657ec459c7126562f6a1bd408ddaa5f4c69a741ce065",
         "trajectory.csv":
@@ -69,8 +62,6 @@ GOLDEN = {
     "circle": {
         "profile.csv":
             "c33c3e548042d362a91ca48bd5ca0f5138a15957f88a63b2d53f2ef181636b43",
-        "report.json":
-            "11226b65f240c368018fd4786d334860259dd6b65c3248510bf99def3aeea858",
         "summary.json":
             "4fa2ee9f01e6e9b96d4231d87c6021cc49fa09baceffdc3098ac9ec7a173d21a",
         "trajectory.csv":
@@ -81,8 +72,6 @@ GOLDEN = {
     "line": {
         "profile.csv":
             "3cdc8272cbbb8d91a655104db44c9d38a04383b398e1e88bff76c913e9805f38",
-        "report.json":
-            "f6f2aae55633c32d5b6a411da1944811c8ee9096bdf33658e1f3b12ef14abec5",
         "summary.json":
             "bb07813d4f78a81734b3cab4b851492ed33872c7d32d27efbad4240dc1d06760",
         "trajectory.csv":
@@ -93,8 +82,6 @@ GOLDEN = {
     "wave_table": {
         "profile.csv":
             "6fc54f253ea61d12c70eafc49eaa90b016e85b024c530326464b532e8c6c2535",
-        "report.json":
-            "0844d186452d0110efb780f52870b9e75306772abed4ef14742f0932b352016a",
         "summary.json":
             "a037e177a2ccf3cea62da77a93a45bf11afbb65856ecbb1564bfe4d36f978864",
         "trajectory.csv":

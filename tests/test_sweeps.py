@@ -522,11 +522,12 @@ def test_block_failing_near_the_end_of_its_pass(monkeypatch, name):
                                   INSTANCES["line"], INSTANCES["capped_arc"]],
                          ids=["table_0", "wave_table", "line", "capped_arc"])
 def test_solve_memory_at_1e5(path):
-    # 6 float arrays of n. The traced peak is 5.5 to 5.8 of them: kappa,
+    # 6 float arrays of n. The traced peak is 5.35 to 5.65 of them: kappa,
     # ds, the ceiling and both passes, plus block-sized temporaries and
     # (most on wave_table) the runs' stops. Whole-grid temporaries in the
-    # run masks and the knot times took it to 10.7, and stops built two or
-    # three times over to 6.2.
+    # run masks and the knot times took it to 10.7, stops built two or
+    # three times over to 6.2, and a whole-grid ceiling mask held through
+    # the sweeps to 5.8.
     n = 100_001
     model, grid = build_model(path), path.grid(n)
     tracemalloc.start()
