@@ -102,7 +102,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Discretization:
     """Strictly increasing grid of path positions covering [a, b].
 
@@ -277,7 +277,7 @@ def _bad_row(fh) -> str:
     return "is malformed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpeedProfile:
     """Squared-speed values aligned to a grid."""
 
@@ -394,7 +394,7 @@ def profile_error(candidate: SpeedProfile, reference: SpeedProfile) -> float:
     return float(np.max(np.abs(candidate.values - reference.values)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """One complete solve: the backward pass, the profile (the forward
     pass) and its traversal time."""

@@ -6,10 +6,9 @@ bisection to a relative stop refines the straddled cell, then the
 reachable chain is replayed. It samples a ``FrictionCircle`` in arrays,
 as the solver does, but shares no step code with it: agreement checks
 each one's steps, not that the greedy is optimal. On a friction circle
-the search and the chain write the circle's slope out in scalar floats,
-and each min as the comparison it makes, so no evaluation is a function
-call; the search through the model's scalar bounds is their bitwise
-reference.
+it writes the slope out in scalar floats, so no test is a call, and
+answers most by comparison with a bracket around the braking step's
+root; its search through the model's callables is the bitwise reference.
 """
 
 import math
@@ -74,13 +73,12 @@ def _refine_boundary(g, good: float, bad: float) -> float:
 
 def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
     """Fill ``ceiling[:-1]`` in the floats of :func:`dp_optimum`'s callable
-    search, with its ``g`` (the circle's fminus), :func:`_lattice_down`
-    and :func:`_refine_boundary` written out, so that no ``g`` is a call.
-    ``fr`` is the circle: the floor is zero (``bad >= 0`` needs no abs,
-    the lattice is ``j * step``) and the cap ``fr.slope_cap``. The scan's
-    last value, 0, meets every step: it ends there untested. Where ``step``
-    underflows, each candidate below ``hi`` is 0, but the bisection's stop
-    underflows too, so it ends on the callable search's adjacent floats."""
+    search on the circle ``fr``: its ``g``, :func:`_lattice_down` and
+    :func:`_refine_boundary` are written out, so that no ``g`` is a call.
+    The floor is zero: the lattice is ``j * step``, ``bad >= 0`` needs no
+    abs, and the scan ends at 0 untested. Where ``step`` underflows, every
+    candidate below ``hi`` is 0, but the bisection's stop underflows too,
+    so it ends on the callable search's adjacent floats."""
     f2, xi, sqrt, last = fr.f_fr * fr.f_fr, fr.xi, math.sqrt, levels - 1
     cap, down = fr.slope_cap, range(last - 1, -1, -1)
     for i in range(len(s) - 2, -1, -1):
@@ -90,15 +88,38 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
             hi = top
         if not hi >= 0.0:
             raise InfeasibleError("empty candidate set", s, i, "backward")
-        bad = good = hi
-        step = hi / last
         # g(h) <= 0 as x <= t, not x - t <= 0.0: the two differ only where
         # x and t are the same infinity, and t, a ceiling, is at most vmax2
+        r = f2 - ki * hi * (ki * hi)
+        if hi + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds <= t:
+            ceiling[i] = hi
+            continue
+        # For x >= 0 the test's left side is non-decreasing in floats (each
+        # operation rounds monotonically, r <= 0 only jumps it up): it holds
+        # at each x <= lo and fails at each x >= up (lo < 0: none known). The
+        # hint c, the braking step's larger root raised to T = t + xi ds and
+        # clipped to hi, sets how many tests are evaluated, never a float.
+        tx, u = t + xi * ds, 2.0 * ds * ki
+        a, kt = 1.0 + u * u, ki * tx
+        q = f2 * a - kt * kt
+        c = (tx + 2.0 * ds * sqrt(q if q > 0.0 else 0.0)) / a
+        c = tx if tx > c else c if c <= hi else hi  # NaN: hi
+        lo, up = -1.0, hi
+        for x in (c, c * (1.0 + 2e-15), c * (1.0 - 2e-15)):
+            if lo < x < up:
+                r = f2 - ki * x * (ki * x)
+                if x + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds <= t:
+                    lo = x
+                else:
+                    up = x
+        bad, good, step = hi, hi, hi / last
         for j in down:
-            kh = ki * good
-            r = f2 - kh * kh
-            if good + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds <= t:
+            if good <= lo:
                 break
+            if good < up:
+                r = f2 - ki * good * (ki * good)
+                if good + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds <= t:
+                    break
             bad = good
             good = j * step
         tol = 1e-13 * bad
@@ -106,12 +127,16 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
             mid = 0.5 * (good + bad)
             if mid <= good or mid >= bad:
                 break
-            kh = ki * mid
-            r = f2 - kh * kh
-            if mid + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds <= t:
+            if mid <= lo:
                 good = mid
-            else:
+            elif mid >= up:
                 bad = mid
+            else:  # good and bad narrow the bracket from here on
+                r = f2 - ki * mid * (ki * mid)
+                if mid + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds <= t:
+                    good = mid
+                else:
+                    bad = mid
         ceiling[i] = good
 
 
@@ -127,7 +152,7 @@ def dp_optimum(grid: Discretization, model: Model, levels: int = LEVELS,
     the reachable chain from the first controllable value, clipped by
     the ceilings. Raises :class:`InfeasibleError`, naming the index and
     position, when a candidate set comes up empty. The box is sampled
-    once per point.
+    once per point; on a friction circle a bracket answers most tests.
     """
     levels = _lattice_levels(levels)
     h_start, h_end = _endpoint_pair(endpoints)

@@ -53,6 +53,18 @@ class TestDiscretization:
         with pytest.raises(ValueError):
             g.points[0] = 5.0
 
+    def test_equality_is_identity_and_same_grid_compares_points(self):
+        """``==`` on the array-holding dataclasses is identity and never
+        raises; ``same_grid`` and ``profile_error`` are the comparisons."""
+        g, twin = Discretization.uniform(0, 1, 5), Discretization.uniform(0, 1, 5)
+        assert g == g and g != twin and hash(g) == hash(g)
+        assert g.same_grid(twin) and not g.same_grid(Discretization.uniform(0, 1, 6))
+        model = build_model(line_instance())
+        a, b = solve(g, model), solve(twin, model)
+        assert a.profile == a.profile and a.profile != b.profile and a != b
+        assert len({a, b, a.profile, b.profile}) == 4
+        assert profile_error(a.profile, b.profile) == 0.0
+
 
 class TestCheckAdmissible:
     def test_triangle_profile_is_admissible(self, pinched_bounds_model, grid3):

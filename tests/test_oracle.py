@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import sys
 
 import numpy as np
@@ -284,6 +285,49 @@ class TestSampledBounds:
         finally:
             sys.setprofile(None)
         assert calls <= 4 * n
+
+    @pytest.mark.parametrize("path", [wave_table_instance(),
+                                      random_table_instance(1)],
+                             ids=["wave_table", "table_1"])
+    def test_bracket_answers_most_tests(self, path):
+        """A structural guard, free of timing: the search's bracket answers
+        most of its tests by comparison, so a point costs a few square
+        roots (the top candidate, the hint, the bracket and the forward
+        step), not one per bisection step (25-31 a point without it)."""
+        n = 1_001
+        grid, model = path.grid(n), build_model(path)
+        roots = 0
+
+        def count(frame, event, arg):
+            nonlocal roots
+            roots += event == "c_call" and arg is math.sqrt
+
+        sys.setprofile(count)
+        try:
+            dp_optimum(grid, model, endpoints=path.endpoints)
+        finally:
+            sys.setprofile(None)
+        assert 0 < roots <= 6 * n
+
+    @given(kappa=st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(1e-3, 1e3)),
+           f_fr=st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-3, 1e3)),
+           xi=st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 10.0)),
+           ds=st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-6, 10.0)),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_braking_test_is_monotone(self, kappa, f_fr, xi, ds, data):
+        """The bracket rests on this: in floats, the braking test's left
+        side x + fminus(x) ds (the floats the inline search writes out) is
+        non-decreasing in x >= 0, also for subnormal values, near f/kappa
+        (where the radicand reaches zero) and between adjacent floats."""
+        fr = FrictionCircle(f_fr, 1.0, lambda s: kappa, xi)
+        edge = f_fr / kappa if 0.0 < kappa and f_fr / kappa < 1e300 else 1.0
+        xs = st.one_of(st.floats(0.0, 1e-300), st.floats(0.0, 4.0 * edge),
+                       st.floats(edge * (1.0 - 1e-12), edge * (1.0 + 1e-12)))
+        x1, x2 = sorted((data.draw(xs), data.draw(xs)))
+        if data.draw(st.booleans()):
+            x2 = math.nextafter(x1, math.inf)
+        assert x1 + fr.fminus(0.0, x1) * ds <= x2 + fr.fminus(0.0, x2) * ds
 
     @pytest.mark.parametrize("path", [wave_table_instance(),
                                       random_table_instance(1)],
