@@ -12,6 +12,7 @@ import shutil
 import tempfile
 import warnings
 from contextlib import ExitStack, suppress
+from functools import cache
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, Optional, Tuple, Union
@@ -58,21 +59,156 @@ def _blockwise(out: np.ndarray, f, *arrays) -> np.ndarray:
     return out
 
 
-def write_csv(path: str, header: str, fmt: str, *columns) -> None:
-    """Write the line ``header``, then ``fmt % row`` per row of the columns, BLOCK_ROWS rows
-    a write, to the UTF-8 file ``path``, from 8 blocks on half of them in a forked child."""
+# '%.17g' of a value v with 1e-4 <= |v| < 1e15, which %g writes without an
+# exponent, is the 17 digits D = round(|v| * 10**(16 - e)), e = floor(log10
+# |v|), stripped of trailing zeros, the point placed by e. |v| is m * 2**q with
+# m < 2**53; 10**p = 5**p * 2**p, and 5**p < 2**47 for p <= 20 (21 spare).
+_U64 = np.uint64
+# A value's field: 48 bytes, its NULs dropped on output. Byte 1 is the sign,
+# 2-3 "0." (e < 0), 4-23 the groups "000" + D (so D[k] is byte 7 + k, and
+# bytes 4-6 are the zeros after "0."), 27 the point (e >= 0), 28-43 the groups
+# D[1:] again (D[k] is byte 27 + k) and 44 the separator.
+_FIELD = 48
+
+
+@cache
+def _tables() -> SimpleNamespace:
+    """The formatter's lookup tables, built at its first call (a process
+    that writes no CSV file builds none): ``pow5_lo``, ``pow5_hi``, the low
+    and high 32 bits of 5**p, p <= 21; ``quad_chars``, the digits of
+    0000..9999 as 4 ASCII bytes, one uint32 a number; ``quad_sig[j]``, for
+    the j-th group of 4 of the digits "000" + D, the count of D's
+    significant digits where the group is its last nonzero one (0 for
+    0000); ``keep_lanes``, whose column (e + 4) * 18 + (significant digits)
+    holds a field's constant bytes, 255 at each digit kept and 0 elsewhere,
+    as 12 lanes of 4 bytes: the field is that column and-ed with the digits."""
+    pow5 = _U64(5) ** np.arange(22, dtype=_U64)
+    quad = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    last = ((quad > 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0).astype(np.int8)
+    col, e, sig = np.arange(_FIELD), np.arange(-4, 15)[:, None, None], np.arange(18)[:, None]
+    ka, kb = col - 7, col - 27
+    keep = (((ka >= e + 1) & (ka < 0))
+            | ((ka >= 0) & (ka <= np.where(e < 0, sig - 1, e)))
+            | ((e >= 0) & (kb > e) & (kb < sig))).astype(np.uint8) * np.uint8(255)
+    keep[..., 2] = np.where(e < 0, ord("0"), 0)[..., 0]
+    keep[..., 3] = np.where(e < 0, ord("."), 0)[..., 0]
+    keep[..., 27] = np.where((e >= 0) & (sig > e + 1), ord("."), 0)[..., 0]
+    keep[..., 44] = ord(",")
+    return SimpleNamespace(
+        pow5_lo=pow5 & _U64(0xFFFFFFFF), pow5_hi=pow5 >> _U64(32),
+        quad_chars=np.ascontiguousarray((quad + 48).T).view(np.uint32).ravel(),
+        quad_sig=np.where(last > 0, last + np.arange(-3, 17, 4, dtype=np.int8)[:, None], np.int8(0)),
+        keep_lanes=np.ascontiguousarray(keep.reshape(-1, _FIELD).view(np.uint32).T))
+
+
+def _scaled(m: np.ndarray, q: np.ndarray, e: np.ndarray):
+    """(truncated, rounded half to even) m * 2**q * 10**(16 - e), exactly:
+    m * 5**(16 - e) in two uint64 limbs, shifted right by e - 16 - q bits."""
+    p = 16 - e
+    t = _tables()
+    lo, hi = t.pow5_lo.take(p), t.pow5_hi.take(p)
+    shift = np.negative(np.add(p, q, out=p), out=p).view(_U64)
+    m_lo, m_hi = m & _U64(0xFFFFFFFF), m >> _U64(32)
+    mid = m_lo * hi
+    hi *= m_hi
+    m_hi *= lo
+    mid += m_hi
+    lo *= m_lo
+    hi += np.right_shift(mid, _U64(32), out=m_hi)
+    mid <<= _U64(32)
+    lo += mid  # the low limb; it wrapped where it is below its part
+    hi += lo < mid
+    trunc = np.right_shift(lo, shift, out=mid)
+    hi <<= _U64(64) - shift
+    trunc |= hi
+    half = np.left_shift(_U64(1), shift - _U64(1), out=hi)
+    lo &= np.add(half, half, out=m_lo) - _U64(1)  # the remainder below the shift
+    lo += trunc & _U64(1)  # so a tie rounds up where trunc is odd
+    return trunc, trunc + (lo > half)
+
+
+def _digits(a: np.ndarray):
+    """(keep_lanes columns, digit groups) of the positive floats ``a``: each
+    is D = 10**16 * g0 + 10**12 * g1 + ... + g4, the 17 digits of '%.16e'."""
+    bits = a.view(_U64)
+    q = (bits >> _U64(52)).astype(np.int64)
+    q -= 1075
+    m = bits & _U64(2 ** 52 - 1)
+    m |= _U64(2 ** 52)
+    # log10 may round across an integer near a power of 10: e is then off by
+    # one, and trunc has 16 or 18 digits. No rounding carries to 10**17: the
+    # float nearest below each power 10**-3 ... 10**15 is at least 8e-17 of it
+    # away, more than the 5e-18 that rounds to 17 nines and up.
+    e = np.floor(np.log10(a)).astype(np.int64)
+    trunc, digits = _scaled(m, q, e)
+    off = np.flatnonzero((trunc < _U64(10 ** 16)) | (trunc >= _U64(10 ** 17)))
+    if off.size:
+        e[off] += np.where(trunc[off] < _U64(10 ** 16), -1, 1)
+        digits[off] = _scaled(m[off], q[off], e[off])[1]
+    groups = np.empty((5, a.size), dtype=np.int64)
+    high, low = np.divmod(digits, _U64(10 ** 8))
+    groups[0], groups[2] = np.divmod(high, _U64(10 ** 8))
+    groups[1], groups[2] = np.divmod(groups[2], 10 ** 4)
+    groups[3], groups[4] = np.divmod(low, _U64(10 ** 4))
+    quad_sig = _tables().quad_sig
+    sig = quad_sig[0].take(groups[0])
+    for j in range(1, 5):
+        np.maximum(sig, quad_sig[j].take(groups[j]), out=sig)
+    e += 4
+    e *= 18
+    e += sig
+    return e, groups
+
+
+def _fields(a: np.ndarray) -> np.ndarray:
+    """The fields of the positive floats ``a`` but for the sign and the last
+    separator, lane-major: row j of the (12, n) uint32 array holds bytes
+    4j to 4j + 3 of each field, so each and is one pass over n values. Its
+    digit arrays are freed before the caller's larger ones are made: held,
+    they made a block about a quarter slower in fresh memory pages."""
+    key, groups = _digits(a)
+    t = _tables()
+    lanes, chars = t.keep_lanes.take(key, axis=1), t.quad_chars.take(groups)
+    lanes[1:6] &= chars
+    lanes[7:11] &= chars[1:]
+    return lanes
+
+
+def _format_rows(block: np.ndarray) -> np.ndarray:
+    """The bytes of the rows of the float array ``block`` as CSV lines, each
+    field ``'%.17g' % v``: from :func:`_fields` for a value that %g writes
+    without an exponent and is at least 1e-4 in magnitude, by ``%`` for the
+    rest (0, subnormals, inf, nan and the exponent notation)."""
+    v = block.ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e15)
+    a[~fast] = 1.0
+    field = np.ascontiguousarray(_fields(a).T).view(np.uint8)
+    field[:, 1] = np.signbit(v).view(np.uint8) * ord("-")
+    field.reshape(block.shape + (_FIELD,))[:, -1, 44] = ord("\n")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array(["%.17g" % x for x in v[slow].tolist()], dtype="S44")
+        field[slow, :44] = text.view(np.uint8).reshape(-1, 44)
+    return field[field != 0]
+
+
+def write_csv(path: str, header: str, *columns) -> None:
+    """Write the line ``header``, then per row of the columns their values as floats, each
+    ``'%.17g' % v``, BLOCK_ROWS rows a write, to the file ``path``, from 8 blocks on half of
+    them in a forked child."""
     def rows(fh, start, stop=len(columns[0])):  # from a block boundary
         for i in range(start, stop, BLOCK_ROWS):
-            block = np.column_stack([c[i:i + BLOCK_ROWS] for c in columns])
-            fh.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
-    line, pid, mid = fmt + "\n", None, len(columns[0]) // (2 * BLOCK_ROWS) * BLOCK_ROWS
-    with open(path, "w", encoding="utf-8") as fh, ExitStack() as stack:
-        fh.write(header + "\n")
+            fh.write(_format_rows(np.column_stack(
+                [c[i:i + BLOCK_ROWS] for c in columns]).astype(float, copy=False)))
+    pid, mid = None, len(columns[0]) // (2 * BLOCK_ROWS) * BLOCK_ROWS
+    with open(path, "wb") as fh, ExitStack() as stack:
+        fh.write(f"{header}\n".encode())
         if mid >= 4 * BLOCK_ROWS and hasattr(os, "fork"):  # 8+ blocks; break-even: ~3
             with suppress(OSError), warnings.catch_warnings():  # 3.12+: numpy's BLAS threads
                 warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
                 tail = stack.enter_context(tempfile.TemporaryFile(
-                    "w+", encoding="utf-8", dir=os.path.dirname(path) or "."))
+                    dir=os.path.dirname(path) or "."))
                 pid = os.fork()  # stays None where the file or the child cannot be made
         if pid == 0:  # the child: its half into the unnamed file, then out at once
             try:
@@ -294,7 +430,7 @@ class SpeedProfile:
 
     def to_csv(self, path: str) -> None:
         """Write rows "s,h" with 17 significant digits (lossless round trip)."""
-        write_csv(path, "s,h", "%.17g,%.17g", self.grid.points, self.values)
+        write_csv(path, "s,h", self.grid.points, self.values)
 
     @classmethod
     def from_csv(cls, path: str) -> "SpeedProfile":

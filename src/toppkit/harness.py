@@ -98,7 +98,7 @@ def convergence_sweep(path: PathSpec, resolutions: Sequence[int],
 
 
 def write_convergence_csv(rows: Sequence[ConvergenceRow], path: str) -> None:
-    write_csv(path, "n,delta,rho,time_s", "%d,%.17g,%.17g,%.17g", *(
+    write_csv(path, "n,delta,rho,time_s", *(
         [getattr(r, k) for r in rows] for k in ("n", "delta", "rho", "time_s")))
 
 

@@ -123,14 +123,20 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
             bad = good
             good = j * step
         tol = 1e-13 * bad
+        # good < up and bad > lo throughout, so a mid at or below lo can only
+        # meet good, and one at or above up only bad; a mid inside may meet either
         while bad - good > tol:
             mid = 0.5 * (good + bad)
-            if mid <= good or mid >= bad:
-                break
             if mid <= lo:
+                if mid <= good:
+                    break
                 good = mid
             elif mid >= up:
+                if mid >= bad:
+                    break
                 bad = mid
+            elif mid <= good or mid >= bad:
+                break
             else:  # good and bad narrow the bracket from here on
                 r = f2 - ki * mid * (ki * mid)
                 if mid + ((-2.0 * sqrt(r) if r > 0.0 else 0.0) - xi) * ds <= t:

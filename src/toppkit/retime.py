@@ -98,4 +98,4 @@ def sample_trajectory(profile: SpeedProfile, dt: float) -> np.ndarray:
 
 def write_trajectory_csv(rows: np.ndarray, path: str) -> None:
     """Write sampled (t, s, v) rows with header "t,s,v"."""
-    write_csv(path, "t,s,v", "%.17g,%.17g,%.17g", *np.asarray(rows).T)
+    write_csv(path, "t,s,v", *np.asarray(rows).T)

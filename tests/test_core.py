@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from toppkit import (Discretization, DynamicsModel, InfeasibleError, PathSpec,
                      check_admissible, default_tol, dp_optimum, line_instance,
                      profile_error, relax, solve, wave_table_instance)
 from toppkit.core import (BLOCK_ROWS, AdmissibilityReport, FrictionCircle,
-                          _bad_row, _box_bounds, write_csv)
+                          _bad_row, _box_bounds, _format_rows, write_csv)
 
 from conftest import blind_model, constant_box_model, plain_model, random_admissible
 
@@ -536,7 +537,7 @@ def test_write_csv_matches_a_row_by_row_writer(tmp_path, header, fmt, n):
                for _ in range(fmt.count("%"))]
     if fmt.startswith("%d"):
         columns[0] = rng.integers(-2 ** 52, 2 ** 52, n).astype(float)
-    write_csv(str(tmp_path / "out.csv"), header, fmt, *columns)
+    write_csv(str(tmp_path / "out.csv"), header, *columns)
     assert (tmp_path / "out.csv").read_text(encoding="utf-8") \
         == row_by_row_csv(header, fmt, *columns)
     assert os.listdir(tmp_path) == ["out.csv"]
@@ -546,7 +547,7 @@ def test_write_csv_matches_a_row_by_row_writer(tmp_path, header, fmt, n):
 def test_write_csv_forks_from_8_blocks(tmp_path, monkeypatch, n):
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    write_csv(str(tmp_path / "out.csv"), "s,h", "%.17g,%.17g", range(n), range(n))
+    write_csv(str(tmp_path / "out.csv"), "s,h", range(n), range(n))
     assert len(forks) == (n >= 8 * BLOCK_ROWS)
 
 
@@ -564,20 +565,18 @@ def test_write_csv_ignores_the_fork_warning_of_threads(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", warning_fork)
     column = np.arange(8 * BLOCK_ROWS) / 3.0
-    write_csv(str(tmp_path / "out.csv"), "s,h", "%.17g,%.17g", column, column)
+    write_csv(str(tmp_path / "out.csv"), "s,h", column, column)
     assert (tmp_path / "out.csv").read_text(encoding="utf-8") \
         == row_by_row_csv("s,h", "%.17g,%.17g", column, column)
 
 
 @pytest.mark.parametrize("n", [11, 8 * BLOCK_ROWS + 1])
 def test_write_csv_error_in_the_last_row(tmp_path, n):
-    # a NaN in a %d column only in the last row, which a child formats from
-    # 8 blocks on: the same error as one process, and no file or child left
-    ints = np.arange(n, dtype=float)
-    ints[-1] = math.nan
-    header, fmt = CSV_LAYOUTS[2]
-    with pytest.raises(ValueError, match="^cannot convert float NaN to integer$"):
-        write_csv(str(tmp_path / "out.csv"), header, fmt, ints, ints, ints, ints)
+    # a value that is no float only in the last row, which a child formats
+    # from 8 blocks on: the same error as one process, and no file or child left
+    ints = list(range(n - 1)) + [10 ** 400]
+    with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+        write_csv(str(tmp_path / "out.csv"), CSV_LAYOUTS[2][0], ints, ints, ints, ints)
     assert os.listdir(tmp_path) == ["out.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -591,10 +590,106 @@ def test_write_csv_without_a_child_writes_every_row(tmp_path, monkeypatch, broke
 
     monkeypatch.setattr(tempfile if broken == "TemporaryFile" else os, broken, refuse)
     column = np.arange(8 * BLOCK_ROWS) / 3.0
-    write_csv(str(tmp_path / "out.csv"), "s,h", "%.17g,%.17g", column, -column)
+    write_csv(str(tmp_path / "out.csv"), "s,h", column, -column)
     assert (tmp_path / "out.csv").read_text(encoding="utf-8") \
         == row_by_row_csv("s,h", "%.17g,%.17g", column, -column)
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_write_csv_memory_at_1e5(tmp_path):
+    # a fixed number of blocks of the 3 float columns, here and in a child:
+    # no temporary spans the file (a float copy of it is 24.4 such blocks)
+    columns = [np.linspace(0.0, 1.0, 100_001) * k for k in (1.3, 2.7, 31.0)]
+    tracemalloc.start()
+    try:
+        write_csv(str(tmp_path / "out.csv"), "t,s,v", *columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 3 * 8 * BLOCK_ROWS, peak
+
+
+def nearest_floats(x, ulps):
+    """The floats ``ulps`` steps (negative: down) from ``x``, each sign."""
+    out = []
+    for k in ulps:
+        y = x
+        for _ in range(abs(k)):
+            y = math.nextafter(y, math.copysign(math.inf, k))
+        out += [y, -y]
+    return out
+
+
+class TestPercent17g:
+    """The CSV fields are '%.17g' % v for every float v, byte for byte."""
+
+    @staticmethod
+    def check(values):
+        values = np.asarray(values, dtype=float)
+        assert _format_rows(values.reshape(-1, 1)).tobytes().decode("ascii") \
+            == "".join("%.17g\n" % v for v in values.tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(1e-4, 1e15), st.floats(-1e15, -1e-4)),
+                    min_size=1, max_size=40))
+    def test_hypothesis_floats(self, values):
+        # nan, inf, subnormals and both signs, and the range written as digits
+        self.check(values)
+
+    def test_random_bit_patterns(self):
+        self.check(np.random.default_rng(37).integers(
+            0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False).view(float))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # log10 rounds across an integer here; 10**15 itself is written with
+        # an exponent, 1e-4 (above its decimal) without
+        self.check([y for k in range(-6, 18) for y in nearest_floats(10.0 ** k, range(-3, 4))])
+
+    @pytest.mark.parametrize("off", [-1.0, 1.0])
+    def test_an_exponent_off_by_one_is_mended(self, monkeypatch, off):
+        # log10 may round across an integer, either way on another platform
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+        self.check(10.0 ** np.random.default_rng(5).uniform(-4.0, 15.0, 2000))
+
+    def test_exact_ties_round_half_to_even(self):
+        # v = k / 2**(17 - e) for an odd k is v * 10**(16 - e) = k * 5**(16 - e)
+        # / 2: exactly halfway between two 17-digit decimals D and D + 1
+        rng, ties, went = np.random.default_rng(7), [], set()
+        for e in range(-4, 15):
+            five = 5 ** (16 - e)
+            for k in rng.integers(2 * 10 ** 16 // five + 1, 2 * 10 ** 17 // five, 40):
+                v = int(k | 1) / 2.0 ** (17 - e)
+                lower = Fraction(v) * 10 ** (16 - e) - Fraction(1, 2)
+                assert lower.denominator == 1 and 10 ** 16 <= lower < 10 ** 17
+                digits = int(("%.16e" % v)[:18].replace(".", ""))
+                assert digits % 2 == 0 and digits - lower in (0, 1)
+                went.add(digits - lower)
+                ties += [v, -v]
+        assert went == {0, 1}  # to the even neighbour, below and above
+        self.check(ties)
+
+    def test_no_rounding_reaches_the_next_power_of_ten(self):
+        # the float nearest below each power of ten written with digits stays
+        # below it at 17 digits, so no carry needs handling
+        below = [x if Fraction(x) < Fraction(10) ** k else math.nextafter(x, 0.0)
+                 for k in range(-3, 16) for x in [float(f"1e{k}")]]
+        assert all(("%.16e" % x).startswith("9.") for x in below)
+        self.check(below + [-x for x in below])
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS + 7, 8 * BLOCK_ROWS + 7])
+    def test_every_kind_across_the_block_boundaries(self, tmp_path, n):
+        # values of each kind on both sides of each block boundary, which a
+        # forked child splits from 8 blocks on
+        kinds = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
+                 1e15, 9.999999999999999e14, 1e-4, 9.9999999999999991e-05, 123.456, -0.5]
+        column = np.random.default_rng(n).uniform(-1e3, 1e3, n)
+        for edge in range(BLOCK_ROWS, n, BLOCK_ROWS):
+            column[edge - 6:edge + 7] = kinds
+        column[-len(kinds):] = kinds
+        write_csv(str(tmp_path / "out.csv"), "s,h", column, column[::-1])
+        assert (tmp_path / "out.csv").read_text(encoding="utf-8") \
+            == row_by_row_csv("s,h", "%.17g,%.17g", column, column[::-1])
 
 
 class TestModelCaps:
