@@ -26,7 +26,7 @@ _SUBMODULE = {name: module for module, names in {
     "instances": ("bundled_instances", "capped_arc_instance",
                   "capped_line_instance", "circle_instance", "line_instance",
                   "random_table_instance", "wave_table_instance"),
-    "oracle": ("agreement_tolerance", "dp_optimum", "lattice_spacing"),
+    "oracle": ("agreement_tolerance", "dp_optimum"),
     "paths": ("PathSpec", "analytic_optimum", "analytic_time", "build_model",
               "curvature"),
     "retime": ("sample_trajectory", "traversal_time", "write_trajectory_csv"),

@@ -5,6 +5,7 @@ grid. Feasibility of a profile is a per-point box constraint plus a
 per-segment slope window evaluated at the segment's left endpoint.
 """
 
+import io
 import json
 import math
 import os
@@ -254,7 +255,7 @@ class Discretization:
             raise ValueError("discretization needs at least two points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("discretization points must be finite")
-        if not np.all(np.diff(pts) > 0.0):
+        if not np.all(pts[1:] > pts[:-1]):  # diff > 0 of finite points, without the diff
             raise ValueError("discretization points must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
@@ -413,6 +414,24 @@ def _bad_row(fh) -> str:
     return "is malformed"
 
 
+def _loadtxt_rows(fh) -> np.ndarray:
+    """The rows of the profile CSV open as text in ``fh``, by np.loadtxt; a
+    ValueError for a wrong header or a malformed row."""
+    header = fh.readline().strip()
+    if header != "s,h":
+        raise ValueError(f"expected profile CSV header 's,h', got {header!r}")
+    try:
+        with warnings.catch_warnings():  # no rows: the grid check says so
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        if rows.size and rows.shape[1] != 2:
+            raise ValueError  # the same wrong field count on every row
+    except ValueError:
+        where = _bad_row(fh) if fh.seekable() else "has a malformed row"
+        raise ValueError(f"profile CSV {where}") from None
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class SpeedProfile:
     """Squared-speed values aligned to a grid."""
@@ -435,22 +454,21 @@ class SpeedProfile:
     @classmethod
     def from_csv(cls, path: str) -> "SpeedProfile":
         """Read rows "s,h" after that header; empty lines are skipped. A
-        malformed row is named by its line in the file (header: line 1)."""
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "s,h":
-                raise ValueError(f"expected profile CSV header 's,h', got {header!r}")
-            try:
-                with warnings.catch_warnings():  # no rows: the grid check says so
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-                if rows.size and rows.shape[1] != 2:
-                    raise ValueError  # the same wrong field count on every row
-            except ValueError:
-                where = _bad_row(fh) if fh.seekable() else "has a malformed row"
-                raise ValueError(f"profile CSV {where}") from None
-        s, h = rows.reshape(-1, 2).T
-        return cls(Discretization(s), h)
+        malformed row is named by its line in the file (header: line 1).
+        The floats are np.loadtxt's: the text :func:`write_csv` writes is
+        parsed in numpy (``csvread``), any other by np.loadtxt."""
+        from .csvread import read_columns
+        with open(path, "rb") as fb:
+            seekable = fb.seekable()
+            columns = read_columns(fb) if seekable else None
+            if columns is None:
+                if seekable:
+                    fb.seek(0)
+                with io.TextIOWrapper(fb, encoding="utf-8") as fh:
+                    columns = [[c] for c in _loadtxt_rows(fh).reshape(-1, 2).T]
+        # each column's blocks are dropped once joined, before the next is
+        grid = Discretization(np.concatenate(columns.pop(0)))
+        return cls(grid, np.concatenate(columns.pop()))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,14 @@ root; its search through the model's callables is the bitwise reference.
 
 import math
 import operator
+import sys
 from itertools import chain
 
 from .core import (Discretization, Endpoints, InfeasibleError, Model,
                    SpeedProfile, _box_bounds, _endpoint_pair)
 
 LEVELS = 512  # dp_optimum's default, at which ``toppkit oracle`` judges
+_NORMAL = sys.float_info.min  # the smallest normal float
 
 
 def _lattice_levels(levels: int) -> int:
@@ -29,8 +31,7 @@ def _lattice_levels(levels: int) -> int:
     return levels
 
 
-def lattice_spacing(grid: Discretization, model: Model,
-                    levels: int) -> float:
+def _lattice_spacing(grid: Discretization, model: Model, levels: int) -> float:
     """Spacing of ``levels`` uniform values spanning the model's h-range."""
     levels = _lattice_levels(levels)
     _, lo, hi = _box_bounds(grid.points, model)
@@ -40,7 +41,7 @@ def lattice_spacing(grid: Discretization, model: Model,
 def agreement_tolerance(grid: Discretization, model: Model,
                         levels: int) -> float:
     """Acceptance band for solver/oracle disagreement; a ValueError where not finite."""
-    spacing, reach = 2.0 * lattice_spacing(grid, model, levels), 2.0 * model.slope_cap * grid.delta
+    spacing, reach = 2.0 * _lattice_spacing(grid, model, levels), 2.0 * model.slope_cap * grid.delta
     if not math.isfinite(spacing + reach):  # an inf band accepts anything, and is not JSON
         raise ValueError(f"agreement tolerance 2*spacing + 2*slope_cap*delta = {spacing!r} + "
                          f"{reach!r} is not finite")
@@ -123,6 +124,21 @@ def _friction_ceilings(fr, k, s, bu, ceiling, levels) -> None:
             bad = good
             good = j * step
         tol = 1e-13 * bad
+        # While the width is 8*tol or more it stays above 4*tol, and, tol being
+        # normal, far above an ulp: the stop and the adjacent-float breaks below
+        # cannot fire, and a mid outside (lo, up) moves good where it is <= lo,
+        # else bad. A mid inside would be tested, and leaves bad < up: then the
+        # loop below redoes these halvings from the scan's bracket.
+        if tol >= _NORMAL:
+            scanned = good, bad
+            for _ in range(math.frexp((bad - good) / tol)[1] - 3):
+                mid = 0.5 * (good + bad)
+                if mid <= lo:
+                    good = mid
+                else:
+                    bad = mid
+            if bad < up:
+                good, bad = scanned
         # good < up and bad > lo throughout, so a mid at or below lo can only
         # meet good, and one at or above up only bad; a mid inside may meet either
         while bad - good > tol:

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import pathlib
 import tempfile
 import threading
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toppkit import csvread
 from toppkit import (Discretization, DynamicsModel, InfeasibleError, PathSpec,
                      SpeedProfile, build_model, capped_arc_instance,
                      check_admissible, default_tol, dp_optimum, line_instance,
@@ -690,6 +692,164 @@ class TestPercent17g:
         write_csv(str(tmp_path / "out.csv"), "s,h", column, column[::-1])
         assert (tmp_path / "out.csv").read_text(encoding="utf-8") \
             == row_by_row_csv("s,h", "%.17g,%.17g", column, column[::-1])
+
+
+def loadtxt_columns(path):
+    """The columns s and h that np.loadtxt reads from a profile CSV."""
+    rows = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2)
+    return rows[:, 0], rows[:, 1]
+
+
+def fixed(digits, places):
+    """The decimal ``digits`` / 10**places in fixed notation."""
+    text = str(digits).rjust(places + 1, "0")
+    return f"{text[:-places]}.{text[-places:]}"
+
+
+class TestCsvReader:
+    """``SpeedProfile.from_csv`` reads the floats np.loadtxt reads, bit for bit:
+    the writer's text in numpy, any other by np.loadtxt itself."""
+
+    @staticmethod
+    def check(path, monkeypatch):
+        """Assert that the reader's columns are np.loadtxt's, bit for bit;
+        the fields it gave float(), in file order."""
+        parsed = []
+        monkeypatch.setattr(csvread, "float", lambda b: parsed.append(bytes(b).decode())
+                            or float(b), raising=False)
+        with open(path, "rb") as fb:
+            columns = csvread.read_columns(fb)
+        assert columns is not None
+        for got, want in zip(columns, loadtxt_columns(path)):
+            got = np.concatenate(got)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        return parsed
+
+    def test_written_doubles_of_every_kind(self, tmp_path, monkeypatch):
+        # digits across 1e-4 ... 1e15 of both signs, short decimals, integers,
+        # the neighbours of powers of ten, +-0 and both exponent forms (tiny,
+        # subnormal and huge), over many blocks of text
+        rng = np.random.default_rng(38)
+        n = 60_000
+        values = np.concatenate([
+            10.0 ** rng.uniform(-4.0, 15.0, n) * rng.choice([-1.0, 1.0], n),
+            rng.integers(-10 ** 6, 10 ** 6, 2000) / 1000.0,
+            rng.integers(0, 2 ** 53, 2000).astype(float),
+            [y for k in range(-6, 18) for y in nearest_floats(10.0 ** k, range(-3, 4))],
+            [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 9.9e-5, 1e15, -3e200, 1.7976931348623157e308],
+            10.0 ** rng.uniform(-320.0, -4.0, 500), 10.0 ** rng.uniform(15.0, 308.0, 500)])
+        values = values[:values.size // 2 * 2]
+        write_csv(str(tmp_path / "p.csv"), "s,h", values[0::2], values[1::2])
+        assert os.path.getsize(tmp_path / "p.csv") > 8 * csvread._READ_BYTES
+        # 17 digits are nearer their double than half its ulp, so no quotient
+        # of the writer's lies on a midpoint: float() reads the exponents only
+        fields = (tmp_path / "p.csv").read_text(encoding="ascii").replace(",", "\n").split()
+        assert self.check(str(tmp_path / "p.csv"), monkeypatch) == [f for f in fields[1:] if "e" in f]
+
+    def test_midpoints_of_the_extended_quotient_go_to_float(self, tmp_path, monkeypatch):
+        # 17- and 18-digit decimals so near the midpoint of two doubles that
+        # W / 10**F rounds to it in the 64-bit significand: rounded again to
+        # a double it may miss the nearest, so float() reads them instead
+        rng, found = np.random.default_rng(381), {}
+        for v in 10.0 ** rng.uniform(-4.0, 15.0, 10_000):
+            mid = (Fraction(v) + Fraction(math.nextafter(v, math.inf))) / 2
+            e = math.floor(math.log10(v))
+            for digits in (17, 18) if e < 0 else (17,):  # W < 10**18 with the point
+                places = digits - 1 - e
+                w = round(mid * 10 ** places)
+                x = np.longdouble(np.uint64(w)) / np.ldexp(np.longdouble(np.uint64(5 ** places)), places)
+                if np.array([x]).view(np.uint64)[0] & 0x7FF == 0x400:
+                    found[fixed(w, places)] = float(x)
+        assert {len(f.replace(".", "").lstrip("0")) for f in found} == {17, 18}
+        # the quotient rounded to a double misses some of them
+        assert any(float(f) != naive for f, naive in found.items())
+        path = csv_file(tmp_path, "s,h\n" + "".join(f"{k},{f}\n" for k, f in enumerate(found)))
+        assert self.check(path, monkeypatch) == list(found)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["", "-"]), st.text("0123456789", max_size=12),
+                              st.sampled_from(["", "."]), st.text("0123456789", max_size=12),
+                              st.sampled_from(["", "e5", "e-07", "e+15"])).map("".join),
+                    min_size=2, max_size=12))
+    def test_decimal_strings_read_as_loadtxt_reads_them(self, fields):
+        # leading zeros, signs, a point at either end or none, up to 30
+        # bytes and exponents: the same floats, or no read where np.loadtxt
+        # rejects the text
+        rows = "".join(f"{a},{b}\n" for a, b in zip(fields[0::2], fields[1::2]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = csv_file(pathlib.Path(tmp), "s,h\n" + rows)
+            with open(path, "rb") as fb:
+                columns = csvread.read_columns(fb)
+            try:
+                want = loadtxt_columns(path)
+            except ValueError:
+                assert columns is None
+                return
+        if columns is not None:
+            for got, col in zip(columns, want):
+                assert np.array_equal(np.concatenate(got).view(np.uint64), col.view(np.uint64))
+
+    @pytest.mark.parametrize("text", [
+        "0,1\n\n1,2\n", "0,1\r\n1,2\r\n", "0, 1\n1,2\n", " 0,1\n1,2\n", "+0,1\n1,+2\n",
+        "0,1\n1,inf\n", "0,1\n1,nan\n", "0,1\n1,1e400\n", "0,1\n1.2.3,2\n", "0,1\n-,2\n",
+        "0,1\n.,2\n", "0,1\n-.,2\n", "0,1\n1,\n", "0,1\n,1\n", "0,1\n1,--2\n", "0,1\n1,2-\n",
+        "0,1\n1,1234567890123456789\n", "0,1\n1,12345678901234567890123\n",
+        "0,1\n1,0.00000000000000000000001\n", "0,1\n1,0.000000000000000000000001\n",
+        "0,1,2\n1,2,3\n", "0\n1\n", "0,1\n1,2", "0,1\n5.,.5\n", "-0,-.5\n1,007\n",
+        "0,1\n1,1E5\n", "0,1\n1,1e5\n", "0,1\n1,e5\n", "0,1\n1,1e\n", "0,1\n1,0x10\n",
+        "0,1\n1,1_0\n", "0,1\n1,\u0661\n", "0,1\n1,\xa02\n", "", "s,h", "s,h \n0,1\n1,2\n",
+        "\ufeff0,1\n1,2\n", "0,1\n2,1\n", "s,h\n", "0,1\n",
+    ])
+    def test_any_other_text_reads_as_loadtxt_reads_it(self, tmp_path, monkeypatch, text):
+        # the same floats or the same error as with the reader switched off,
+        # which is what np.loadtxt alone gives (no x87 longdouble)
+        path = csv_file(tmp_path, text if text.startswith("s,h") or not text else "s,h\n" + text)
+
+        def outcome():
+            try:
+                p = SpeedProfile.from_csv(path)
+            except ValueError as err:
+                return str(err)
+            return [a.view(np.uint64).tolist() for a in (p.grid.points, p.values)]
+
+        got = outcome()
+        monkeypatch.setattr(csvread, "_tables", lambda: None)
+        assert got == outcome()
+
+    @pytest.mark.parametrize("n", [1_000, 100_001])
+    def test_written_profiles_never_reach_loadtxt(self, tmp_path, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called")
+
+        path = capped_arc_instance()
+        profile = solve(path.grid(n), build_model(path), endpoints=path.endpoints).profile
+        profile.to_csv(str(tmp_path / "p.csv"))
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        read = SpeedProfile.from_csv(str(tmp_path / "p.csv"))
+        assert np.array_equal(read.grid.points, profile.grid.points)
+        assert np.array_equal(read.values.view(np.uint64), profile.values.view(np.uint64))
+
+    def test_without_an_x87_longdouble_loadtxt_reads(self, tmp_path, monkeypatch):
+        calls, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(csvread, "_tables", lambda: None)
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        p = SpeedProfile.from_csv(csv_file(tmp_path, "s,h\n0,1.5\n0.25,2\n"))
+        assert calls == [1] and p.values.tolist() == [1.5, 2.0]
+
+    def test_memory_at_1e5(self, tmp_path):
+        # three arrays of n: the two columns and a copy of one; the text is
+        # read a block at a time (np.loadtxt's read held 4.13 arrays of n)
+        n = 100_001
+        SpeedProfile(Discretization(np.linspace(0.0, 7.0, n)),
+                     np.linspace(0.0, 1.0, n) ** 2 / 3.0).to_csv(str(tmp_path / "p.csv"))
+        tracemalloc.start()
+        try:
+            SpeedProfile.from_csv(str(tmp_path / "p.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * 8 * n, peak
 
 
 class TestModelCaps:

@@ -48,14 +48,15 @@ def test_import_of_the_cli_loads_core_and_retime_only():
     assert loaded_after("import toppkit.cli") == CLI_MODULES
 
 
-def test_retime_loads_what_the_cli_import_does(tmp_path):
+def test_retime_adds_the_csv_reader(tmp_path):
     assert main(["solve", "--input", write_spec(tmp_path, line_instance()),
                  "--n", "101", "--out", str(tmp_path / "solved")]) == 0
     profile = tmp_path / "solved" / "profile.csv"
     assert loaded_after(
         "from toppkit.cli import main\n"
         f"assert main(['retime', '--profile', {str(profile)!r}, '--dt', '0.01',"
-        f" '--out', {str(tmp_path / 'o')!r}]) == 0") == CLI_MODULES
+        f" '--out', {str(tmp_path / 'o')!r}]) == 0") \
+        == sorted(CLI_MODULES + ["toppkit.csvread"])
 
 
 def test_solve_adds_paths_and_solver(tmp_path):
@@ -76,7 +77,7 @@ def test_star_import_binds_every_public_name_from_its_submodule():
         "    for n in toppkit.__all__]))")
     assert done.returncode == 0, done.stderr
     bound = json.loads(done.stdout)
-    assert len(bound) == len({name for name, *_ in bound}) == 36
+    assert len(bound) == len({name for name, *_ in bound}) == 35
     for name, module, listed, same in bound:
         assert module.startswith("toppkit."), name
         assert listed == 1 and same, name

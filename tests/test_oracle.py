@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from toppkit import (Discretization, InfeasibleError, PathSpec,
                      agreement_tolerance, analytic_optimum, build_model,
                      bundled_instances, capped_arc_instance, check_admissible,
-                     circle_instance, default_tol, dp_optimum, lattice_spacing,
-                     line_instance, profile_error, random_table_instance,
-                     relax, solve, wave_table_instance)
+                     circle_instance, default_tol, dp_optimum, line_instance,
+                     profile_error, random_table_instance, relax, solve,
+                     wave_table_instance)
 from toppkit.core import FrictionCircle
-from toppkit.oracle import _lattice_down
+from toppkit.oracle import _lattice_down, _lattice_spacing
 
 import conftest
 from conftest import (LONG, WIDE, blind_model, constant_box_model, failed_check,
@@ -55,7 +55,7 @@ class TestDpOptimum:
         profile = dp_optimum(grid, model, levels=512,
                              endpoints=path.endpoints)
         ref = analytic_optimum(path, grid)
-        tol = lattice_spacing(grid, model, 512) + model.slope_cap * grid.delta
+        tol = _lattice_spacing(grid, model, 512) + model.slope_cap * grid.delta
         assert profile_error(profile, ref) <= tol
 
     def test_circle_sits_on_ceiling_even_when_coarse(self):
@@ -63,7 +63,7 @@ class TestDpOptimum:
         model = build_model(path)
         grid = path.grid(41)
         profile = dp_optimum(grid, model, levels=8, endpoints=path.endpoints)
-        spacing = lattice_spacing(grid, model, 8)
+        spacing = _lattice_spacing(grid, model, 8)
         assert np.max(np.abs(profile.values - 1.0)) <= spacing
 
     def test_forced_constant_profile(self):
@@ -117,7 +117,7 @@ class TestDpOptimum:
                                               endpoints=path.endpoints), base)
             finer = profile_error(dp_optimum(grid, model, 2 * levels,
                                              endpoints=path.endpoints), base)
-            assert finer <= coarse + lattice_spacing(grid, model, levels)
+            assert finer <= coarse + _lattice_spacing(grid, model, levels)
 
     def test_empty_candidate_set_raises(self):
         from toppkit import DynamicsModel
@@ -141,14 +141,14 @@ class TestDpOptimum:
         with pytest.raises(ValueError):
             dp_optimum(grid, build_model(path), levels=7)
         with pytest.raises(ValueError):
-            lattice_spacing(grid, build_model(path), 4)
+            _lattice_spacing(grid, build_model(path), 4)
 
     @pytest.mark.parametrize("levels", [8.5, 512.0, "512"])
     def test_levels_must_be_an_integer(self, levels):
         path = line_instance()
         grid, model = path.grid(5), build_model(path)
         for call in (lambda: dp_optimum(grid, model, levels),
-                     lambda: lattice_spacing(grid, model, levels),
+                     lambda: _lattice_spacing(grid, model, levels),
                      lambda: agreement_tolerance(grid, model, levels)):
             with pytest.raises(TypeError):
                 call()
@@ -160,8 +160,8 @@ class TestDpOptimum:
             assert np.array_equal(
                 dp_optimum(grid, model, np.int64(levels), path.endpoints).values,
                 dp_optimum(grid, model, levels, path.endpoints).values)
-            assert lattice_spacing(grid, model, np.int64(levels)) == \
-                lattice_spacing(grid, model, levels)
+            assert _lattice_spacing(grid, model, np.int64(levels)) == \
+                _lattice_spacing(grid, model, levels)
 
     @pytest.mark.parametrize("endpoints", [
         (float("nan"), None), (None, float("nan")), (-1.0, None), (None, -1.0),
@@ -201,8 +201,8 @@ class TestSampledBounds:
                 assert np.array_equal(
                     dp_optimum(grid, model, levels, path.endpoints).values,
                     dp_optimum(grid, plain, levels, path.endpoints).values)
-                assert lattice_spacing(grid, model, levels) == \
-                    lattice_spacing(grid, plain, levels)
+                assert _lattice_spacing(grid, model, levels) == \
+                    _lattice_spacing(grid, plain, levels)
                 assert agreement_tolerance(grid, model, levels) == \
                     agreement_tolerance(grid, plain, levels)
 
